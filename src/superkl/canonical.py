@@ -21,8 +21,6 @@ of the transition matrix and of its inverse at q -> -q.
 
 from __future__ import annotations
 
-import json
-import os
 from fractions import Fraction
 
 from .errors import IntervalInfinite, NonTriangularBar, StabilityViolation
@@ -37,6 +35,9 @@ from .weights import (
     kappa,
     minimal_window,
     order_leq,
+    profile_grid,
+    profile_leq,
+    signed_profile,
     truncate,
     weight_of,
 )
@@ -141,17 +142,23 @@ class BlockData:
         return self.members.index(lam)
 
     def psi_matrix(self) -> list[dict[int, LaurentInt]]:
-        """Row a -> sparse map b -> coefficient of member b in psi(v_a)."""
+        """Row a -> sparse map b -> coefficient of member b in psi(v_a).
+
+        Checks that psi(v_a) is supported on members b >= a in the order,
+        comparing signed profiles built once over the block's grid.
+        """
         if self._rmat is not None:
             return self._rmat
         pos = {m: i for i, m in enumerate(self.members)}
+        grid = profile_grid(self.members)
+        profiles = [signed_profile(m, grid) for m in self.members]
         rows = []
         for a, lam in enumerate(self.members):
             vec = psi_monomial(lam)
             row: dict[int, LaurentInt] = {}
             for mu, c in vec.terms.items():
                 b = pos.get(mu)
-                if b is None or not order_leq(lam, mu):
+                if b is None or not profile_leq(profiles[a], profiles[b]):
                     raise NonTriangularBar(
                         f"psi(v[{lam.text()}]) has support at {mu.text()}")
                 row[b] = c
@@ -309,24 +316,13 @@ def block_data(lam: Matrix01) -> BlockData:
 def _linear_extension(members: list[Matrix01]) -> list[Matrix01]:
     """Sort a block so that lam < mu implies lam comes first.
 
-    The sum of all signed prefix counts over the block's column grid is
+    The sum of a weight's ``signed_profile`` over the block's grid is
     strictly decreasing upward in the order, so it provides a linear
     extension directly; ties are broken by the text form for determinism.
     """
-    grid = sorted({j for m in members for row in m.devs for j in row})
-    level = members[0].tnc.level if members else 0
-
-    def score(lam: Matrix01) -> int:
-        total = 0
-        for h in grid:
-            acc = 0
-            for i in range(level):
-                sign = 1 if lam.tnc.c[i] == 0 else -1
-                acc += sign * sum(1 for j in lam.devs[i] if j <= h)
-                total += acc
-        return total
-
-    return sorted(members, key=lambda m: (-score(m), m.text()))
+    grid = profile_grid(members)
+    return sorted(members, key=lambda m: (-sum(map(sum, signed_profile(m, grid))),
+                                          m.text()))
 
 
 def block_table(interval: Interval, tnc: TypeNC) -> BlockTable:
@@ -567,50 +563,3 @@ def _solve_bar_system(r, size, pos_lam, upset, degree_bound, spread):
             cur = sol.get(b_mem, zero)
             sol[b_mem] = cur + LaurentInt.monomial(k, int(val))
     return sol
-
-
-# ---------------------------------------------------------------------------
-# Optional on-disk persistence of the psi memo (SUPERKL_CACHE_DIR).
-
-def _cache_path(cache_dir: str, interval: Interval, tnc: TypeNC) -> str:
-    tag = (interval.text().replace(":", "_") + "__n" +
-           "-".join(map(str, tnc.n)) + "__c" + "-".join(map(str, tnc.c)))
-    return os.path.join(cache_dir, f"psi_{tag}.json")
-
-
-def save_psi_cache(cache_dir: str) -> int:
-    """Persist the in-memory psi memo; returns the number of contexts written."""
-    os.makedirs(cache_dir, exist_ok=True)
-    written = 0
-    for (interval, tnc), entries in _psi_cache.items():
-        payload = {
-            lam.text(): {mu.text(): sorted(c.coeffs.items())
-                         for mu, c in vec.terms.items()}
-            for lam, vec in entries.items()
-        }
-        with open(_cache_path(cache_dir, interval, tnc), "w") as fh:
-            json.dump(payload, fh)
-        written += 1
-    return written
-
-
-def load_psi_cache(cache_dir: str, interval: Interval, tnc: TypeNC) -> int:
-    """Load one context's psi memo if present; returns entries loaded."""
-    from .weights import parse_matrix
-
-    path = _cache_path(cache_dir, interval, tnc)
-    if not os.path.exists(path):
-        return 0
-    with open(path) as fh:
-        payload = json.load(fh)
-    cache = _psi_cache.setdefault((interval, tnc), {})
-    for lam_text, vec in payload.items():
-        lam = parse_matrix(lam_text, interval, tnc)
-        out = ModuleVec(interval, tnc)
-        out.terms = {
-            parse_matrix(mu_text, interval, tnc): LaurentInt(dict(
-                (int(e), c) for e, c in pairs))
-            for mu_text, pairs in vec.items()
-        }
-        cache[lam] = out
-    return len(payload)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -32,6 +31,7 @@ from .weights import (
     order_leq,
     parse_matrix,
     truncate,
+    weight_of,
 )
 
 
@@ -74,12 +74,15 @@ def _finite_pair(args, interval, tnc):
 def cmd_poset(args):
     interval, tnc = _context(args)
     weights = enumerate_weights(interval, tnc)
-    texts = [w.text() for w in weights]
+    blocks = {}
+    for w in weights:
+        blocks.setdefault(weight_of(w), []).append(w)
     lt = {}
-    for a in weights:
-        for b in weights:
-            if a != b and order_leq(a, b):
-                lt.setdefault(a, set()).add(b)
+    for block in blocks.values():  # the order never relates two blocks
+        for a in block:
+            for b in block:
+                if a != b and order_leq(a, b):
+                    lt.setdefault(a, set()).add(b)
     covers = []
     for a in weights:
         above = lt.get(a, set())
@@ -177,8 +180,7 @@ def cmd_crystal(args):
                   for a, i, b in edges],
     }
     rows = [(e["from"], str(e["color"]), e["to"]) for e in payload["edges"]]
-    dot = crys.crystal_dot(interval, tnc)
-    return payload, rows, dot
+    return payload, rows, crys.dot_text(weights, edges)
 
 
 def cmd_prinjective(args):
@@ -348,15 +350,7 @@ def _emit(args, payload, rows, dot=None) -> str:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cache_dir = os.environ.get("SUPERKL_CACHE_DIR")
     try:
-        if cache_dir:
-            try:
-                interval, tnc = _context(args)
-                if interval.is_finite():
-                    canon.load_psi_cache(cache_dir, interval, tnc)
-            except (ValueError, SuperklError):
-                pass
         result = COMMANDS[args.command](args)
         payload, rows = result[0], result[1]
         dot = result[2] if len(result) > 2 else None
@@ -372,8 +366,6 @@ def main(argv=None) -> int:
                 fh.write(text + "\n")
         else:
             print(text)
-        if cache_dir:
-            canon.save_psi_cache(cache_dir)
         return 0
     except Unknown as exc:
         print(json.dumps({"command": args.command, **exc.payload},

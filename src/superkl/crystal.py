@@ -256,7 +256,11 @@ def crystal_edges(interval: Interval, tnc: TypeNC):
 
 def crystal_dot(interval: Interval, tnc: TypeNC) -> str:
     """Emit the crystal graph in DOT format."""
-    weights, edges = crystal_edges(interval, tnc)
+    return dot_text(*crystal_edges(interval, tnc))
+
+
+def dot_text(weights, edges) -> str:
+    """The DOT text of the vertices and edges returned by ``crystal_edges``."""
     lines = ["digraph crystal {"]
     for lam in weights:
         lines.append(f'  "{lam.text()}";')

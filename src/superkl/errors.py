@@ -55,11 +55,3 @@ class DuplicateCoordinate(SuperklError):
 
 class BudgetExceeded(SuperklError):
     """Requested computation exceeds a hard size budget."""
-
-
-class WindowExhausted(SuperklError):
-    """Prinjectivity undecided within the window budget.
-
-    The search itself reports this outcome as the value "unknown" rather
-    than raising; the class exists for callers who want to promote it.
-    """

@@ -165,14 +165,6 @@ q = LaurentInt({1: 1})
 qinv = LaurentInt({-1: 1})
 
 
-def add(a: LaurentInt, b: LaurentInt) -> LaurentInt:
-    return a + b
-
-
-def mul(a: LaurentInt, b: LaurentInt) -> LaurentInt:
-    return a * b
-
-
 def bar(p: LaurentInt) -> LaurentInt:
     return p.bar()
 

@@ -14,6 +14,7 @@ window was chosen.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
 
@@ -383,31 +384,45 @@ def dominance_leq(beta_eps: dict[int, int], gamma_eps: dict[int, int],
     return True
 
 
-def _signed_prefix(lam: Matrix01, k: int, h: int) -> int:
-    """sum_{i<=k} sum_{j<=h, dev} (-1)^{c_i} for 1-based row cutoff k."""
-    total = 0
-    for i in range(k):
-        sign = 1 if lam.tnc.c[i] == 0 else -1
-        total += sign * sum(1 for j in lam.devs[i] if j <= h)
-    return total
+def profile_grid(weights) -> list[int]:
+    """The sorted union of the deviation columns of some weights."""
+    return sorted({j for lam in weights for row in lam.devs for j in row})
+
+
+def signed_profile(lam: Matrix01, grid) -> list[tuple[int, ...]]:
+    """The signed prefix counts of lam: entry [k-1][t] is
+
+        sum_{i<=k} (-1)^{c_i} #{deviations of row i at columns <= grid[t]}.
+
+    This is the one place the count is made; the matrix order, the linear
+    extension of a block and the truncation ideals all read it from here.
+    """
+    profile = []
+    acc = [0] * len(grid)
+    for row, ci in zip(lam.devs, lam.tnc.c):
+        sign = 1 if ci == 0 else -1
+        acc = [a + sign * bisect_right(row, h) for a, h in zip(acc, grid)]
+        profile.append(tuple(acc))
+    return profile
+
+
+def profile_leq(lam_profile, mu_profile) -> bool:
+    """The (TP1) rule on two profiles over one grid: last row equal, the rest >=."""
+    return lam_profile[-1:] == mu_profile[-1:] and all(
+        a >= b for ra, rb in zip(lam_profile[:-1], mu_profile[:-1])
+        for a, b in zip(ra, rb))
 
 
 def order_leq(lam: Matrix01, mu: Matrix01) -> bool:
-    """The (TP1) order on Lambda, via the signed prefix-sum criterion."""
+    """The (TP1) order on Lambda: ``profile_leq`` on the signed profiles.
+
+    The profiles are step functions of the column, so comparing them at
+    the union of the two weights' deviation columns decides the order.
+    """
     if lam.interval != mu.interval or lam.tnc != mu.tnc:
         raise TypeMismatch("weights live over different contexts")
-    level = lam.tnc.level
-    hs = sorted(set(lam.all_dev_cols()) | set(mu.all_dev_cols()))
-    hs = [h for h in hs if h in lam.interval]
-    for k in range(1, level + 1):
-        for h in hs:
-            a = _signed_prefix(lam, k, h)
-            b = _signed_prefix(mu, k, h)
-            if a < b:
-                return False
-            if k == level and a != b:
-                return False
-    return True
+    grid = profile_grid((lam, mu))
+    return profile_leq(signed_profile(lam, grid), signed_profile(mu, grid))
 
 
 def order_lt(lam: Matrix01, mu: Matrix01) -> bool:
@@ -478,56 +493,35 @@ def in_Lambda_J(lam: Matrix01, window: Interval) -> bool:
     return all(window.contains_col(j) for row in lam.devs for j in row)
 
 
-def _ineq_values(lam: Matrix01, window: Interval):
-    """Evaluate the two truncation inequality families at their jump points.
+def _ineq_values(lam: Matrix01, window: Interval) -> list[int]:
+    """The truncation inequalities, read off the signed profile.
 
-    Yields (value, family) pairs; every ``low`` value must be >= 0 and every
-    ``high`` value <= 0 for membership in Lambda_{<=J}.  The families are
-    step functions of h, so evaluating at the deviation-induced jump points
-    captures every attained value (the far tails are 0 on both sides).
+    Membership in Lambda_{<=J} needs every value to be >= 0.  The values
+    are the prefix counts at h < min(J) and, at h > max(J), the prefix
+    count minus the row total, that is minus the suffix count.  Both are
+    step functions of h with tails 0, so the columns between the
+    outermost deviation and J give every value.
     """
-    level = lam.tnc.level
     devcols = lam.all_dev_cols()
     if not devcols:
-        return
-    lo_hs = range(devcols[0], window.lo)         # h < min(J)
-    hi_hs = range(window.hi + 1, devcols[-1] + 1)  # h > max(J)
-    for k in range(1, level + 1):
-        for h in lo_hs:
-            yield _signed_prefix(lam, k, h), "low"
-        for h in hi_hs:
-            total = 0
-            for i in range(k):
-                sign = 1 if lam.tnc.c[i] == 0 else -1
-                total += sign * sum(1 for j in lam.devs[i] if j > h)
-            yield total, "high"
+        return []
+    lo_hs = list(range(devcols[0], window.lo))
+    hi_hs = list(range(window.hi + 1, devcols[-1] + 1))
+    profile = signed_profile(lam, lo_hs + hi_hs + devcols[-1:])
+    cut = len(lo_hs)
+    return ([v for row in profile for v in row[:cut]]
+            + [v - row[-1] for row in profile for v in row[cut:-1]])
 
 
 def in_leq_J(lam: Matrix01, window: Interval) -> bool:
-    """Membership in the ideal Lambda_{<=J}."""
-    for value, family in _ineq_values(lam, window):
-        if family == "low" and value < 0:
-            return False
-        if family == "high" and value > 0:
-            return False
-    return True
+    """Membership in the ideal Lambda_{<=J}: no ``_ineq_values`` entry < 0."""
+    return all(v >= 0 for v in _ineq_values(lam, window))
 
 
 def in_lt_J(lam: Matrix01, window: Interval) -> bool:
     """Membership in Lambda_{<J}: in Lambda_{<=J} with some strict inequality."""
-    strict = False
-    for value, family in _ineq_values(lam, window):
-        if family == "low":
-            if value < 0:
-                return False
-            if value > 0:
-                strict = True
-        else:
-            if value > 0:
-                return False
-            if value < 0:
-                strict = True
-    return strict
+    values = _ineq_values(lam, window)
+    return all(v >= 0 for v in values) and any(values)
 
 
 def truncate(lam: Matrix01, window: Interval) -> Matrix01:

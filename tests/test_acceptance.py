@@ -242,6 +242,7 @@ def test_criterion_07_order_theory_suite():
     t0 = time.time()
     rng = random.Random(701)
     posets = 0
+    in_block_pairs = 0
     for interval, tnc in contexts():
         if not (0 < weight_count(interval, tnc) <= 200):
             continue
@@ -256,10 +257,20 @@ def test_criterion_07_order_theory_suite():
                 if _leq_from_keys(keys, level, a, b):
                     mask |= 1 << i
             masks.append(mask)
-        # the fast comparator is the public order
+        # the fast comparator is the public order on every pair inside a
+        # block, and the public order never relates two blocks
+        blocks = {}
+        for i, w in enumerate(ws):
+            blocks.setdefault(weight_of(w), []).append(i)
+        for block in blocks.values():
+            for a in block:
+                for b in block:
+                    assert bool(masks[a] >> b & 1) == order_leq(ws[a], ws[b])
+            in_block_pairs += len(block) ** 2
         for _ in range(5):
             a, b = rng.randrange(n), rng.randrange(n)
-            assert bool(masks[a] >> b & 1) == order_leq(ws[a], ws[b])
+            if weight_of(ws[a]) != weight_of(ws[b]):
+                assert not order_leq(ws[a], ws[b])
         for i in range(n):
             assert masks[i] >> i & 1  # reflexive
         for i in range(n):
@@ -307,7 +318,8 @@ def test_criterion_07_order_theory_suite():
                     (name, lam.coords, mu.coords)
                 desc_checked += 1
     acceptance_line(7, True,
-                    f"partial-order axioms on {posets} posets; linkage chain "
+                    f"partial-order axioms on {posets} posets; public order == "
+                    f"reference on {in_block_pairs} in-block pairs; linkage chain "
                     f"({comb_checked} links) and Bruhat<->matrix order "
                     f"({desc_checked} pairs) on [-3,3] boxes ({time.time()-t0:.1f}s)")
 

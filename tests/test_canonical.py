@@ -17,7 +17,8 @@ from superkl.canonical import (
     twisted_canonical,
     young_word_dim,
 )
-from superkl.errors import IntervalInfinite
+import superkl.canonical as canon
+from superkl.errors import IntervalInfinite, NonTriangularBar
 from superkl.laurent import LaurentInt, one, zero
 from superkl.qmodule import ModuleVec, act_e, act_f, form
 from superkl.weights import (
@@ -81,6 +82,39 @@ def test_psi_preserves_blocks():
         for mu in psi_monomial(lam).support():
             assert weight_of(mu) == wt
             assert order_leq(lam, mu)
+
+
+def test_psi_matrix_rejects_support_outside_the_order(monkeypatch):
+    # give psi(v_lam) extra support at each member mu with not lam <= mu,
+    # one at a time: the triangularity check must refuse every one
+    interval, tnc = Interval.finite(0, 2), TypeNC((1, 1, 1), (0, 1, 0))
+    block = max(block_table(interval, tnc).blocks, key=lambda b: b.size)
+    real = canon.psi_monomial
+    bad_pairs = [(lam, mu) for lam in block.members for mu in block.members
+                 if not order_leq(lam, mu)]
+    assert len(bad_pairs) > block.size
+    for lam, mu in bad_pairs:
+        def skewed(nu, lam=lam, mu=mu):
+            vec = real(nu)
+            return vec + ModuleVec.monomial(mu) if nu == lam else vec
+        monkeypatch.setattr(canon, "psi_monomial", skewed)
+        fresh = canon.BlockData(interval, tnc, block.weight, block.members)
+        with pytest.raises(NonTriangularBar) as err:
+            fresh.psi_matrix()
+        assert str(err.value) == f"psi(v[{lam.text()}]) has support at {mu.text()}"
+
+
+def test_block_members_are_a_linear_extension():
+    for interval, tnc in ((Interval.finite(0, 2), TypeNC((2, 1, 2), (1, 0, 1))),
+                          (I01, TypeNC((1, 1, 1, 1), (0, 1, 0, 1))),
+                          (I01, TypeNC((2, 1, 1, 1), (0, 0, 0, 0)))):
+        clear_caches()
+        for block in block_table(interval, tnc).blocks:
+            members = block.members
+            for a, lam in enumerate(members):
+                for b, mu in enumerate(members):
+                    if order_lt(lam, mu):
+                        assert a < b, (lam.text(), mu.text())
 
 
 def test_canonical_examples():

@@ -1,9 +1,12 @@
+import hashlib
 import json
 from importlib import resources
 
 import jsonschema
+import pytest
 
-from superkl import cli
+from superkl import canonical, cli
+from superkl.weights import Interval, TypeNC, enumerate_weights, order_leq
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +47,15 @@ def test_poset_cover_relations(capsys):
                            "--n", "1,1", "--c", "0,0")
     payload = json.loads(out)
     assert {"lower": "@0:10/01", "upper": "@0:01/10"} in payload["covers"]
+    # the per-block covers equal the covers of the order on all pairs
+    _, out, _ = run_cli(capsys, "poset", "--interval", "0:2",
+                        "--n", "2,1,1", "--c", "0,1,0")
+    ws = enumerate_weights(Interval.finite(0, 2), TypeNC((2, 1, 1), (0, 1, 0)))
+    above = {a: {b for b in ws if a != b and order_leq(a, b)} for a in ws}
+    covers = sorted((a.text(), b.text()) for a in ws for b in above[a]
+                    if not any(b in above[c] for c in above[a]))
+    assert covers
+    assert [(e["lower"], e["upper"]) for e in json.loads(out)["covers"]] == covers
 
 
 def test_klpoly_maximal_weight(capsys):
@@ -202,23 +214,63 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["count"] == 2
 
 
-def test_psi_cache_dir(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SUPERKL_CACHE_DIR", str(tmp_path))
-    code, out, _ = run_cli(capsys, "canonical", "--interval", "0:0",
-                           "--n", "1,1", "--c", "0,0")
-    assert code == 0
-    assert any(p.name.startswith("psi_") for p in tmp_path.iterdir())
-    # second run loads the cache and reproduces the same bytes
-    import superkl.canonical as canon
-    canon.clear_caches()
-    code2, out2, _ = run_cli(capsys, "canonical", "--interval", "0:0",
-                             "--n", "1,1", "--c", "0,0")
-    assert code2 == 0 and out2 == out
-
-
 def test_threads_flag(capsys):
     _, out1, _ = run_cli(capsys, "canonical", "--interval", "0:1",
                          "--n", "1,1", "--c", "0,0", "--threads", "1")
     _, out2, _ = run_cli(capsys, "canonical", "--interval", "0:1",
                          "--n", "1,1", "--c", "0,0", "--threads", "4")
     assert out1 == out2
+
+
+# sha256 of the full stdout of small contexts, pinned so that a change of
+# output bytes fails in the tests and not only in the benchmark.
+GOLDEN = [
+    ("poset 0:2 2,1 0,1 json",
+     "b25e03a0e8e2aa2407a69b9e306d345a3341695ef9a4943ee6ec83e744c3cbec"),
+    ("poset 0:1 1,1,1 0,1,0 json",
+     "76c8348be3cd255b7e11419aa0a9b2aa66ff20aa7a790d75e8ba9878a575079c"),
+    ("poset 0:2 2,1,2 0,1,0 tsv",
+     "c70228abc15cf7dd5236a1061b7c5e121da09a9e46f88b1eb2221eb8ecce90b2"),
+    ("poset 0:2 2,2 0,1 json",
+     "fd7dafa5ac586da5c0c3647385efccdfabab9c8a0b78330cea36b6e531cc2937"),
+    ("poset 0:1 1,1,1,1 0,1,1,0 json",
+     "b4996c3a807de744f62f394a337468ad6fd6e248db2b93811fa6e28061212275"),
+    ("blocks 0:2 2,1,2 0,1,0 json",
+     "187e8dfd462896869eff34b4d73b299b75d44b2b2b41e5d7aacb54617325c2b2"),
+    ("canonical 0:2 1,1,1 0,0,0 json",
+     "e7e30ed048b78d3bf7b238862438f6ecf12c0473557000b8019dcf339769b9e0"),
+    ("canonical 0:1 2,1,1 0,1,0 json",
+     "3f3d351b0eb4826861d5951ec70f99552a77c388927bb6840f94fd30a80c0f0b"),
+    ("canonical 0:2 2,1,2 0,1,0 json",
+     "cd10c79ac63f675fe1766a9f7f7b832f8ce11be90c99eede0bc657c171d5e8c3"),
+    ("canonical 0:1 1,1,1,1 0,1,0,1 json",
+     "31ccea6bed8261f0adf17134944c80bf0b9f5a57e3ca3f14f4f782fa72409af7"),
+    ("canonical 0:2 1,1,1,1 0,0,0,0 tsv",
+     "c4894b260a676a24f039ee0bcf386ba6740b419db29faa78006bce87bffeb741"),
+    ("crystal 0:2 2,1 0,1 json",
+     "bc9c95e64c7261931a9d80d6152c173a04332c75119e300749da3cf0dccf8783"),
+    ("crystal 0:2 2,1 0,1 dot",
+     "4793cb32c9ca92028336e03323cbc13f8d9ad5d7de98c76882aa9652f10f0e5c"),
+    ("crystal 0:2 2,1 0,1 tsv",
+     "f980ef6839558e94fbb4038104698f18861fcbff6d39a916774ca19f2982bf4b"),
+    ("crystal 0:3 2,2,1 0,1,0 dot",
+     "2f777ba44bd1c2e1bef42d0ef63cdb48692b832cdba69ff87b38d5ac704b226f"),
+    ("prinjective 0:2 2,1 0,0 json",
+     "ced9bb350f53651be599c1dcf8ccfa5f116d0da5c201d2c5666045637bb9f5d9"),
+    ("prinjective 0:2 1,2 1,0 json",
+     "40ef35d725e3ac8f28673f7732a10c237a3f15b8516e0fa2d7fc6429c263269d"),
+    ("prinjective z 1,1 0,1 json @0:01/10",
+     "ca7048dd31432977346b01b95e7abd7219d0f61c40fa04347ffa0c41febfd454"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_output_bytes(capsys, spec, digest):
+    command, interval, n, c, fmt, *matrix = spec.split()
+    argv = [command, "--interval", interval, "--n", n, "--c", c, "--format", fmt]
+    if matrix:
+        argv += ["--matrix", matrix[0]]
+    canonical.clear_caches()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
