@@ -10,13 +10,18 @@ color j and use
     m (x) v_w = f_j(m (x) v_w') - q (f_j m) (x) v_w'
 
 to push the computation toward monomials whose last row is closer to the
-highest one.  Everything is memoized per (interval, type) context.
+highest one.  psi is memoized per (interval, type) context.
 
 Canonical basis vectors are the unique psi-invariant elements
 b = v_lam + (qZ[q]-combination of higher monomials in the block); they are
 computed blockwise from the matrix of psi on monomials by solving the
 resulting unitriangular congruences.  d- and p-polynomials are the entries
 of the transition matrix and of its inverse at q -> -q.
+
+A process holds at most one ``BlockData`` per (interval, type, weight), in
+``_single_block_cache``: ``block_data`` and ``BlockTable`` both look the
+block up there before building it, so its psi, d and p memos are shared
+whichever path reaches it first.  Tables are not memoized; the blocks are.
 """
 
 from __future__ import annotations
@@ -45,13 +50,17 @@ from .weights import (
 _qinv = LaurentInt.monomial(-1)
 
 _psi_cache: dict[tuple, dict[Matrix01, ModuleVec]] = {}
-_block_cache: dict[tuple, "BlockTable"] = {}
+_single_block_cache: dict[tuple, "BlockData"] = {}
 
 
 def clear_caches():
     _psi_cache.clear()
-    _block_cache.clear()
     _single_block_cache.clear()
+
+
+def _block_key(lam: Matrix01) -> tuple:
+    """The cache key of lam's block: its context and its sl_I weight."""
+    return (lam.interval, lam.tnc, tuple(sorted(weight_of(lam).items())))
 
 
 def _kappa_row_devs(interval: Interval, n: int, c: int) -> tuple[int, ...]:
@@ -130,6 +139,7 @@ class BlockData:
         self.tnc = tnc
         self.weight = weight
         self.members = members  # ascending: position grows with the order
+        self._pos = {m: i for i, m in enumerate(members)}
         self._rmat = None
         self._dmat = None
         self._pinv = None
@@ -139,7 +149,7 @@ class BlockData:
         return len(self.members)
 
     def position(self, lam: Matrix01) -> int:
-        return self.members.index(lam)
+        return self._pos[lam]
 
     def psi_matrix(self) -> list[dict[int, LaurentInt]]:
         """Row a -> sparse map b -> coefficient of member b in psi(v_a).
@@ -149,7 +159,6 @@ class BlockData:
         """
         if self._rmat is not None:
             return self._rmat
-        pos = {m: i for i, m in enumerate(self.members)}
         grid = profile_grid(self.members)
         profiles = [signed_profile(m, grid) for m in self.members]
         rows = []
@@ -157,7 +166,7 @@ class BlockData:
             vec = psi_monomial(lam)
             row: dict[int, LaurentInt] = {}
             for mu, c in vec.terms.items():
-                b = pos.get(mu)
+                b = self._pos.get(mu)
                 if b is None or not profile_leq(profiles[a], profiles[b]):
                     raise NonTriangularBar(
                         f"psi(v[{lam.text()}]) has support at {mu.text()}")
@@ -218,26 +227,28 @@ class BlockData:
 
 
 class BlockTable:
-    """All blocks of one finite context."""
+    """All blocks of one finite context, from one enumeration.
+
+    ``weights`` is the enumeration, in ``enumerate_weights`` order;
+    ``blocks`` are sorted by weight and shared with ``block_data``.
+    """
 
     def __init__(self, interval: Interval, tnc: TypeNC):
         self.interval = interval
         self.tnc = tnc
+        self.weights = enumerate_weights(interval, tnc)
+        groups: dict[tuple, list[Matrix01]] = {}
+        for lam in self.weights:
+            groups.setdefault(_block_key(lam), []).append(lam)
         self.blocks: list[BlockData] = []
-        self._by_weight: dict[WeightPI, int] = {}
-        groups: dict[WeightPI, list[Matrix01]] = {}
-        for lam in enumerate_weights(interval, tnc):
-            groups.setdefault(weight_of(lam), []).append(lam)
-        for wt in sorted(groups, key=lambda w: sorted(w.items())):
-            members = _linear_extension(groups[wt])
-            self._by_weight[wt] = len(self.blocks)
-            self.blocks.append(BlockData(interval, tnc, wt, tuple(members)))
-
-    def block_of(self, lam: Matrix01) -> BlockData:
-        return self.blocks[self._by_weight[weight_of(lam)]]
-
-
-_single_block_cache: dict[tuple, BlockData] = {}
+        for key in sorted(groups, key=lambda k: k[2]):
+            block = _single_block_cache.get(key)
+            if block is None:
+                group = groups[key]
+                block = BlockData(interval, tnc, weight_of(group[0]),
+                                  tuple(_linear_extension(group)))
+                _single_block_cache[key] = block
+            self.blocks.append(block)
 
 
 def _signed_column_counts(lam: Matrix01) -> dict[int, int]:
@@ -296,20 +307,15 @@ def _block_members_direct(lam: Matrix01) -> tuple[Matrix01, ...]:
 
 
 def block_data(lam: Matrix01) -> BlockData:
-    """The block of lam, from the full-context cache or built directly."""
+    """The block of lam: the cached one, or built directly from lam."""
     if not lam.interval.is_finite():
         raise IntervalInfinite("blocks over infinite intervals can be infinite; "
                                "truncate first")
-    key = (lam.interval, lam.tnc)
-    table = _block_cache.get(key)
-    if table is not None:
-        return table.block_of(lam)
-    wt = weight_of(lam)
-    skey = (lam.interval, lam.tnc, tuple(sorted(wt.items())))
-    block = _single_block_cache.get(skey)
+    key = _block_key(lam)
+    block = _single_block_cache.get(key)
     if block is None:
-        block = BlockData(lam.interval, lam.tnc, wt, _block_members_direct(lam))
-        _single_block_cache[skey] = block
+        block = BlockData(lam.interval, lam.tnc, weight_of(lam), _block_members_direct(lam))
+        _single_block_cache[key] = block
     return block
 
 
@@ -326,12 +332,8 @@ def _linear_extension(members: list[Matrix01]) -> list[Matrix01]:
 
 
 def block_table(interval: Interval, tnc: TypeNC) -> BlockTable:
-    key = (interval, tnc)
-    table = _block_cache.get(key)
-    if table is None:
-        table = BlockTable(interval, tnc)
-        _block_cache[key] = table
-    return table
+    """A fresh table of the context; its blocks come from the block cache."""
+    return BlockTable(interval, tnc)
 
 
 def canonical_basis(lam: Matrix01) -> ModuleVec:

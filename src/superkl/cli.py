@@ -26,12 +26,11 @@ from .weights import (
     TypeNC,
     defect,
     defect_in_window,
-    enumerate_weights,
+    enumerate_weights,  # noqa: F401 (perfbench/tracing.py wraps cli.enumerate_weights)
     minimal_window,
     order_leq,
     parse_matrix,
     truncate,
-    weight_of,
 )
 
 
@@ -73,16 +72,16 @@ def _finite_pair(args, interval, tnc):
 
 def cmd_poset(args):
     interval, tnc = _context(args)
-    weights = enumerate_weights(interval, tnc)
-    blocks = {}
-    for w in weights:
-        blocks.setdefault(weight_of(w), []).append(w)
+    table = canon.block_table(interval, tnc)
     lt = {}
-    for block in blocks.values():  # the order never relates two blocks
-        for a in block:
-            for b in block:
-                if a != b and order_leq(a, b):
+    for block in table.blocks:  # the order never relates two blocks
+        # members is a linear extension, so only a later member can lie above
+        members = block.members
+        for i, a in enumerate(members):
+            for b in members[i + 1:]:
+                if order_leq(a, b):
                     lt.setdefault(a, set()).add(b)
+    weights = table.weights
     covers = []
     for a in weights:
         above = lt.get(a, set())
@@ -117,8 +116,8 @@ def cmd_canonical(args):
     interval, tnc = _context(args)
     if args.matrix:
         lams = [parse_matrix(args.matrix, interval, tnc)]
-    else:
-        lams = enumerate_weights(interval, tnc)
+    else:  # enumeration order is the sorted order of the lambda JSON
+        lams = canon.block_table(interval, tnc).weights
 
     def one(lam):
         _check_block_budget(args, lam)
@@ -126,7 +125,6 @@ def cmd_canonical(args):
                 "terms": _vec_json(canon.canonical_basis(lam))}
 
     basis = _map_blocks(one, lams, args.threads)
-    basis.sort(key=lambda e: json.dumps(e["lambda"], sort_keys=True))
     payload = {"basis": basis}
     rows = [(json.dumps(e["lambda"]),
              " + ".join(f"({t['coeff']}) {json.dumps(t['basis'])}"
@@ -375,7 +373,7 @@ def main(argv=None) -> int:
         json.dump({"error": "budget", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
-    except (SuperklError, ValueError) as exc:
+    except (SuperklError, ValueError, OSError, RecursionError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

@@ -149,9 +149,6 @@ class LaurentInt:
     def __getitem__(self, exp: int) -> int:
         return self.coeffs.get(exp, 0)
 
-    def eval_at_one(self) -> int:
-        return sum(self.coeffs.values())
-
     def __str__(self):
         return render(self)
 

@@ -228,12 +228,10 @@ def parse_matrix(text: str, interval: Interval, tnc: TypeNC) -> Matrix01:
         raise ValueError(f"expected {tnc.level} rows, got {len(rows)}")
     devs = []
     for i, row in enumerate(rows):
-        ci = tnc.c[i]
-        devs.append(
-            tuple(
-                start + k for k, ch in enumerate(row) if int(ch) != ci
-            )
-        )
+        if not set(row) <= {"0", "1"}:
+            raise ValueError(f"row {i} must contain only 0 and 1, got {row!r}")
+        ci = str(tnc.c[i])
+        devs.append(tuple(start + k for k, ch in enumerate(row) if ch != ci))
     return Matrix01(interval, tnc, tuple(devs))
 
 

@@ -117,6 +117,23 @@ def test_block_members_are_a_linear_extension():
                         assert a < b, (lam.text(), mu.text())
 
 
+@pytest.mark.parametrize("table_first", [False, True])
+def test_block_data_and_block_table_share_one_block(table_first):
+    # one BlockData per (interval, type, weight), whichever path comes first
+    interval, tnc = Interval.finite(0, 2), TypeNC((2, 1, 1), (0, 1, 0))
+    clear_caches()
+    if table_first:
+        blocks = block_table(interval, tnc).blocks
+    lams = enumerate_weights(interval, tnc)[::7]
+    direct = [canon.block_data(lam) for lam in lams]
+    if not table_first:
+        blocks = block_table(interval, tnc).blocks
+    for lam, block in zip(lams, direct):
+        assert [b for b in blocks if lam in b.members] == [block]  # by identity
+    assert block_table(interval, tnc).blocks == blocks
+    assert len(canon._single_block_cache) == len(blocks)
+
+
 def test_canonical_examples():
     t = TypeNC((1, 1), (0, 0))
     kap = kappa(I00, t)

@@ -201,9 +201,13 @@ def test_budget_exit_code(capsys):
 
 
 def test_error_payload_on_stderr(capsys):
-    code, _, err = run_cli(capsys, "poset", "--interval", "z", "--n", "1", "--c", "0")
-    assert code == 1
-    assert json.loads(err)["error"] == "IntervalInfinite"
+    for argv, error in (
+            (("poset", "--interval", "z", "--n", "1", "--c", "0"), "IntervalInfinite"),
+            (("klpoly", "--interval", "0:1", "--n", "1,1", "--c", "0,0",
+              "--matrix", "200/010", "--mu", "100/010"), "ValueError")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == error
 
 
 def test_out_file(tmp_path, capsys):
@@ -212,6 +216,25 @@ def test_out_file(tmp_path, capsys):
                            "--n", "1", "--c", "0", "--out", str(target))
     assert code == 0
     assert json.loads(target.read_text())["count"] == 2
+
+
+def test_out_to_missing_directory_is_a_json_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, "poset", "--interval", "0:0",
+                             "--n", "1", "--c", "0", "--out", str(target))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "FileNotFoundError"
+
+
+def test_recursion_error_is_a_json_error(monkeypatch, capsys):
+    def deep(args):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setitem(cli.COMMANDS, "klpoly", deep)
+    code, out, err = run_cli(capsys, "klpoly", "--interval", "0:1",
+                             "--n", "1,1", "--c", "0,0")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "RecursionError",
+                               "message": "maximum recursion depth exceeded"}
 
 
 def test_threads_flag(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -49,6 +50,13 @@ def test_enumerate_counts():
 def test_enumeration_deterministic_and_sorted():
     ws = enumerate_weights(I01, TypeNC((1,), (0,)))
     assert [w.text() for w in ws] == ["@0:001", "@0:010", "@0:100"]
+    # the order of the JSON forms: whole-context canonical output relies on it
+    for interval, tnc in ((I01, TypeNC((2, 1), (0, 1))),
+                          (Interval.finite(-2, 0), TypeNC((1, 2, 1), (1, 0, 1))),
+                          (Interval.finite(0, 2), TypeNC((2, 2, 1), (0, 0, 1)))):
+        keys = [json.dumps(w.to_json(), sort_keys=True)
+                for w in enumerate_weights(interval, tnc)]
+        assert keys == sorted(keys)
 
 
 def test_kappa():
@@ -244,3 +252,11 @@ def test_matrix_text_roundtrip():
         assert parse_matrix(w.text(), I01, t) == w
     lam = Matrix01(Interval.all_z(), t, ((0, 3), (1,)))
     assert parse_matrix(lam.text(), Interval.all_z(), t) == lam
+
+
+def test_parse_matrix_rejects_non_binary_rows():
+    t = TypeNC((1, 1), (0, 0))
+    for text in ("200/010", "100/0x0", "@0:1 0/010", "100/-10"):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            parse_matrix(text, I01, t)
+    assert parse_matrix("100/010", I01, t) == Matrix01(I01, t, ((0,), (1,)))
