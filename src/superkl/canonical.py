@@ -10,7 +10,17 @@ color j and use
     m (x) v_w = f_j(m (x) v_w') - q (f_j m) (x) v_w'
 
 to push the computation toward monomials whose last row is closer to the
-highest one.  psi is memoized per (interval, type) context.
+highest one.
+
+psi runs on row bitmasks: a monomial is a tuple of ints, and bit k of row i
+is its 01-entry at column lo + k.  There f_j is an XOR on bits k, k + 1,
+the last row of kappa is the mask (1 << ones) - 1 with ``ones`` the number
+of 1s in the row, and the smallest lowering color of a last row m is the
+lowest set bit of ~m & (m >> 1).  f_j and kappa read only the entries, so
+psi of a mask tuple depends only on (|I_+|, number of 1s per row): that is
+the key of its memo in ``_psi_cache``, shared by shifted intervals and by
+flipped types.  ``psi_monomial`` converts to ``Matrix01`` at its boundary;
+the block solve reads the masks directly.
 
 Canonical basis vectors are the unique psi-invariant elements
 b = v_lam + (qZ[q]-combination of higher monomials in the block); they are
@@ -30,7 +40,7 @@ from fractions import Fraction
 
 from .errors import IntervalInfinite, NonTriangularBar, StabilityViolation
 from .laurent import LaurentInt, one, zero
-from .qmodule import ModuleVec, act_e, act_f
+from .qmodule import ModuleVec, act_e
 from .weights import (
     Interval,
     Matrix01,
@@ -47,9 +57,7 @@ from .weights import (
     weight_of,
 )
 
-_qinv = LaurentInt.monomial(-1)
-
-_psi_cache: dict[tuple, dict[Matrix01, ModuleVec]] = {}
+_psi_cache: dict[tuple, dict[tuple[int, ...], dict[tuple[int, ...], LaurentInt]]] = {}
 _single_block_cache: dict[tuple, "BlockData"] = {}
 
 
@@ -63,62 +71,113 @@ def _block_key(lam: Matrix01) -> tuple:
     return (lam.interval, lam.tnc, tuple(sorted(weight_of(lam).items())))
 
 
-def _kappa_row_devs(interval: Interval, n: int, c: int) -> tuple[int, ...]:
-    cols = list(interval.cols())
-    if c == 0:
-        return tuple(cols[:n])
-    return tuple(cols[len(cols) - n:])
+def _row_masks(lam: Matrix01) -> tuple[int, ...]:
+    """lam as row bitmasks: bit k of row i is the entry at column lo + k."""
+    lo = lam.interval.lo
+    full = (1 << lam.interval.n_cols()) - 1
+    masks = []
+    for row, ci in zip(lam.devs, lam.tnc.c):
+        m = 0
+        for j in row:
+            m |= 1 << (j - lo)
+        masks.append(full ^ m if ci else m)
+    return tuple(masks)
 
 
-def _last_row_fj_color(lam: Matrix01) -> int:
-    """Smallest color j with the last row showing (0, 1) at columns (j, j+1)."""
-    for j in lam.interval.colors():
-        if lam.entry(lam.tnc.level - 1, j) == 0 and lam.entry(lam.tnc.level - 1, j + 1) == 1:
-            return j
-    raise NonTriangularBar("last row is not highest yet admits no lowering")
+def _from_masks(masks: tuple[int, ...], interval: Interval, tnc: TypeNC) -> Matrix01:
+    """The weight of a row-bitmask monomial in the context (interval, tnc)."""
+    lo = interval.lo
+    ks = range(interval.n_cols())
+    return Matrix01(interval, tnc, tuple(
+        tuple(lo + k for k in ks if (m >> k) & 1 != ci)
+        for m, ci in zip(masks, tnc.c)))
+
+
+def _f_terms(masks: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...], int]]:
+    """f_j on a monomial, j = lo + k: (image, q-exponent) for each row it lowers.
+
+    Row i is lowered when it shows 1, 0 at bits k, k + 1; the exponent is
+    sum_{r > i} (bit k - bit k+1) over the rows below it.
+    """
+    pair, low = 3 << k, 1 << k
+    out = []
+    e = 0
+    for i in range(len(masks) - 1, -1, -1):
+        bits = masks[i] & pair
+        if bits == low:
+            out.append((masks[:i] + (masks[i] ^ pair,) + masks[i + 1:], e))
+            e += 1
+        elif bits and bits != pair:
+            e -= 1
+    return out
+
+
+def _psi_kernel(ncols: int, masks: tuple[int, ...]) -> dict[tuple[int, ...], LaurentInt]:
+    """psi of a row-bitmask monomial over |I_+| = ncols columns, memoized.
+
+    Runs the recursion of the module docstring as an explicit worklist: an
+    entry is computed once everything it reads is in the memo, and is pushed
+    back behind whatever is missing.  A memo row is keyed by (ncols, number
+    of 1s per row) and shared by every context with that key.
+    """
+    ones = tuple(m.bit_count() for m in masks)
+    memos = [_psi_cache.setdefault((ncols, ones[:level]), {})
+             for level in range(len(masks) + 1)]
+    todo = [masks]
+    while todo:
+        lam = todo[-1]
+        level = len(lam)
+        memo = memos[level]
+        if lam in memo:
+            todo.pop()
+            continue
+        if level <= 1:
+            memo[lam] = {lam: one}
+            todo.pop()
+            continue
+        w = lam[-1]
+        if w == (1 << ones[level - 1]) - 1:  # the last row of kappa
+            inner = memos[level - 1].get(lam[:-1])
+            if inner is None:
+                todo.append(lam[:-1])
+                continue
+            memo[lam] = {mu + (w,): c for mu, c in inner.items()}
+            todo.pop()
+            continue
+        # w = f_j(w') for j = lo + k, the smallest k with w showing 0, 1 at bits k, k + 1
+        lowered = ~w & (w >> 1)
+        k = (lowered & -lowered).bit_length() - 1
+        w_prime = w ^ (3 << k)
+        lam_prime = lam[:-1] + (w_prime,)
+        tail = [(nu + (w_prime,), e) for nu, e in _f_terms(lam[:-1], k)]
+        missing = [x for x in [lam_prime] + [nu for nu, _ in tail] if x not in memo]
+        if missing:
+            todo.extend(missing)
+            continue
+        todo.pop()
+        # psi(lam) = f_j psi(lam') - q^-1 sum_nu q^-e psi(nu (x) w')
+        acc: dict[tuple[int, ...], dict[int, int]] = {}
+        for mu, c in memo[lam_prime].items():
+            for x, e in _f_terms(mu, k):
+                d = acc.setdefault(x, {})
+                for p, cf in c.coeffs.items():
+                    d[p + e] = d.get(p + e, 0) + cf
+        for nu, e in tail:
+            for x, c in memo[nu].items():
+                d = acc.setdefault(x, {})
+                for p, cf in c.coeffs.items():
+                    d[p - 1 - e] = d.get(p - 1 - e, 0) - cf
+        memo[lam] = {x: LaurentInt(d) for x, d in acc.items() if any(d.values())}
+    return memos[-1][masks]
 
 
 def psi_monomial(lam: Matrix01) -> ModuleVec:
-    """psi(v_lam), memoized per context."""
+    """psi(v_lam), read off the memoized bitmask kernel."""
     if not lam.interval.is_finite():
         raise IntervalInfinite("psi requires a finite interval; use the truncation driver")
-    key = (lam.interval, lam.tnc)
-    cache = _psi_cache.setdefault(key, {})
-    hit = cache.get(lam)
-    if hit is not None:
-        return hit
-
-    level = lam.tnc.level
-    if level <= 1:
-        res = ModuleVec.monomial(lam)
-        cache[lam] = res
-        return res
-
-    kap_last = _kappa_row_devs(lam.interval, lam.tnc.n[-1], lam.tnc.c[-1])
-    sub_tnc = lam.tnc.drop_last()
-    if lam.devs[-1] == kap_last:
-        m = Matrix01(lam.interval, sub_tnc, lam.devs[:-1])
-        inner = psi_monomial(m)
-        res = ModuleVec(lam.interval, lam.tnc)
-        res.terms = {
-            Matrix01(lam.interval, lam.tnc, mu.devs + (kap_last,)): c
-            for mu, c in inner.terms.items()
-        }
-        cache[lam] = res
-        return res
-
-    j = _last_row_fj_color(lam)
-    lam_prime = lam.flip(level - 1, j)
-    head = act_f(j, psi_monomial(lam_prime))
-    m = Matrix01(lam.interval, sub_tnc, lam.devs[:-1])
-    fm = act_f(j, ModuleVec.monomial(m))
-    tail = ModuleVec(lam.interval, lam.tnc)
-    for mu, c in fm.terms.items():
-        piece = psi_monomial(
-            Matrix01(lam.interval, lam.tnc, mu.devs + (lam_prime.devs[-1],)))
-        tail = tail + piece.scale(c.bar())
-    res = head - tail.scale(_qinv)
-    cache[lam] = res
+    terms = _psi_kernel(lam.interval.n_cols(), _row_masks(lam))
+    res = ModuleVec(lam.interval, lam.tnc)
+    res.terms = {_from_masks(x, lam.interval, lam.tnc): c for x, c in terms.items()}
     return res
 
 
@@ -154,20 +213,24 @@ class BlockData:
     def psi_matrix(self) -> list[dict[int, LaurentInt]]:
         """Row a -> sparse map b -> coefficient of member b in psi(v_a).
 
-        Checks that psi(v_a) is supported on members b >= a in the order,
+        Reads the psi kernel through a row-bitmask -> position map, and
+        checks that psi(v_a) is supported on members b >= a in the order,
         comparing signed profiles built once over the block's grid.
         """
         if self._rmat is not None:
             return self._rmat
         grid = profile_grid(self.members)
         profiles = [signed_profile(m, grid) for m in self.members]
+        masks = [_row_masks(m) for m in self.members]
+        mask_pos = {x: b for b, x in enumerate(masks)}
+        ncols = self.interval.n_cols()
         rows = []
         for a, lam in enumerate(self.members):
-            vec = psi_monomial(lam)
             row: dict[int, LaurentInt] = {}
-            for mu, c in vec.terms.items():
-                b = self._pos.get(mu)
+            for x, c in _psi_kernel(ncols, masks[a]).items():
+                b = mask_pos.get(x)
                 if b is None or not profile_leq(profiles[a], profiles[b]):
+                    mu = _from_masks(x, self.interval, self.tnc)
                     raise NonTriangularBar(
                         f"psi(v[{lam.text()}]) has support at {mu.text()}")
                 row[b] = c
@@ -179,7 +242,13 @@ class BlockData:
         return rows
 
     def d_matrix(self) -> list[dict[int, LaurentInt]]:
-        """Unitriangular matrix of d-polynomials: row a, column b."""
+        """Unitriangular matrix of d-polynomials: row a, column b.
+
+        Row a solves sum_{c <= b} bar(d[a][c]) r[c][b] = d[a][b] modulo
+        qZ[q] column by column.  Each finished d[a][c] is pushed at once
+        through row c of psi into the defects of the later columns, so
+        column b reads its defect from one accumulator.
+        """
         if self._dmat is not None:
             return self._dmat
         r = self.psi_matrix()
@@ -187,17 +256,23 @@ class BlockData:
         rows = []
         for a in range(size):
             d: dict[int, LaurentInt] = {a: one}
-            for b in range(a + 1, size):
-                s = zero
-                for c, dc in d.items():
-                    rc = r[c].get(b)
-                    if rc is not None:
-                        s = s + dc.bar() * rc
-                if s:
-                    if s.bar() != -s:
+            defects: dict[int, dict[int, int]] = {}
+            for b in range(a, size):
+                if b > a:
+                    s = {e: c for e, c in defects.pop(b, {}).items() if c}
+                    if not s:
+                        continue
+                    if any(s.get(-e) != -c for e, c in s.items()):
                         raise NonTriangularBar(
                             "congruence defect is not bar-antisymmetric")
-                    d[b] = LaurentInt({e: cf for e, cf in s.coeffs.items() if e > 0})
+                    d[b] = LaurentInt({e: c for e, c in s.items() if e > 0})
+                db = d[b]
+                for x, rx in r[b].items():
+                    if x > b:
+                        acc = defects.setdefault(x, {})
+                        for e1, c1 in db.coeffs.items():
+                            for e2, c2 in rx.coeffs.items():
+                                acc[e2 - e1] = acc.get(e2 - e1, 0) + c1 * c2
             rows.append(d)
         self._dmat = rows
         return rows

@@ -373,7 +373,7 @@ def main(argv=None) -> int:
         json.dump({"error": "budget", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
-    except (SuperklError, ValueError, OSError, RecursionError) as exc:
+    except (SuperklError, ValueError, OSError, RecursionError, MemoryError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

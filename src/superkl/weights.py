@@ -135,9 +135,6 @@ class TypeNC:
     def reversed(self) -> "TypeNC":
         return TypeNC(self.n[::-1], self.c[::-1])
 
-    def drop_last(self) -> "TypeNC":
-        return TypeNC(self.n[:-1], self.c[:-1])
-
 
 @dataclass(frozen=True)
 class Matrix01:
@@ -213,23 +210,35 @@ class Matrix01:
 
 
 def parse_matrix(text: str, interval: Interval, tnc: TypeNC) -> Matrix01:
-    """Parse the text form ``@start:rows`` (or bare rows for finite I)."""
+    """Parse the text form ``@start:rows`` (or bare rows for finite I).
+
+    Over a finite interval a bare row spans exactly I_+, and a windowed
+    row lies inside I_+ (its missing columns read as the baseline).
+    """
     text = text.strip()
-    if text.startswith("@"):
-        head, _, body = text[1:].partition(":")
-        start = int(head)
-    else:
+    bare = not text.startswith("@")
+    if bare:
         if not interval.is_finite():
             raise ValueError("bare row form needs a finite interval")
         start = interval.cols()[0]
         body = text
+    else:
+        head, _, body = text[1:].partition(":")
+        start = int(head)
     rows = body.split("/") if body else []
     if len(rows) != tnc.level:
         raise ValueError(f"expected {tnc.level} rows, got {len(rows)}")
+    cols = interval.cols() if interval.is_finite() else None
     devs = []
     for i, row in enumerate(rows):
         if not set(row) <= {"0", "1"}:
             raise ValueError(f"row {i} must contain only 0 and 1, got {row!r}")
+        if cols is not None and (
+                start < cols[0] or start + len(row) > cols[-1] + 1
+                or (bare and len(row) != len(cols))):
+            raise ValueError(
+                f"row {i} covers columns {start}..{start + len(row) - 1}, "
+                f"but I_+ of {interval.text()} is {cols[0]}..{cols[-1]}")
         ci = str(tnc.c[i])
         devs.append(tuple(start + k for k, ch in enumerate(row) if ch != ci))
     return Matrix01(interval, tnc, tuple(devs))

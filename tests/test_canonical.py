@@ -89,19 +89,51 @@ def test_psi_matrix_rejects_support_outside_the_order(monkeypatch):
     # one at a time: the triangularity check must refuse every one
     interval, tnc = Interval.finite(0, 2), TypeNC((1, 1, 1), (0, 1, 0))
     block = max(block_table(interval, tnc).blocks, key=lambda b: b.size)
-    real = canon.psi_monomial
+    real = canon._psi_kernel
     bad_pairs = [(lam, mu) for lam in block.members for mu in block.members
                  if not order_leq(lam, mu)]
     assert len(bad_pairs) > block.size
     for lam, mu in bad_pairs:
-        def skewed(nu, lam=lam, mu=mu):
-            vec = real(nu)
-            return vec + ModuleVec.monomial(mu) if nu == lam else vec
-        monkeypatch.setattr(canon, "psi_monomial", skewed)
+        def skewed(ncols, masks, lam=canon._row_masks(lam), mu=canon._row_masks(mu)):
+            terms = real(ncols, masks)
+            if masks != lam:
+                return terms
+            return {**terms, mu: terms.get(mu, zero) + one}
+        monkeypatch.setattr(canon, "_psi_kernel", skewed)
         fresh = canon.BlockData(interval, tnc, block.weight, block.members)
         with pytest.raises(NonTriangularBar) as err:
             fresh.psi_matrix()
         assert str(err.value) == f"psi(v[{lam.text()}]) has support at {mu.text()}"
+
+
+def _psi_of_every_weight(contexts):
+    return [{lam: psi_monomial(lam) for lam in enumerate_weights(iv, tnc)}
+            for iv, tnc in contexts]
+
+
+def test_shared_psi_memo_never_changes_an_answer():
+    # the psi memo is keyed by |I_+| and the number of 1s per row, so a
+    # shifted interval and a flipped type read each other's entries; psi in
+    # each context must equal a cold computation in that context alone
+    tnc = TypeNC((2, 1, 2), (0, 1, 0))
+    I02 = Interval.finite(0, 2)
+    flipped = equivalent_type(tnc, I02, {0, 2})
+    for pair in (((I02, tnc), (Interval.finite(3, 5), tnc)),
+                 ((I02, tnc), (I02, flipped))):
+        cold, keys = [], []
+        for context in pair:
+            clear_caches()
+            cold += _psi_of_every_weight([context])
+            keys.append(set(canon._psi_cache))
+        assert keys[0] == keys[1]  # the two contexts share every memo row
+        for order in (pair, pair[::-1]):
+            clear_caches()
+            warm = _psi_of_every_weight(order)
+            assert warm == (cold if order == pair else cold[::-1])
+    # and the flipped type's psi is the original one, through convert_to_type
+    for lam, v in cold[0].items():
+        w = cold[1][convert_to_type(lam, flipped)]
+        assert w.terms == {convert_to_type(mu, flipped): c for mu, c in v.terms.items()}
 
 
 def test_block_members_are_a_linear_extension():

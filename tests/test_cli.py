@@ -6,7 +6,8 @@ import jsonschema
 import pytest
 
 from superkl import canonical, cli
-from superkl.weights import Interval, TypeNC, enumerate_weights, order_leq
+from superkl.qmodule import ModuleVec
+from superkl.weights import Interval, TypeNC, enumerate_weights, order_leq, parse_matrix
 
 
 def run_cli(capsys, *argv):
@@ -204,7 +205,11 @@ def test_error_payload_on_stderr(capsys):
     for argv, error in (
             (("poset", "--interval", "z", "--n", "1", "--c", "0"), "IntervalInfinite"),
             (("klpoly", "--interval", "0:1", "--n", "1,1", "--c", "0,0",
-              "--matrix", "200/010", "--mu", "100/010"), "ValueError")):
+              "--matrix", "200/010", "--mu", "100/010"), "ValueError"),
+            (("klpoly", "--interval", "0:1", "--n", "1,1", "--c", "0,0",
+              "--matrix", "10000/010", "--mu", "1/010"), "ValueError"),
+            (("klpoly", "--interval", "0:1", "--n", "1,1", "--c", "0,0",
+              "--matrix", "10/010", "--mu", "100/010"), "ValueError")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == error
@@ -235,6 +240,32 @@ def test_recursion_error_is_a_json_error(monkeypatch, capsys):
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "RecursionError",
                                "message": "maximum recursion depth exceeded"}
+
+
+def test_memory_error_is_a_json_error(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError("out of memory")
+    monkeypatch.setitem(cli.COMMANDS, "klpoly", exhausted)
+    code, out, err = run_cli(capsys, "klpoly", "--interval", "0:1",
+                             "--n", "1,1", "--c", "0,0")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "MemoryError", "message": "out of memory"}
+
+
+def test_full_width_rows_need_no_recursion(capsys):
+    # psi lowers the 1 of the last row through all 1202 columns of I_+;
+    # the kernel's worklist keeps that clear of the recursion limit
+    near, far = "1" + "0" * 1201, "0" * 1201 + "1"
+    interval, tnc = Interval.finite(0, 1200), TypeNC((1, 1), (0, 0))
+    canonical.clear_caches()
+    code, out, err = run_cli(capsys, "klpoly", "--interval", "0:1200", "--n", "1,1",
+                             "--c", "0,0", "--matrix", f"{near}/{far}",
+                             "--mu", f"{far}/{near}")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert (payload["d"], payload["p"]) == ("q", "q")  # as on 0:0, "10/01" and "01/10"
+    lam = parse_matrix(f"{near}/{far}", interval, tnc)
+    assert canonical.bar_psi(canonical.psi_monomial(lam)) == ModuleVec.monomial(lam)
 
 
 def test_threads_flag(capsys):

@@ -260,3 +260,12 @@ def test_parse_matrix_rejects_non_binary_rows():
         with pytest.raises(ValueError, match="only 0 and 1"):
             parse_matrix(text, I01, t)
     assert parse_matrix("100/010", I01, t) == Matrix01(I01, t, ((0,), (1,)))
+
+
+def test_parse_matrix_rows_span_the_finite_interval():
+    # a bare row spans exactly I_+; a windowed row lies inside it
+    t = TypeNC((1, 1), (0, 0))
+    for text in ("10000/010", "10/010", "100/01", "@0:1000/010", "@-1:10/010"):
+        with pytest.raises(ValueError, match="covers columns"):
+            parse_matrix(text, I01, t)
+    assert parse_matrix("@1:1/1", I01, t) == Matrix01(I01, t, ((1,), (1,)))
