@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from json.encoder import encode_basestring_ascii
 
 from . import canonical as canon
 from . import crystal as crys
@@ -91,7 +92,7 @@ def cmd_poset(args):
     payload = {"weights": [w.to_json() for w in weights],
                "count": len(weights),
                "covers": sorted(covers, key=lambda e: (e["lower"], e["upper"]))}
-    rows = [(e["lower"], e["upper"]) for e in payload["covers"]]
+    rows = ((e["lower"], e["upper"]) for e in payload["covers"])
     return payload, rows
 
 
@@ -102,7 +103,7 @@ def cmd_blocks(args):
                "members": [m.text() for m in b.members]}
               for b in table.blocks]
     payload = {"blocks": blocks, "count": len(blocks)}
-    rows = [(json.dumps(b["weight"]), " ".join(b["members"])) for b in blocks]
+    rows = ((json.dumps(b["weight"]), " ".join(b["members"])) for b in blocks)
     return payload, rows
 
 
@@ -126,9 +127,9 @@ def cmd_canonical(args):
 
     basis = _map_blocks(one, lams, args.threads)
     payload = {"basis": basis}
-    rows = [(json.dumps(e["lambda"]),
+    rows = ((json.dumps(e["lambda"]),
              " + ".join(f"({t['coeff']}) {json.dumps(t['basis'])}"
-                        for t in e["terms"])) for e in basis]
+                        for t in e["terms"])) for e in basis)
     return payload, rows
 
 
@@ -158,7 +159,7 @@ def cmd_dualbasis(args):
     lam = parse_matrix(args.matrix, interval, tnc)
     v = canon.dual_canonical(lam)
     payload = {"lambda": lam.to_json(), "terms": _vec_json(v)}
-    return payload, [(t["coeff"], json.dumps(t["basis"])) for t in payload["terms"]]
+    return payload, ((t["coeff"], json.dumps(t["basis"])) for t in payload["terms"])
 
 
 def cmd_twisted(args):
@@ -166,7 +167,7 @@ def cmd_twisted(args):
     lam = parse_matrix(args.matrix, interval, tnc)
     v = canon.twisted_canonical(lam)
     payload = {"lambda": lam.to_json(), "terms": _vec_json(v)}
-    return payload, [(t["coeff"], json.dumps(t["basis"])) for t in payload["terms"]]
+    return payload, ((t["coeff"], json.dumps(t["basis"])) for t in payload["terms"])
 
 
 def cmd_crystal(args):
@@ -177,7 +178,7 @@ def cmd_crystal(args):
         "edges": [{"from": a.text(), "color": i, "to": b.text()}
                   for a, i, b in edges],
     }
-    rows = [(e["from"], str(e["color"]), e["to"]) for e in payload["edges"]]
+    rows = ((e["from"], str(e["color"]), e["to"]) for e in payload["edges"])
     return payload, rows, crys.dot_text(weights, edges)
 
 
@@ -186,7 +187,7 @@ def cmd_prinjective(args):
     if interval.is_finite():
         members = sorted(m.text() for m in crys.lambda_circ(interval, tnc))
         payload = {"members": members, "count": len(members)}
-        return payload, [(m,) for m in members]
+        return payload, ((m,) for m in members)
     tower = crys.WindowTower(interval, tnc, schedule=args.schedule)
     lam = parse_matrix(args.matrix, interval, tnc)
     r = crys.is_prinjective(lam, tower, args.max_r)
@@ -253,7 +254,7 @@ def cmd_linkage(args):
     ups = sw.linkage_up(lam)
     payload = {"weight": lam.to_json(),
                "up": sorted([list(mu.coords) for mu in ups])}
-    return payload, [(",".join(map(str, mu)),) for mu in payload["up"]]
+    return payload, ((",".join(map(str, mu)),) for mu in payload["up"])
 
 
 def cmd_youngdim(args):
@@ -267,7 +268,7 @@ def cmd_youngdim(args):
                "value": render(value), "defect": dl,
                "normalized": render(normalized),
                "bar_symmetric": normalized.is_bar_symmetric()}
-    return payload, [(render(value),)]
+    return payload, [(payload["value"],)]
 
 
 def cmd_klr_verify(args):
@@ -334,7 +335,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_text(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, one join per container.
+
+    Handles str, int, bool, None, lists and dicts with str keys, the types
+    every payload is made of; anything else, a non-str key included, is a
+    TypeError.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        items = (_json_text(v, inner) for v in obj)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{encode_basestring_ascii(k)}: {_json_text(obj[k], inner)}"
+                 for k in sorted(obj))
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(args, payload, rows, dot=None) -> str:
+    """The output text; ``rows`` is iterated only for tsv and text."""
     if args.format == "dot":
         if dot is None:
             raise SuperklError("dot output is only available for crystal")
@@ -343,7 +377,7 @@ def _emit(args, payload, rows, dot=None) -> str:
         return "\n".join("\t".join(row) for row in rows)
     if args.format == "text":
         return "\n".join("  ".join(row) for row in rows)
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return _json_text(payload)
 
 
 def main(argv=None) -> int:
@@ -366,14 +400,14 @@ def main(argv=None) -> int:
             print(text)
         return 0
     except Unknown as exc:
-        print(json.dumps({"command": args.command, **exc.payload},
-                         indent=2, sort_keys=True))
+        print(_json_text({"command": args.command, **exc.payload}))
         return 2
     except BudgetExceeded as exc:
         json.dump({"error": "budget", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
-    except (SuperklError, ValueError, OSError, RecursionError, MemoryError) as exc:
+    except (SuperklError, ValueError, OSError, RecursionError, MemoryError,
+            KeyboardInterrupt) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

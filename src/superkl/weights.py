@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .errors import (
@@ -190,20 +191,32 @@ class Matrix01:
             return anchor, anchor
         return devcols[0], devcols[-1]
 
-    def row_strings(self) -> list[str]:
+    @cached_property
+    def _text(self) -> str:
+        """The text form, rendered once per instance on first use.
+
+        Each row starts as baseline characters over the window and has its
+        deviation columns flipped.  The memo sits in the instance dict, so
+        equality and hashing still read the fields alone.
+        """
         lo, hi = self.window()
-        return [
-            "".join(str(self.entry(i, j)) for j in range(lo, hi + 1))
-            for i in range(self.tnc.level)
-        ]
+        rows = []
+        for row, ci in zip(self.devs, self.tnc.c):
+            chars = [str(ci)] * (hi - lo + 1)
+            for j in row:
+                chars[j - lo] = str(1 - ci)
+            rows.append("".join(chars))
+        return f"@{lo}:" + "/".join(rows)
+
+    def row_strings(self) -> list[str]:
+        return self._text.partition(":")[2].split("/") if self.devs else []
 
     def text(self) -> str:
-        lo, _ = self.window()
-        return f"@{lo}:" + "/".join(self.row_strings())
+        return self._text
 
     def to_json(self) -> dict:
-        lo, _ = self.window()
-        return {"window_start": lo, "rows": self.row_strings()}
+        return {"window_start": int(self._text[1:self._text.index(":")]),
+                "rows": self.row_strings()}
 
     def __str__(self):
         return self.text()

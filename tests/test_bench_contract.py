@@ -1,9 +1,10 @@
 """The library names the benchmark wraps and reads.
 
 ``perfbench/tracing.py`` replaces library functions by name for a traced
-pass, and ``perfbench/checks.py`` reads the block cache after each query.
-A rename in the library would otherwise break only traced benchmark runs
-and the benchmark self-test; here it fails the tests.
+pass, and ``perfbench/checks.py`` reads the block cache after each query
+and compares command outputs with ``cli._vec_json``.  A rename in the
+library or a change of the output shape would otherwise break only the
+benchmark runs and its self-test; here it fails the tests.
 """
 
 import sys
@@ -17,6 +18,7 @@ sys.path.insert(0, _PERFBENCH)
 try:
     import checks
     import tracing
+    import workloads
 finally:
     sys.path.remove(_PERFBENCH)
 
@@ -47,3 +49,26 @@ def test_traced_queries_and_restore():
     assert any(b is block for b in canonical._single_block_cache.values())
     assert any(b is block for b in table.blocks)
     assert checks.touched_blocks() == []
+
+
+def test_cli_outputs_pass_the_benchmark_checks(capsys):
+    def run(op):
+        code = cli.main(op["argv"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        return out
+
+    (op,), _ = workloads.generate("canonical-context", 0, "tiny")
+    canonical.clear_caches()
+    assert checks.canonical_context(op, run(op)) == []
+
+    ops, _ = workloads.generate("kl-queries", 0, "tiny")
+    first = {}
+    for op in ops:
+        first.setdefault(op["kind"], op)
+    assert set(first) == {"klpoly", "klpoly-z", "canonical", "dualbasis", "twisted"}
+    for op in first.values():
+        canonical.clear_caches()  # as the benchmark runs each query
+        out = run(op)
+        assert checks.touched_blocks() + checks.p_positive(op, out) == []
+        assert checks.kl_query(op, out) == []

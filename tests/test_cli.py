@@ -252,6 +252,19 @@ def test_memory_error_is_a_json_error(monkeypatch, capsys):
     assert json.loads(err) == {"error": "MemoryError", "message": "out of memory"}
 
 
+def test_keyboard_interrupt_is_a_json_error(monkeypatch, capsys):
+    def interrupted(args):
+        raise KeyboardInterrupt("interrupted")
+    monkeypatch.setitem(cli.COMMANDS, "klpoly", interrupted)
+    try:
+        code, out, err = run_cli(capsys, "klpoly", "--interval", "0:1",
+                                 "--n", "1,1", "--c", "0,0")
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "KeyboardInterrupt", "message": "interrupted"}
+
+
 def test_full_width_rows_need_no_recursion(capsys):
     # psi lowers the 1 of the last row through all 1202 columns of I_+;
     # the kernel's worklist keeps that clear of the recursion limit
@@ -315,16 +328,77 @@ GOLDEN = [
      "40ef35d725e3ac8f28673f7732a10c237a3f15b8516e0fa2d7fc6429c263269d"),
     ("prinjective z 1,1 0,1 json @0:01/10",
      "ca7048dd31432977346b01b95e7abd7219d0f61c40fa04347ffa0c41febfd454"),
+    ("klpoly 0:1 2,1 0,1 json 110/101 --mu=101/110",
+     "0c40701b7146d88590767dd78a3fad2b03e4ec68c0897579f68f2f5bc20dac37"),
+    ("klpoly z 1,1 0,1 json @0:100/011 --mu=@0:010/101",
+     "a034d961b1339bf63ea101ae1ed105832c5b029f313bba0b2b6d31efe2f09d42"),
+    ("dualbasis 0:1 1,1,1 0,1,0 json 001/011/100",
+     "3858fa6770f8d795c5f1baaf83ef1792625130732abc7388c85c228297649028"),
+    ("dualbasis 0:1 1,1,1 0,1,0 tsv 001/011/100",
+     "bce0aec6e6376e94d6a1ee6ecdcfdaa5b6d008dbaa1156feb06581ece72246f8"),
+    ("twisted 0:1 1,1,1 0,1,0 json 001/011/100",
+     "1f4a126712125b5f51388802a3b1ddaafb20399fe1672265394b4a76ef2745b2"),
+    ("canonical 0:1 2,1,1 0,1,0 text",
+     "4c74b1bb296b2fd8e2f78681416dbb48b0e4d0440678239560e4b40ac4d51d50"),
+    ("blocks 0:2 2,1,2 0,1,0 tsv",
+     "4169b7c53799845698f0551639dc55a9770537ee2cbaea326f17be4a2d9631a5"),
+    ("defect z 2,1 0,1 json @-1:110/101",
+     "9dd42dea5059edfb5ca04e76db80527560654da3791fd7bb796847ebf6e1a9b9"),
+    ("superweight z 1,1 0,1 json --coords=1,-1",
+     "8a16ed5e93dc7232e3d9bc956aa105fa67b2827d4f3d156f010b9e2799686d01"),
+    ("youngdim 0:1 1,1 0,0 json 010/010 --word=0,0",
+     "a4a99302313e28cca8a4b26497e1329066031317d14fdafa951a9e5b453951a1"),
+    ("klr-verify 0:1 - - json --d=2",
+     "56c203e41fc2ee233f476333d5b3b38764ac44cf541f9fb8e50c07241aa2a64c"),
+    ("nilhecke-rank - - - json --m=2 --cap=6",
+     "a237a4d180b2dc5572a551a0366f9193c71cdea0c3bde60a28a0295dc502097b"),
+    ("prinjective z 1,1 0,0 json @40:10/01 --max-r=3",
+     "690cb9f8ec89d1184131bd3d89b4b7135af90a172a326e24838304c3360e72ca"),
 ]
+# the specs whose command ends undecided, with its payload on stdout
+GOLDEN_EXIT = {"prinjective z 1,1 0,0 json @40:10/01 --max-r=3": 2}
+
+
+def golden_argv(spec):
+    """``command interval n c format``, then an optional bare matrix and
+    ``--flag=value`` tokens; a field written ``-`` is left to its default."""
+    command, interval, n, c, fmt, *extra = spec.split()
+    argv = [command, "--format", fmt]
+    for flag, value in (("--interval", interval), ("--n", n), ("--c", c)):
+        if value != "-":
+            argv += [flag, value]
+    for token in extra:
+        argv += [token] if token.startswith("--") else ["--matrix", token]
+    return argv
 
 
 @pytest.mark.parametrize("spec,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_golden_output_bytes(capsys, spec, digest):
-    command, interval, n, c, fmt, *matrix = spec.split()
-    argv = [command, "--interval", interval, "--n", n, "--c", c, "--format", fmt]
-    if matrix:
-        argv += ["--matrix", matrix[0]]
     canonical.clear_caches()
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
+    code, out, _ = run_cli(capsys, *golden_argv(spec))
+    assert code == GOLDEN_EXIT.get(spec, 0)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def golden_payload(spec):
+    """The payload a GOLDEN command hands to the writer, before the meta keys."""
+    args = cli.build_parser().parse_args(golden_argv(spec))
+    canonical.clear_caches()
+    try:
+        return cli.COMMANDS[args.command](args)[0]
+    except cli.Unknown as exc:
+        return exc.payload
+
+
+def test_json_writer_matches_json_dumps():
+    cases = [golden_payload(spec) for spec, _ in GOLDEN]
+    cases += [{}, [], {"a": {}}, {"a": []}, [[]], [{}], [[], {}, [[{}]]],
+              True, False, None, 0, -7, 2 ** 100, -(3 ** 60),
+              {"z": [True, False, None], "a": {"y": -1, "b": [0, ""]}, "M": 2},
+              'a "quoted" \\ back\\slash', "\x00\x1f\n\t\r\x7f",
+              {"\u00e9t\u00e9": "\u2202 \u0142\u00f3d\u017a \U0001d11e", "\n": "\\"}]
+    for payload in cases:
+        assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    for bad in (1.5, {1, 2}, [0, 0.5], {"a": {3}}, {1: "a"}):
+        with pytest.raises(TypeError):
+            cli._json_text(bad)

@@ -31,7 +31,7 @@ from superkl.weights import (
     truncate,
     weight_of,
 )
-from conftest import random_infinite_matrix
+from conftest import random_infinite_matrix, sweep_contexts
 
 
 I00 = Interval.finite(0, 0)
@@ -252,6 +252,41 @@ def test_matrix_text_roundtrip():
         assert parse_matrix(w.text(), I01, t) == w
     lam = Matrix01(Interval.all_z(), t, ((0, 3), (1,)))
     assert parse_matrix(lam.text(), Interval.all_z(), t) == lam
+
+
+def reference_row_strings(lam):
+    """The rows built entry by entry over the rendered window."""
+    lo, hi = lam.window()
+    return ["".join(str(lam.entry(i, j)) for j in range(lo, hi + 1))
+            for i in range(lam.tnc.level)]
+
+
+def test_rendering_matches_entry_by_entry_rows(rng):
+    weights = [w for interval, tnc in sweep_contexts(max_dim=40, max_cols=4)
+               for w in enumerate_weights(interval, tnc)]
+    weights += enumerate_weights(I01, TypeNC((), ()))  # no rows at all
+    for interval in (Interval.all_z(), Interval.parse("geq:-3"), Interval.parse("leq:4")):
+        for tnc in (TypeNC((2, 1), (0, 1)), TypeNC((1, 3, 2), (1, 0, 1)),
+                    TypeNC((0, 2), (1, 0))):
+            weights += [random_infinite_matrix(rng, interval, tnc) for _ in range(20)]
+        # without deviations the window is one column at the anchor
+        weights.append(Matrix01(interval, TypeNC((0, 0), (0, 1)), ((), ())))
+    assert any(1 in w.tnc.c for w in weights)
+    for lam in weights:
+        fresh = Matrix01(lam.interval, lam.tnc, lam.devs)
+        rows = reference_row_strings(lam)
+        lo, _ = lam.window()
+        assert lam.text() == f"@{lo}:" + "/".join(rows)
+        assert lam.row_strings() == rows
+        assert lam.to_json() == {"window_start": lo, "rows": rows}
+        # the memo is invisible to equality and hashing
+        assert "_text" in vars(lam) and "_text" not in vars(fresh)
+        assert lam == fresh and hash(lam) == hash(fresh)
+        assert {fresh: 1}[lam] == 1
+        # every call hands out a new list
+        lam.row_strings().append("x")
+        lam.to_json()["rows"].append("x")
+        assert lam.row_strings() == rows and lam.to_json()["rows"] == rows
 
 
 def test_parse_matrix_rejects_non_binary_rows():
