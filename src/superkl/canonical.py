@@ -32,13 +32,24 @@ A process holds at most one ``BlockData`` per (interval, type, weight), in
 ``_single_block_cache``: ``block_data`` and ``BlockTable`` both look the
 block up there before building it, so its psi, d and p memos are shared
 whichever path reaches it first.  Tables are not memoized; the blocks are.
+
+A column is frozen in a block when every member has the same entries in
+it.  Deleting the frozen columns and renumbering the rest turns the
+members into one block of a smaller context, the block's core, with the
+same d-matrix entry for entry (at level 2 the classical fact that
+vertices labelled o and x take no part in cup diagrams).  The registry
+holds the cores too: ``d_matrix`` and ``p_matrix`` are solved once per
+core and translated to every block that reduces to it.  ``psi_matrix``
+stays unreduced, the oracle path that ``canonical_basis_direct`` reads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 
-from .errors import IntervalInfinite, NonTriangularBar, StabilityViolation
+from .errors import IntervalInfinite, NonTriangularBar, StabilityViolation, SuperklError
 from .laurent import LaurentInt, one, zero
 from .qmodule import ModuleVec, act_e
 from .weights import (
@@ -202,6 +213,7 @@ class BlockData:
         self._rmat = None
         self._dmat = None
         self._pinv = None
+        self._core = None
 
     @property
     def size(self) -> int:
@@ -209,6 +221,11 @@ class BlockData:
 
     def position(self, lam: Matrix01) -> int:
         return self._pos[lam]
+
+    @cached_property
+    def _mask_pos(self) -> dict[tuple[int, ...], int]:
+        """The row bitmasks of each member -> its position."""
+        return {_row_masks(m): b for b, m in enumerate(self.members)}
 
     def psi_matrix(self) -> list[dict[int, LaurentInt]]:
         """Row a -> sparse map b -> coefficient of member b in psi(v_a).
@@ -221,13 +238,12 @@ class BlockData:
             return self._rmat
         grid = profile_grid(self.members)
         profiles = [signed_profile(m, grid) for m in self.members]
-        masks = [_row_masks(m) for m in self.members]
-        mask_pos = {x: b for b, x in enumerate(masks)}
+        mask_pos = self._mask_pos
         ncols = self.interval.n_cols()
         rows = []
-        for a, lam in enumerate(self.members):
+        for a, (lam, masks) in enumerate(zip(self.members, mask_pos)):
             row: dict[int, LaurentInt] = {}
-            for x, c in _psi_kernel(ncols, masks[a]).items():
+            for x, c in _psi_kernel(ncols, masks).items():
                 b = mask_pos.get(x)
                 if b is None or not profile_leq(profiles[a], profiles[b]):
                     mu = _from_masks(x, self.interval, self.tnc)
@@ -241,16 +257,71 @@ class BlockData:
         self._rmat = rows
         return rows
 
+    def core(self) -> tuple["BlockData", tuple[int, ...]]:
+        """The block's core and the map member position -> core position."""
+        if self._core is None:
+            self._core = self._reduce()
+        # () marks a block that is its own core; storing (self, ...) would
+        # make a reference cycle that outlives clear_caches until a GC pass
+        return self._core or (self, tuple(range(self.size)))
+
+    def _reduce(self) -> tuple:
+        """(core, positions), looked up in or added to the registry; () if none.
+
+        A bit is frozen in row i when no member's row i differs there from
+        the first member's; a column is frozen when it is frozen in every
+        row.  The k kept columns become I_+ of 0:(k-2), and each row keeps
+        its polarity and the deviations left in it.  A block of size 1 or
+        with no frozen column is its own core.
+        """
+        masks = list(self._mask_pos)
+        moving = 0
+        for x in masks[1:]:
+            for m, f in zip(x, masks[0]):
+                moving |= m ^ f
+        ncols = self.interval.n_cols()
+        if self.size == 1 or moving == (1 << ncols) - 1:
+            return ()
+        kept = [k for k in range(ncols) if (moving >> k) & 1]
+        # a lone unfrozen column would be fixed by the row sums
+        assert len(kept) >= 2, "a block of size >= 2 keeps at least two columns"
+        reduced = [tuple(sum(((m >> k) & 1) << i for i, k in enumerate(kept)) for m in x)
+                   for x in masks]
+        interval = Interval.finite(0, len(kept) - 2)
+        tnc = TypeNC(tuple(len(kept) - m.bit_count() if ci else m.bit_count()
+                           for m, ci in zip(reduced[0], self.tnc.c)), self.tnc.c)
+        first = _from_masks(reduced[0], interval, tnc)
+        key = _block_key(first)
+        core = _single_block_cache.get(key)
+        if core is None:
+            members = [first] + [_from_masks(x, interval, tnc) for x in reduced[1:]]
+            core = BlockData(interval, tnc, weight_of(first), tuple(_linear_extension(members)))
+            _single_block_cache[key] = core
+        pos = tuple(map(core._mask_pos.get, reduced))
+        if core.size != self.size or None in pos:
+            raise SuperklError(f"block of {self.members[0].text()} and its core "
+                               f"differ in members")
+        return core, pos
+
     def d_matrix(self) -> list[dict[int, LaurentInt]]:
         """Unitriangular matrix of d-polynomials: row a, column b.
+
+        Solved on the core only; any other block translates the core's rows.
+        """
+        if self._dmat is None:
+            core, pos = self.core()
+            self._dmat = (self._solve_d() if core is self
+                          else _translate(core.d_matrix(), pos))
+        return self._dmat
+
+    def _solve_d(self) -> list[dict[int, LaurentInt]]:
+        """The d-matrix from this block's own psi matrix.
 
         Row a solves sum_{c <= b} bar(d[a][c]) r[c][b] = d[a][b] modulo
         qZ[q] column by column.  Each finished d[a][c] is pushed at once
         through row c of psi into the defects of the later columns, so
         column b reads its defect from one accumulator.
         """
-        if self._dmat is not None:
-            return self._dmat
         r = self.psi_matrix()
         size = len(r)
         rows = []
@@ -274,31 +345,53 @@ class BlockData:
                             for e2, c2 in rx.coeffs.items():
                                 acc[e2 - e1] = acc.get(e2 - e1, 0) + c1 * c2
             rows.append(d)
-        self._dmat = rows
         return rows
 
     def p_matrix(self) -> list[dict[int, LaurentInt]]:
-        """Inverse of the d-matrix (entries are p(-q) before substitution)."""
-        if self._pinv is not None:
-            return self._pinv
-        d = self.d_matrix()
-        size = len(d)
-        inv: list[dict[int, LaurentInt]] = [dict() for _ in range(size)]
-        for a in range(size - 1, -1, -1):
-            inv[a][a] = one
-            for b in range(a + 1, size):
-                s = zero
-                for k in range(a + 1, b + 1):
-                    dk = d[a].get(k)
-                    if dk is None:
-                        continue
-                    ik = inv[k].get(b)
-                    if ik is not None:
-                        s = s + dk * ik
-                if s:
-                    inv[a][b] = -s
-        self._pinv = inv
-        return inv
+        """Inverse of the d-matrix (entries are p(-q) before substitution).
+
+        Inverted on the core only; any other block translates the core's rows.
+        """
+        if self._pinv is None:
+            core, pos = self.core()
+            self._pinv = (_invert_unitriangular(self.d_matrix()) if core is self
+                          else _translate(core.p_matrix(), pos))
+        return self._pinv
+
+
+def _translate(rows: list[dict[int, LaurentInt]],
+               pos: tuple[int, ...]) -> list[dict[int, LaurentInt]]:
+    """A core's matrix read at member positions: entry (a, b) is rows[pos[a]][pos[b]]."""
+    back = {x: a for a, x in enumerate(pos)}
+    return [dict(sorted(((back[y], c) for y, c in rows[x].items()), key=itemgetter(0)))
+            for x in pos]
+
+
+def _invert_unitriangular(d: list[dict[int, LaurentInt]]) -> list[dict[int, LaurentInt]]:
+    """The inverse of an upper unitriangular matrix, row by row from the bottom.
+
+    Row a of the inverse is e_a - sum_{k > a} d[a][k] (row k of the
+    inverse); the products are scattered into one exponent map per column.
+    """
+    size = len(d)
+    inv: list[dict[int, LaurentInt]] = [{}] * size  # every row is replaced below
+    for a in range(size - 1, -1, -1):
+        acc: dict[int, dict[int, int]] = {}
+        for k, dk in d[a].items():
+            if k == a:
+                continue
+            for b, ik in inv[k].items():
+                m = acc.setdefault(b, {})
+                for e1, c1 in dk.coeffs.items():
+                    for e2, c2 in ik.coeffs.items():
+                        m[e1 + e2] = m.get(e1 + e2, 0) - c1 * c2
+        row = {a: one}
+        for b in sorted(acc):
+            entry = LaurentInt(acc[b])
+            if entry:
+                row[b] = entry
+        inv[a] = row
+    return inv
 
 
 class BlockTable:

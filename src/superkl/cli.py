@@ -58,6 +58,22 @@ def _vec_json(v: ModuleVec) -> list:
             for lam, c in sorted(v.terms.items(), key=lambda kv: kv[0].text())]
 
 
+def _block_basis(block) -> list[tuple]:
+    """(lam, basis entry) for every member, read off the block's d rows.
+
+    Each member is rendered once per block; a row's terms are sorted by
+    text as in ``_vec_json``.
+    """
+    members = block.members
+    js = [m.to_json() for m in members]
+    rank = {b: r for r, b in enumerate(sorted(range(block.size),
+                                              key=lambda b: members[b].text()))}
+    return [(lam, {"lambda": js[a],
+                   "terms": [{"basis": js[b], "coeff": render(row[b])}
+                             for b in sorted(row, key=rank.__getitem__)]})
+            for a, (lam, row) in enumerate(zip(members, block.d_matrix()))]
+
+
 def _map_blocks(fn, items, threads: int):
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -107,25 +123,33 @@ def cmd_blocks(args):
     return payload, rows
 
 
+def _over_budget(args, lam) -> BudgetExceeded:
+    return BudgetExceeded(f"block of {lam.text()} exceeds --max-block {args.max_block}")
+
+
 def _check_block_budget(args, lam):
     if args.max_block and canon.block_data(lam).size > args.max_block:
-        raise BudgetExceeded(
-            f"block of {lam.text()} exceeds --max-block {args.max_block}")
+        raise _over_budget(args, lam)
 
 
 def cmd_canonical(args):
     interval, tnc = _context(args)
     if args.matrix:
-        lams = [parse_matrix(args.matrix, interval, tnc)]
-    else:  # enumeration order is the sorted order of the lambda JSON
-        lams = canon.block_table(interval, tnc).weights
-
-    def one(lam):
+        lam = parse_matrix(args.matrix, interval, tnc)
         _check_block_budget(args, lam)
-        return {"lambda": lam.to_json(),
-                "terms": _vec_json(canon.canonical_basis(lam))}
-
-    basis = _map_blocks(one, lams, args.threads)
+        basis = [{"lambda": lam.to_json(), "terms": _vec_json(canon.canonical_basis(lam))}]
+    else:
+        table = canon.block_table(interval, tnc)
+        if args.max_block:  # name the first weight, in enumeration order, over budget
+            over = {lam for block in table.blocks if block.size > args.max_block
+                    for lam in block.members}
+            for lam in table.weights:
+                if lam in over:
+                    raise _over_budget(args, lam)
+        entries = dict(pair for pairs in _map_blocks(_block_basis, table.blocks, args.threads)
+                       for pair in pairs)
+        # enumeration order is the sorted order of the lambda JSON
+        basis = [entries[lam] for lam in table.weights]
     payload = {"basis": basis}
     rows = ((json.dumps(e["lambda"]),
              " + ".join(f"({t['coeff']}) {json.dumps(t['basis'])}"

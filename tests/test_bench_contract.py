@@ -10,7 +10,7 @@ benchmark runs and its self-test; here it fails the tests.
 import sys
 from pathlib import Path
 
-from superkl import canonical, cli, crystal, weights
+from superkl import canonical, cli, crystal, klr, superweights, weights
 from superkl.weights import Interval, TypeNC, enumerate_weights
 
 _PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
@@ -72,3 +72,36 @@ def test_cli_outputs_pass_the_benchmark_checks(capsys):
         out = run(op)
         assert checks.touched_blocks() + checks.p_positive(op, out) == []
         assert checks.kl_query(op, out) == []
+
+
+def test_traced_canonical_context_with_core_blocks(capsys):
+    # d_matrix of a reduced block calls d_matrix of its core through the
+    # tracer's wrapper; the checks then read blocks and cores from the cache
+    patched = [(canonical.BlockData, name) for name in ("psi_matrix", "d_matrix", "p_matrix")]
+    patched += [(canonical.BlockTable, "__init__"), (canonical, "_block_members_direct"),
+                (canonical, "kl_d_stable"), (cli, "_emit"), (crystal, "crystal_edges"),
+                (crystal, "_component"), (superweights, "bruhat_leq"),
+                (klr, "verify_relations")]
+    patched += [(module, name) for module in (weights, canonical, crystal, cli)
+                for name in ("enumerate_weights", "order_leq") if hasattr(module, name)]
+    originals = [getattr(owner, name) for owner, name in patched]
+    (op,), _ = workloads.generate("canonical-context", 0, "tiny")
+    canonical.clear_caches()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        code = cli.main(op["argv"])
+    finally:
+        restore()
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert [getattr(owner, name) for owner, name in patched] == originals
+    assert tracer.counts["canonical.d_nonzeros"] > 0
+    solve = tracer.layer_index["canonical.d_solve"]
+    assert any(layer == solve and tracer.layer[tracer.parent[i]] == solve
+               for i, layer in enumerate(tracer.layer) if tracer.parent[i] >= 0)
+
+    cache = list(canonical._single_block_cache.values())
+    assert any(block.core()[0] is not block for block in cache)
+    assert checks.canonical_context(op, out) == []
+    assert checks.touched_blocks() == []
