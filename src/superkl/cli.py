@@ -296,6 +296,8 @@ def cmd_youngdim(args):
 
 
 def cmd_klr_verify(args):
+    if args.d < 1:
+        raise SuperklError(f"--d must be at least 1, got {args.d}")
     colors = ([int(x) for x in args.colors.split(",")]
               if args.colors else list(Interval.parse(args.interval).colors()))
     report = klr.verify_relations(colors, args.d)
@@ -304,6 +306,12 @@ def cmd_klr_verify(args):
 
 
 def cmd_nilhecke_rank(args):
+    if args.m < 1:
+        raise SuperklError(f"--m must be at least 1, got {args.m}")
+    # below m(m-1) no degree is compared; an m over budget is refused below
+    floor = args.m * (args.m - 1)
+    if args.cap < floor and args.m <= klr.MAX_D:
+        raise SuperklError(f"--cap must be at least m(m-1) = {floor}, got {args.cap}")
     report = klr.nilhecke_graded_rank_check(args.m, args.cap)
     return report, [(str(report["ok"]),)]
 

@@ -17,6 +17,16 @@ Every rewrite strictly reduces (#crossings, #dots-right-of-a-crossing,
 distance-to-canonical), so the process terminates; associativity and the
 defining relations are exercised by the test suite rather than assumed.
 
+A ``KLRElem`` is immutable by contract: every operation returns a new
+element, and ``.terms`` is written only on a fresh element before it is
+returned.  That lets the uncut generators ``xi(ctx, k)`` and
+``tau(ctx, j)`` be built once per (ctx, index) and shared, and lets each
+element cache two indexes of its terms on first use: by right word (with
+the crossing word precomputed) and by left word (with the right word
+precomputed).  ``klr_mul`` joins the right-word index of x with the
+left-word index of y, so it rewrites only pairs of terms whose idempotents
+match.  ``clear_caches`` empties every memo of this module.
+
 Budgets are hard caps: word counts grow like |I|^d * d! * (dot monomials),
 so d and m stay small.
 """
@@ -348,17 +358,38 @@ class KLRContext:
 
 
 class KLRElem:
-    """An integer combination of normal-form basis words."""
+    """An integer combination of normal-form basis words; immutable by contract."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "_by_right", "_by_left")
 
     def __init__(self, ctx: KLRContext, terms=None):
         self.ctx = ctx
         self.terms: dict[tuple, int] = {}
+        self._by_right = self._by_left = None
         if terms:
             for key, c in terms.items():
                 if c:
                     self.terms[key] = c
+
+    def _right_index(self) -> dict:
+        """{right word: [(crossing symbols, a, coeff)]}, built on first use."""
+        if self._by_right is None:
+            index: dict[tuple, list] = {}
+            for (i, a, w), c in self.terms.items():
+                index.setdefault(right_word(i, w), []).append(
+                    (tuple(("t", j) for j in canonical_word(w)), a, c))
+            self._by_right = index
+        return self._by_right
+
+    def _left_index(self) -> dict:
+        """{left word: [(dot and crossing symbols, right word, coeff)]}."""
+        if self._by_left is None:
+            index: dict[tuple, list] = {}
+            for (i, a, w), c in self.terms.items():
+                symbols = _x_symbols(a) + tuple(("t", j) for j in canonical_word(w))
+                index.setdefault(i, []).append((symbols, right_word(i, w), c))
+            self._by_left = index
+        return self._by_left
 
     def __eq__(self, other):
         return (isinstance(other, KLRElem) and self.ctx == other.ctx
@@ -427,29 +458,48 @@ def identity_elem(ctx: KLRContext) -> KLRElem:
     return out
 
 
+_gen_cache: dict[tuple, KLRElem] = {}
+
+
 def xi(ctx: KLRContext, k: int, iword=None) -> KLRElem:
-    """xi_k, optionally cut down by a right idempotent."""
+    """xi_k, optionally cut down by a right idempotent; uncut ones are shared."""
     if not 1 <= k <= ctx.d:
         raise ValueError("dot index out of range")
+    key = ("xi", ctx, k)
+    if iword is None and key in _gen_cache:
+        return _gen_cache[key]
     out = KLRElem(ctx)
     ident = perm_identity(ctx.d)
     for w in ([tuple(iword)] if iword is not None else ctx.words()):
         a = tuple(1 if t == k - 1 else 0 for t in range(ctx.d))
         out.terms[(tuple(w), a, ident)] = 1
+    if iword is None:
+        _gen_cache[key] = out
     return out
 
 
 def tau(ctx: KLRContext, j: int, iword=None) -> KLRElem:
-    """tau_j, optionally cut down by a right idempotent."""
+    """tau_j, optionally cut down by a right idempotent; uncut ones are shared."""
     if not 1 <= j <= ctx.d - 1:
         raise ValueError("crossing index out of range")
+    key = ("tau", ctx, j)
+    if iword is None and key in _gen_cache:
+        return _gen_cache[key]
     out = KLRElem(ctx)
     zeros = (0,) * ctx.d
     w = perm_of_word((j,), ctx.d)
     for jw in ([tuple(iword)] if iword is not None else ctx.words()):
         left = tuple_swap(jw, j)
         out.terms[(left, zeros, w)] = 1
+    if iword is None:
+        _gen_cache[key] = out
     return out
+
+
+def clear_caches():
+    """Empty every memo of this module, as a fresh process would start."""
+    for cache in (_norm_cache, _canon_cache, _rw_paths, _wx_cache, _gen_cache):
+        cache.clear()
 
 
 def right_word(iword, w):
@@ -458,30 +508,27 @@ def right_word(iword, w):
 
 
 def klr_mul(x: KLRElem, y: KLRElem) -> KLRElem:
+    """x * y, rewriting only the pairs of terms whose idempotents match."""
     if x.ctx != y.ctx:
         raise ContextMismatch("elements live in different algebras")
-    d = x.ctx.d
+    rights, lefts = x._right_index(), y._left_index()
     out = KLRElem(x.ctx)
-    for (i1, a1, w1), c1 in x.terms.items():
-        word1 = canonical_word(w1)
-        j1 = right_word(i1, w1)
-        for (i2, a2, w2), c2 in y.terms.items():
-            if j1 != i2:
-                continue
-            word2 = canonical_word(w2)
-            jword = right_word(i2, w2)
-            symbols = (tuple(("t", j) for j in word1)
-                       + _x_symbols(a2)
-                       + tuple(("t", j) for j in word2))
-            for (a, w), c in _normalize(symbols, jword).items():
-                left = act_word_on_colors(canonical_word(w), jword)
-                tot = tuple(p + q for p, q in zip(a1, a))
-                key = (left, tot, w)
-                n = out.terms.get(key, 0) + c1 * c2 * c
-                if n:
-                    out.terms[key] = n
-                else:
-                    del out.terms[key]
+    terms = out.terms
+    for mid in (rights if len(rights) <= len(lefts) else lefts):
+        xs, ys = rights.get(mid), lefts.get(mid)
+        if xs is None or ys is None:
+            continue
+        for sym1, a1, c1 in xs:
+            for sym2, jword, c2 in ys:
+                for (a, w), c in _normalize(sym1 + sym2, jword).items():
+                    left = act_word_on_colors(canonical_word(w), jword)
+                    tot = tuple(p + q for p, q in zip(a1, a))
+                    key = (left, tot, w)
+                    n = terms.get(key, 0) + c1 * c2 * c
+                    if n:
+                        terms[key] = n
+                    else:
+                        del terms[key]
     return out
 
 

@@ -159,18 +159,40 @@ class Matrix01:
                 if not self.interval.contains_col(j):
                     raise ValueError(f"deviation column {j} outside I_+")
 
+    @classmethod
+    def _trusted(cls, interval: Interval, tnc: TypeNC, devs) -> "Matrix01":
+        """A weight built without the checks of ``__post_init__``.
+
+        Only for callers whose ``devs`` are valid by construction.  The
+        fields are set one by one, as the dataclass ``__init__`` does, which
+        keeps the instance dict as small as a checked weight's.
+        """
+        lam = object.__new__(cls)
+        object.__setattr__(lam, "interval", interval)
+        object.__setattr__(lam, "tnc", tnc)
+        object.__setattr__(lam, "devs", devs)
+        return lam
+
     def entry(self, i: int, j: int) -> int:
         """The 01-entry of row i (0-based) at column j in I_+."""
         ci = self.tnc.c[i]
         return (1 - ci) if j in self.devs[i] else ci
 
     def flip(self, i: int, j: int) -> "Matrix01":
-        """Swap the entries of row i at columns j and j+1."""
-        row = set(self.devs[i])
-        row ^= {j, j + 1}
+        """Swap the entries of row i at columns j and j+1, which must differ.
+
+        Only the moved deviation is checked; every other one is this
+        weight's, valid already.
+        """
+        row = self.devs[i]
+        if (j in row) == (j + 1 in row):
+            raise ValueError(f"row {i} has equal entries at columns {j} and {j + 1}")
+        moved = j + 1 if j in row else j
+        if not self.interval.contains_col(moved):
+            raise ValueError(f"deviation column {moved} outside I_+")
         new = list(self.devs)
-        new[i] = tuple(sorted(row))
-        return Matrix01(self.interval, self.tnc, tuple(new))
+        new[i] = tuple(sorted(set(row) ^ {j, j + 1}))
+        return Matrix01._trusted(self.interval, self.tnc, tuple(new))
 
     def all_dev_cols(self) -> list[int]:
         return sorted({j for row in self.devs for j in row})
@@ -320,10 +342,9 @@ def enumerate_weights(interval: Interval, tnc: TypeNC) -> list[Matrix01]:
 
         choices.sort(key=bitkey)
         per_row.append(choices)
-    out = []
-    for combo in itertools.product(*per_row):
-        out.append(Matrix01(interval, tnc, tuple(combo)))
-    return out
+    # sorted combinations of I_+, n_i per row: valid by construction
+    return [Matrix01._trusted(interval, tnc, combo)
+            for combo in itertools.product(*per_row)]
 
 
 def weight_count(interval: Interval, tnc: TypeNC) -> int:

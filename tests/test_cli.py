@@ -201,6 +201,27 @@ def test_budget_exit_code(capsys):
     assert json.loads(err)["error"] == "budget"
 
 
+def test_vacuous_klr_inputs_are_refused(capsys):
+    for argv, flag in ((("klr-verify", "--d", "-1"), "--d"),
+                       (("klr-verify", "--d", "0"), "--d"),
+                       (("nilhecke-rank", "--m", "0"), "--m"),
+                       (("nilhecke-rank", "--m", "-2", "--cap", "8"), "--m"),
+                       (("nilhecke-rank", "--m", "3", "--cap", "-5"), "--cap"),
+                       (("nilhecke-rank", "--m", "3", "--cap", "5"), "--cap")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", argv
+        payload = json.loads(err)
+        assert payload["error"] == "SuperklError"
+        assert payload["message"].startswith(flag + " must be at least"), argv
+    # the smallest accepted inputs each check something
+    for argv in (("klr-verify", "--d", "1"), ("nilhecke-rank", "--m", "3", "--cap", "6"),
+                 ("nilhecke-rank", "--m", "1", "--cap", "0")):
+        code, out, err = run_cli(capsys, *argv)
+        payload = json.loads(out)
+        assert code == 0 and err == "" and payload["ok"] is True
+        assert payload.get("checked", 0) > 0 or payload["degrees"]
+
+
 def test_error_payload_on_stderr(capsys):
     for argv, error in (
             (("poset", "--interval", "z", "--n", "1", "--c", "0"), "IntervalInfinite"),

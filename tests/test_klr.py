@@ -1,8 +1,15 @@
+import hashlib
+import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from superkl.errors import BudgetExceeded
+from superkl import cli, klr
+from superkl.errors import BudgetExceeded, ContextMismatch
 from superkl.klr import (
     AHAElem,
     KLRContext,
@@ -12,6 +19,7 @@ from superkl.klr import (
     aha_one,
     aha_t,
     aha_x,
+    act_word_on_colors,
     b_idempotent,
     canonical_word,
     idempotent,
@@ -25,11 +33,12 @@ from superkl.klr import (
     perm_identity,
     perm_length,
     perm_of_word,
+    right_word,
     tau,
     verify_relations,
     xi,
 )
-from superkl.klr import _monomials_of_degree
+from superkl.klr import _monomials_of_degree, _normalize, _x_symbols
 
 
 def test_canonical_word_is_lex_min_reduced():
@@ -238,3 +247,119 @@ def test_aha_associativity_random():
 def test_aha_budget():
     with pytest.raises(BudgetExceeded):
         AHAElem(5)
+
+
+def _klr_mul_scan(x, y):
+    """klr_mul as a full scan: every term of x against every term of y."""
+    if x.ctx != y.ctx:
+        raise ContextMismatch("elements live in different algebras")
+    out = KLRElem(x.ctx)
+    for (i1, a1, w1), c1 in x.terms.items():
+        word1 = canonical_word(w1)
+        j1 = right_word(i1, w1)
+        for (i2, a2, w2), c2 in y.terms.items():
+            if j1 != i2:
+                continue
+            word2 = canonical_word(w2)
+            jword = right_word(i2, w2)
+            symbols = (tuple(("t", j) for j in word1)
+                       + _x_symbols(a2)
+                       + tuple(("t", j) for j in word2))
+            for (a, w), c in _normalize(symbols, jword).items():
+                left = act_word_on_colors(canonical_word(w), jword)
+                tot = tuple(p + q for p, q in zip(a1, a))
+                key = (left, tot, w)
+                n = out.terms.get(key, 0) + c1 * c2 * c
+                if n:
+                    out.terms[key] = n
+                else:
+                    del out.terms[key]
+    return out
+
+
+@st.composite
+def klr_element(draw, ctx):
+    """Zero, a shared or cut generator, or a sum of random normal-form terms."""
+    d = ctx.d
+    words = [tuple(w) for w in ctx.words()]
+    kind = draw(st.sampled_from(("zero", "shared", "cut", "terms", "terms")))
+    if kind == "zero":
+        return KLRElem(ctx)
+    if kind in ("shared", "cut"):
+        iword = draw(st.sampled_from(words)) if kind == "cut" else None
+        gens = [("xi", k) for k in range(1, d + 1)] + [("tau", j) for j in range(1, d)]
+        name, index = draw(st.sampled_from(gens))
+        return (xi if name == "xi" else tau)(ctx, index, iword)
+    perms = list(itertools.permutations(range(d)))
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        key = (draw(st.sampled_from(words)),
+               tuple(draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))),
+               draw(st.sampled_from(perms)))
+        terms[key] = draw(st.integers(-3, 3).filter(bool))
+    return KLRElem(ctx, terms)
+
+
+@st.composite
+def klr_operands(draw):
+    colors = draw(st.sets(st.integers(0, 4), min_size=1, max_size=3))
+    ctx = KLRContext(colors, draw(st.integers(1, 3)))
+    return draw(klr_element(ctx)), draw(klr_element(ctx))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(klr_operands())
+def test_klr_mul_join_matches_the_full_scan(operands):
+    x, y = operands
+    before = [list(e.terms.items()) for e in (x, y)]
+    assert klr_mul(x, y) == _klr_mul_scan(x, y)
+    assert [list(e.terms.items()) for e in (x, y)] == before
+
+
+def test_shared_generators_stay_equal_to_fresh_ones():
+    assert verify_relations((0, 1, 2), 3)["ok"]
+    ctx = KLRContext((0, 1, 2), 3)
+    assert xi(ctx, 1) is xi(ctx, 1) and tau(ctx, 2) is tau(ctx, 2)
+    built = {("xi", ctx, k) for k in (1, 2, 3)} | {("tau", ctx, j) for j in (1, 2)}
+    assert built <= set(klr._gen_cache)
+    for (name, gctx, index), shared in klr._gen_cache.items():
+        cut = xi if name == "xi" else tau
+        fresh = KLRElem(gctx)
+        for iword in gctx.words():
+            fresh = fresh + cut(gctx, index, iword)
+        assert shared == fresh, (name, gctx.colors, gctx.d, index)
+
+
+def test_sabotaged_relations_are_reported(monkeypatch):
+    # each sabotage runs on cleared caches: a warm normal-form memo would
+    # otherwise answer with the products of the intact code
+    honest_mul = klr.klr_mul
+
+    def lossy_mul(x, y):
+        terms = dict(honest_mul(x, y).terms)
+        if terms:
+            del terms[next(iter(terms))]
+        return KLRElem(x.ctx, terms)
+
+    try:
+        for name, fake in (("_qh7_coeff", lambda j, colors: 0),
+                           ("klr_mul", lossy_mul)):
+            klr.clear_caches()
+            with monkeypatch.context() as patch:
+                patch.setattr(klr, name, fake)
+                report = verify_relations((0, 1), 3)
+            assert not report["ok"] and report["failures"], name
+    finally:
+        klr.clear_caches()
+    assert verify_relations((0, 1), 3)["ok"]
+
+
+def test_klr_verify_bytes_match_the_benchmark_pin(capsys):
+    # the product itself, not only "ok": the sha256 the benchmark pins
+    argv = ["klr-verify", "--interval", "0:3", "--d", "3", "--threads", "1"]
+    pins = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+    pinned = json.loads(pins.read_text())["full"]["orders"][" ".join(argv)]
+    assert pinned.startswith("025a9731")
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and hashlib.sha256(out.encode()).hexdigest() == pinned

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from superkl.crystal import crystal_e, crystal_f
 from superkl.errors import (
     DegreeMismatch,
     DeviationOutsideWindow,
@@ -304,3 +305,31 @@ def test_parse_matrix_rows_span_the_finite_interval():
         with pytest.raises(ValueError, match="covers columns"):
             parse_matrix(text, I01, t)
     assert parse_matrix("@1:1/1", I01, t) == Matrix01(I01, t, ((1,), (1,)))
+
+
+def test_unchecked_weights_pass_the_checked_constructor():
+    # enumerate_weights and flip (so the crystal operators) build their
+    # results without validation; the public constructor re-checks them all
+    def assert_valid(lam):
+        assert Matrix01(lam.interval, lam.tnc, lam.devs) == lam
+
+    built = 0
+    for interval, tnc in sweep_contexts():
+        colors = list(interval.colors())
+        for lam in enumerate_weights(interval, tnc):
+            assert_valid(lam)
+            for i in colors:
+                for step in (crystal_e(lam, i), crystal_f(lam, i)):
+                    if step is not None:
+                        assert_valid(step)
+                        built += 1
+                for row in range(tnc.level):
+                    if lam.entry(row, i) != lam.entry(row, i + 1):
+                        assert_valid(lam.flip(row, i))
+                        built += 1
+    assert built > 0
+    # a flip of equal entries, or one that leaves I_+, is still refused
+    lam = Matrix01(I01, TypeNC((1, 1), (0, 0)), ((0,), (2,)))
+    for row, col in ((0, 1), (0, -1), (1, 2)):
+        with pytest.raises(ValueError):
+            lam.flip(row, col)
