@@ -40,16 +40,31 @@ same d-matrix entry for entry (at level 2 the classical fact that
 vertices labelled o and x take no part in cup diagrams).  The registry
 holds the cores too: ``d_matrix`` and ``p_matrix`` are solved once per
 core and translated to every block that reduces to it.  ``psi_matrix``
-stays unreduced, the oracle path that ``canonical_basis_direct`` reads.
+stays unreduced and eager, the oracle path that ``canonical_basis_direct``
+reads: it checks every row.
+
+``d_matrix`` and ``p_matrix`` are row views, and a row is solved the first
+time it is read.  b_lam involves only members mu >= lam, so row a of d
+reads the psi rows b with d[a][b] != 0 and no others; each psi row is
+checked for triangularity and diagonal 1 when a solve first reads it.
+Row a of p reads the p rows of the d-support of a, so a point query on a
+large block solves only the rows its answer depends on.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import IntervalInfinite, NonTriangularBar, StabilityViolation, SuperklError
+from .errors import (
+    IntervalInfinite,
+    NonTriangularBar,
+    StabilityViolation,
+    SuperklError,
+    TypeMismatch,
+)
 from .laurent import LaurentInt, one, zero
 from .qmodule import ModuleVec, act_e
 from .weights import (
@@ -227,35 +242,16 @@ class BlockData:
         """The row bitmasks of each member -> its position."""
         return {_row_masks(m): b for b, m in enumerate(self.members)}
 
-    def psi_matrix(self) -> list[dict[int, LaurentInt]]:
-        """Row a -> sparse map b -> coefficient of member b in psi(v_a).
+    @cached_property
+    def _psi_rows(self) -> "_Rows":
+        """Row a -> sparse map b -> coefficient of member b in psi(v_a), on first read."""
+        return _checked_psi(self.members, self._mask_pos, self.interval, self.tnc)
 
-        Reads the psi kernel through a row-bitmask -> position map, and
-        checks that psi(v_a) is supported on members b >= a in the order,
-        comparing signed profiles built once over the block's grid.
-        """
-        if self._rmat is not None:
-            return self._rmat
-        grid = profile_grid(self.members)
-        profiles = [signed_profile(m, grid) for m in self.members]
-        mask_pos = self._mask_pos
-        ncols = self.interval.n_cols()
-        rows = []
-        for a, (lam, masks) in enumerate(zip(self.members, mask_pos)):
-            row: dict[int, LaurentInt] = {}
-            for x, c in _psi_kernel(ncols, masks).items():
-                b = mask_pos.get(x)
-                if b is None or not profile_leq(profiles[a], profiles[b]):
-                    mu = _from_masks(x, self.interval, self.tnc)
-                    raise NonTriangularBar(
-                        f"psi(v[{lam.text()}]) has support at {mu.text()}")
-                row[b] = c
-            if row.get(a) != one:
-                raise NonTriangularBar(
-                    f"psi(v[{lam.text()}]) diagonal coefficient is not 1")
-            rows.append(row)
-        self._rmat = rows
-        return rows
+    def psi_matrix(self) -> list[dict[int, LaurentInt]]:
+        """Every row of psi, each checked for triangularity and diagonal 1."""
+        if self._rmat is None:
+            self._rmat = list(self._psi_rows)
+        return self._rmat
 
     def core(self) -> tuple["BlockData", tuple[int, ...]]:
         """The block's core and the map member position -> core position."""
@@ -303,7 +299,7 @@ class BlockData:
                                f"differ in members")
         return core, pos
 
-    def d_matrix(self) -> list[dict[int, LaurentInt]]:
+    def d_matrix(self) -> "_Rows":
         """Unitriangular matrix of d-polynomials: row a, column b.
 
         Solved on the core only; any other block translates the core's rows.
@@ -314,40 +310,12 @@ class BlockData:
                           else _translate(core.d_matrix(), pos))
         return self._dmat
 
-    def _solve_d(self) -> list[dict[int, LaurentInt]]:
-        """The d-matrix from this block's own psi matrix.
+    def _solve_d(self) -> "_Rows":
+        """The d-matrix from this block's own psi rows, each row on first read."""
+        r = self._psi_rows
+        return _Rows(self.size, lambda _, a: _d_row(r, a))
 
-        Row a solves sum_{c <= b} bar(d[a][c]) r[c][b] = d[a][b] modulo
-        qZ[q] column by column.  Each finished d[a][c] is pushed at once
-        through row c of psi into the defects of the later columns, so
-        column b reads its defect from one accumulator.
-        """
-        r = self.psi_matrix()
-        size = len(r)
-        rows = []
-        for a in range(size):
-            d: dict[int, LaurentInt] = {a: one}
-            defects: dict[int, dict[int, int]] = {}
-            for b in range(a, size):
-                if b > a:
-                    s = {e: c for e, c in defects.pop(b, {}).items() if c}
-                    if not s:
-                        continue
-                    if any(s.get(-e) != -c for e, c in s.items()):
-                        raise NonTriangularBar(
-                            "congruence defect is not bar-antisymmetric")
-                    d[b] = LaurentInt({e: c for e, c in s.items() if e > 0})
-                db = d[b]
-                for x, rx in r[b].items():
-                    if x > b:
-                        acc = defects.setdefault(x, {})
-                        for e1, c1 in db.coeffs.items():
-                            for e2, c2 in rx.coeffs.items():
-                                acc[e2 - e1] = acc.get(e2 - e1, 0) + c1 * c2
-            rows.append(d)
-        return rows
-
-    def p_matrix(self) -> list[dict[int, LaurentInt]]:
+    def p_matrix(self) -> "_Rows":
         """Inverse of the d-matrix (entries are p(-q) before substitution).
 
         Inverted on the core only; any other block translates the core's rows.
@@ -359,39 +327,148 @@ class BlockData:
         return self._pinv
 
 
-def _translate(rows: list[dict[int, LaurentInt]],
-               pos: tuple[int, ...]) -> list[dict[int, LaurentInt]]:
+class _Rows(Sequence):
+    """A matrix as a list of sparse rows, row a computed by fill(self, a) on first read.
+
+    ``rows[a]`` is None until row a is read.  A fill function must not hold
+    the block it belongs to: a view lives on its block, and a reference back
+    would make a cycle that outlives ``clear_caches`` until a GC pass.
+    """
+
+    __slots__ = ("rows", "fill")
+
+    def __init__(self, size: int, fill):
+        self.rows: list[dict[int, LaurentInt] | None] = [None] * size
+        self.fill = fill
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, a: int) -> dict[int, LaurentInt]:
+        row = self.rows[a]
+        if row is None:
+            a %= len(self.rows)
+            row = self.rows[a] = self.fill(self, a)
+        return row
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.rows)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (_Rows, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def _checked_psi(members: tuple[Matrix01, ...], mask_pos: dict[tuple[int, ...], int],
+                 interval: Interval, tnc: TypeNC) -> _Rows:
+    """psi on a block's members, one row per first read.
+
+    Reads the psi kernel through a row-bitmask -> position map, and checks
+    that psi(v_a) is supported on members b >= a in the order, comparing
+    signed profiles built once over the block's grid, with coefficient 1
+    at a itself.
+    """
+    grid = profile_grid(members)
+    profiles = [signed_profile(m, grid) for m in members]
+    masks = list(mask_pos)
+    ncols = interval.n_cols()
+
+    def fill(_, a):
+        row: dict[int, LaurentInt] = {}
+        for x, c in _psi_kernel(ncols, masks[a]).items():
+            b = mask_pos.get(x)
+            if b is None or not profile_leq(profiles[a], profiles[b]):
+                mu = _from_masks(x, interval, tnc)
+                raise NonTriangularBar(
+                    f"psi(v[{members[a].text()}]) has support at {mu.text()}")
+            row[b] = c
+        if row.get(a) != one:
+            raise NonTriangularBar(
+                f"psi(v[{members[a].text()}]) diagonal coefficient is not 1")
+        return row
+    return _Rows(len(members), fill)
+
+
+def _d_row(r: _Rows, a: int) -> dict[int, LaurentInt]:
+    """Row a of the d-matrix from the psi rows r.
+
+    Solves sum_{c <= b} bar(d[a][c]) r[c][b] = d[a][b] modulo qZ[q]
+    column by column.  Each finished d[a][c] is pushed at once through row
+    c of psi into the defects of the later columns, so column b reads its
+    defect from one accumulator, and only the psi rows of the row's
+    support are read.
+    """
+    d: dict[int, LaurentInt] = {a: one}
+    defects: dict[int, dict[int, int]] = {}
+    for b in range(a, len(r)):
+        if b > a:
+            s = {e: c for e, c in defects.pop(b, {}).items() if c}
+            if not s:
+                continue
+            if any(s.get(-e) != -c for e, c in s.items()):
+                raise NonTriangularBar("congruence defect is not bar-antisymmetric")
+            d[b] = LaurentInt({e: c for e, c in s.items() if e > 0})
+        db = d[b]
+        for x, rx in r[b].items():
+            if x > b:
+                acc = defects.setdefault(x, {})
+                for e1, c1 in db.coeffs.items():
+                    for e2, c2 in rx.coeffs.items():
+                        acc[e2 - e1] = acc.get(e2 - e1, 0) + c1 * c2
+    return d
+
+
+def _translate(rows: _Rows, pos: tuple[int, ...]) -> _Rows:
     """A core's matrix read at member positions: entry (a, b) is rows[pos[a]][pos[b]]."""
     back = {x: a for a, x in enumerate(pos)}
-    return [dict(sorted(((back[y], c) for y, c in rows[x].items()), key=itemgetter(0)))
-            for x in pos]
+    return _Rows(len(pos), lambda _, a: dict(sorted(
+        ((back[y], c) for y, c in rows[pos[a]].items()), key=itemgetter(0))))
 
 
-def _invert_unitriangular(d: list[dict[int, LaurentInt]]) -> list[dict[int, LaurentInt]]:
-    """The inverse of an upper unitriangular matrix, row by row from the bottom.
+def _invert_unitriangular(d: Sequence[dict[int, LaurentInt]]) -> _Rows:
+    """The inverse of an upper unitriangular matrix, each row on first read.
 
     Row a of the inverse is e_a - sum_{k > a} d[a][k] (row k of the
-    inverse); the products are scattered into one exponent map per column.
+    inverse).  Reading row a first collects the rows its d-support reaches
+    that are still empty, then fills them from the bottom up, so no fill
+    recurses.
     """
-    size = len(d)
-    inv: list[dict[int, LaurentInt]] = [{}] * size  # every row is replaced below
-    for a in range(size - 1, -1, -1):
-        acc: dict[int, dict[int, int]] = {}
-        for k, dk in d[a].items():
-            if k == a:
-                continue
-            for b, ik in inv[k].items():
-                m = acc.setdefault(b, {})
-                for e1, c1 in dk.coeffs.items():
-                    for e2, c2 in ik.coeffs.items():
-                        m[e1 + e2] = m.get(e1 + e2, 0) - c1 * c2
-        row = {a: one}
-        for b in sorted(acc):
-            entry = LaurentInt(acc[b])
-            if entry:
-                row[b] = entry
-        inv[a] = row
-    return inv
+    def fill(inv, a):
+        rows = inv.rows
+        reached, stack = {a}, [a]
+        while stack:
+            for k in d[stack.pop()]:
+                if k not in reached and rows[k] is None:
+                    reached.add(k)
+                    stack.append(k)
+        for x in sorted(reached, reverse=True):
+            rows[x] = _inverse_row(d[x], x, rows)
+        return rows[a]
+    return _Rows(len(d), fill)
+
+
+def _inverse_row(dx: dict[int, LaurentInt], x: int,
+                 rows: list[dict[int, LaurentInt] | None]) -> dict[int, LaurentInt]:
+    """Row x of the inverse from row x of d and the inverse's rows below it.
+
+    The products are scattered into one exponent map per column.
+    """
+    acc: dict[int, dict[int, int]] = {}
+    for k, dk in dx.items():
+        if k == x:
+            continue
+        for b, ik in rows[k].items():
+            m = acc.setdefault(b, {})
+            for e1, c1 in dk.coeffs.items():
+                for e2, c2 in ik.coeffs.items():
+                    m[e1 + e2] = m.get(e1 + e2, 0) - c1 * c2
+    row = {x: one}
+    for b in sorted(acc):
+        entry = LaurentInt(acc[b])
+        if entry:
+            row[b] = entry
+    return row
 
 
 class BlockTable:
@@ -516,10 +593,16 @@ def canonical_basis(lam: Matrix01) -> ModuleVec:
     return out
 
 
+def _check_same_context(lam: Matrix01, mu: Matrix01) -> None:
+    if lam.interval != mu.interval or lam.tnc != mu.tnc:
+        raise TypeMismatch("weights live over different contexts")
+
+
 def kl_d(lam: Matrix01, mu: Matrix01) -> LaurentInt:
     """The graded decomposition polynomial d_{lam,mu}."""
     if not lam.interval.is_finite():
         raise IntervalInfinite("use kl_d_stable for infinite intervals")
+    _check_same_context(lam, mu)
     if weight_of(lam) != weight_of(mu):
         return zero
     block = block_data(lam)
@@ -531,6 +614,7 @@ def kl_p(lam: Matrix01, mu: Matrix01) -> LaurentInt:
     """The inverse-family polynomial p_{lam,mu} (in N[q])."""
     if not lam.interval.is_finite():
         raise IntervalInfinite("kl_p requires a finite interval")
+    _check_same_context(lam, mu)
     if weight_of(lam) != weight_of(mu):
         return one if lam == mu else zero
     block = block_data(lam)

@@ -37,7 +37,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .errors import BudgetExceeded, ContextMismatch
+from .errors import BudgetExceeded, ContextMismatch, SuperklError
 
 # ---------------------------------------------------------------------------
 # permutations (0-based one-line tuples)
@@ -557,6 +557,8 @@ def klr_degree(x: KLRElem):
 
 def verify_relations(colors, d: int) -> dict:
     """Check every instance of the defining relations; returns a report."""
+    if d < 1:
+        raise SuperklError(f"d must be at least 1, got {d}")
     if len(set(colors)) > 4 or d > 3:
         raise BudgetExceeded("verify_relations budget is |I| <= 4, d <= 3")
     ctx = KLRContext(colors, d)
@@ -795,8 +797,13 @@ def nilhecke_graded_rank_check(m: int, degree_cap: int) -> dict:
     Ranks are computed over exact rationals.  The comparison runs on the
     degrees <= degree_cap - m(m-1), where the truncation cannot interfere.
     """
-    if m < 1 or m > MAX_D:
+    if m < 1:
+        raise SuperklError(f"m must be at least 1, got {m}")
+    if m > MAX_D:
         raise BudgetExceeded(f"budget is m <= {MAX_D}")
+    if degree_cap < m * (m - 1):  # no degree would be compared
+        raise SuperklError(f"degree_cap must be at least m(m-1) = {m * (m - 1)}, "
+                           f"got {degree_cap}")
     # The claim is about right modules M b_m.  Polynomials form a left
     # module, so act by the transpose of b_m (words reversed; exact here
     # since equal-color braid moves have no correction): dots first.

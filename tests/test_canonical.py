@@ -18,7 +18,7 @@ from superkl.canonical import (
     young_word_dim,
 )
 import superkl.canonical as canon
-from superkl.errors import IntervalInfinite, NonTriangularBar
+from superkl.errors import IntervalInfinite, NonTriangularBar, TypeMismatch
 from superkl.laurent import LaurentInt, one, zero
 from superkl.qmodule import ModuleVec, act_e, act_f, form
 from superkl.weights import (
@@ -187,6 +187,19 @@ def test_kl_d_triangular():
     assert kl_d(low, high) == q
     # off-block
     assert kl_d(low, kappa(I00, t)) == zero
+
+
+def test_pairs_from_different_contexts_are_refused():
+    # equal sl_I weights over different intervals: no block holds both
+    t = TypeNC((1, 1), (0, 0))
+    lam = parse_matrix("010/010", I01, t)
+    mu = parse_matrix("0100/0100", Interval.finite(0, 2), t)
+    assert weight_of(lam) == weight_of(mu)
+    other = parse_matrix("10/01", I00, t)
+    for a, b in ((lam, mu), (mu, lam), (lam, other)):
+        for fn in (kl_d, kl_p):
+            with pytest.raises(TypeMismatch, match="weights live over different contexts"):
+                fn(a, b)
 
 
 def test_kl_p_inverse():

@@ -7,6 +7,7 @@ against an inverse computed by the plain triple loop below.
 
 import gc
 import itertools
+import sys
 import time
 import weakref
 
@@ -18,13 +19,14 @@ from conftest import sweep_contexts
 
 import superkl.canonical as canon
 from superkl import cli
-from superkl.errors import SuperklError
-from superkl.laurent import one, zero
+from superkl.errors import NonTriangularBar, SuperklError
+from superkl.laurent import LaurentInt, one, zero
 from superkl.qmodule import ModuleVec
 from superkl.weights import (
     Interval,
     TypeNC,
     equivalent_type,
+    order_leq,
     parse_matrix,
     weight_count,
 )
@@ -229,3 +231,126 @@ def test_whole_context_budget_names_the_first_weight_in_enumeration_order(capsys
     unlimited = capsys.readouterr()
     cli.main(argv + ["--max-block", "12"])
     assert capsys.readouterr() == unlimited
+
+
+# ---------------------------------------------------------------------------
+# Row views: d_matrix and p_matrix compute a row the first time it is read.
+
+def eager_d(r):
+    """The d-matrix solved row after row over the whole psi matrix r."""
+    size = len(r)
+    rows = []
+    for a in range(size):
+        d = {a: one}
+        defects = {}
+        for b in range(a, size):
+            if b > a:
+                s = {e: c for e, c in defects.pop(b, {}).items() if c}
+                if not s:
+                    continue
+                assert all(s.get(-e) == -c for e, c in s.items())
+                d[b] = LaurentInt({e: c for e, c in s.items() if e > 0})
+            for x, rx in r[b].items():
+                if x > b:
+                    acc = defects.setdefault(x, {})
+                    for e1, c1 in d[b].coeffs.items():
+                        for e2, c2 in rx.coeffs.items():
+                            acc[e2 - e1] = acc.get(e2 - e1, 0) + c1 * c2
+        rows.append(d)
+    return rows
+
+
+LARGE = (Interval.finite(0, 2), TypeNC((2, 2, 2, 2), (0, 1, 0, 1)))
+
+
+def largest_block():
+    canon.clear_caches()
+    return max(canon.block_table(*LARGE).blocks, key=lambda b: b.size)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(random_context(), st.integers(0, 10**6),
+       st.lists(st.tuples(st.sampled_from("dp"), st.integers(0, 10**6)), max_size=12))
+def test_rows_read_in_any_order_match_the_eager_solve(context, pick_block, reads):
+    canon.clear_caches()
+    blocks = canon.block_table(*context).blocks
+    blocks = [b for b in blocks if b.size > 1] or blocks
+    block = blocks[pick_block % len(blocks)]
+    # an unregistered copy of the block gives the eager reference
+    copy = canon.BlockData(block.interval, block.tnc, block.weight, block.members)
+    want = {"d": eager_d(copy.psi_matrix())}
+    want["p"] = reference_inverse(want["d"])
+    canon.clear_caches()
+    block = canon.block_data(block.members[0])
+    views = {"d": block.d_matrix(), "p": block.p_matrix()}
+    for kind, pick in reads:
+        a = pick % block.size
+        assert views[kind][a] == want[kind][a], (kind, a)
+    assert views["p"] == want["p"] and views["d"] == want["d"]
+
+
+def test_one_kl_d_reads_only_the_psi_rows_of_its_d_support(monkeypatch):
+    members = largest_block().members
+    kernel = canon._psi_kernel
+    read = []
+
+    def counting(ncols, masks):
+        read.append(masks)
+        return kernel(ncols, masks)
+
+    monkeypatch.setattr(canon, "_psi_kernel", counting)
+    narrower = 0
+    for a, lam in enumerate(members):
+        canon.clear_caches()
+        read.clear()
+        canon.kl_d(lam, members[-1])
+        block = canon.block_data(lam)
+        core, pos = block.core()
+        support = {pos[b] for b in block.d_matrix()[a]}
+        assert sorted(map(core._mask_pos.__getitem__, read)) == sorted(support), lam.text()
+        assert sum(row is not None for row in core.d_matrix().rows) == 1
+        narrower += len(support) < block.size
+    assert narrower > len(members) // 2
+
+
+def test_a_bad_psi_row_that_kl_d_reads_is_refused(monkeypatch):
+    block = largest_block()
+    core, pos = block.core()
+    a = block.size // 2
+    lam = block.members[a]
+    # the last psi row the d solve of lam reads, made to reach below itself
+    b = pos[max(block.d_matrix()[a])]
+    below = next(x for x in range(b) if not order_leq(core.members[b], core.members[x]))
+    bad, extra = canon._row_masks(core.members[b]), canon._row_masks(core.members[below])
+    kernel = canon._psi_kernel
+
+    def skewed(ncols, masks):
+        terms = kernel(ncols, masks)
+        return {**terms, extra: terms.get(extra, zero) + one} if masks == bad else terms
+
+    monkeypatch.setattr(canon, "_psi_kernel", skewed)
+    fresh = canon.BlockData(core.interval, core.tnc, core.weight, core.members)
+    with pytest.raises(NonTriangularBar) as eager:
+        fresh.psi_matrix()
+    canon.clear_caches()
+    with pytest.raises(NonTriangularBar) as lazy:
+        canon.kl_d(lam, lam)
+    assert str(lazy.value) == str(eager.value)
+    assert str(lazy.value) == (f"psi(v[{core.members[b].text()}]) has support at "
+                               f"{core.members[below].text()}")
+
+
+def test_p_row_zero_first_fills_without_recursion():
+    block = largest_block()
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        row = block.p_matrix()[0]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert row == reference_inverse(eager_d(block.psi_matrix()))[0]

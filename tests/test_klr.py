@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superkl import cli, klr
-from superkl.errors import BudgetExceeded, ContextMismatch
+from superkl.errors import BudgetExceeded, ContextMismatch, SuperklError
 from superkl.klr import (
     AHAElem,
     KLRContext,
@@ -96,6 +96,23 @@ def test_verify_relations_reports():
         assert report["ok"], report["failures"][:5]
     with pytest.raises(BudgetExceeded):
         verify_relations((0, 1), 4)
+
+
+def test_vacuous_library_inputs_are_refused():
+    # each of these used to pass with nothing or almost nothing checked
+    for fn, args, message in ((verify_relations, ((0, 1), 0), "d must be at least 1, got 0"),
+                              (verify_relations, ((0, 1), -1), "d must be at least 1, got -1"),
+                              (nilhecke_graded_rank_check, (0, 4), "m must be at least 1"),
+                              (nilhecke_graded_rank_check, (3, -5),
+                               "degree_cap must be at least m(m-1) = 6, got -5"),
+                              (nilhecke_graded_rank_check, (3, 5), "degree_cap must be")):
+        with pytest.raises(SuperklError) as err:
+            fn(*args)
+        assert str(err.value).startswith(message), args
+    with pytest.raises(BudgetExceeded):
+        nilhecke_graded_rank_check(klr.MAX_D + 1, -5)
+    assert verify_relations((0, 1), 1)["checked"] > 0
+    assert nilhecke_graded_rank_check(3, 6)["degrees"] == [0]
 
 
 def test_degrees():
