@@ -8,7 +8,7 @@ decomposition polynomials.
 """
 
 from superkl.canonical import (
-    bar_psi, block_table, canonical_basis, canonical_basis_direct,
+    BlockTable, bar_psi, canonical_basis, canonical_basis_direct,
     dual_canonical, kl_d, kl_p, twisted_canonical,
 )
 from superkl.laurent import render
@@ -18,7 +18,7 @@ from superkl.weights import Interval, TypeNC
 I = Interval.finite(0, 1)
 t = TypeNC((2, 1), (0, 0))
 
-table = block_table(I, t)
+table = BlockTable(I, t)
 big = max(table.blocks, key=lambda b: b.size)
 print(f"module has {sum(b.size for b in table.blocks)} monomials "
       f"in {len(table.blocks)} blocks; largest block:")

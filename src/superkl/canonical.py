@@ -28,10 +28,13 @@ computed blockwise from the matrix of psi on monomials by solving the
 resulting unitriangular congruences.  d- and p-polynomials are the entries
 of the transition matrix and of its inverse at q -> -q.
 
-A process holds at most one ``BlockData`` per (interval, type, weight), in
-``_single_block_cache``: ``block_data`` and ``BlockTable`` both look the
-block up there before building it, so its psi, d and p memos are shared
-whichever path reaches it first.  Tables are not memoized; the blocks are.
+A block is keyed by its context and the ``column_counts`` its members
+share, which for one type decide the sl_I weight.  A process holds at most
+one ``BlockData`` per key, in ``_single_block_cache``, and ``_registered``
+is the one place a block is built and added there: ``block_data``,
+``BlockTable`` and the core reduction all go through it, so a block's psi,
+d and p memos are shared whichever path reaches it first.  Tables are not
+memoized; the blocks are.
 
 A column is frozen in a block when every member has the same entries in
 it.  Deleting the frozen columns and renumbering the rest turns the
@@ -53,6 +56,7 @@ large block solves only the rows its answer depends on.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -72,6 +76,7 @@ from .weights import (
     Matrix01,
     TypeNC,
     WeightPI,
+    column_counts,
     enumerate_weights,
     kappa,
     minimal_window,
@@ -93,8 +98,22 @@ def clear_caches():
 
 
 def _block_key(lam: Matrix01) -> tuple:
-    """The cache key of lam's block: its context and its sl_I weight."""
-    return (lam.interval, lam.tnc, tuple(sorted(weight_of(lam).items())))
+    """The registry key of lam's block: its context and its sorted ``column_counts``."""
+    return (lam.interval, lam.tnc, tuple(sorted(column_counts(lam).items())))
+
+
+def _registered(key: tuple, build) -> "BlockData":
+    """The block under key in the registry; on a miss, one of build()'s weights, added.
+
+    This is the one place a block is made.  Its members are put in a linear
+    extension here, and its sl_I weight is read off one of them.
+    """
+    block = _single_block_cache.get(key)
+    if block is None:
+        members = tuple(_linear_extension(build()))
+        block = _single_block_cache[key] = BlockData(key[0], key[1], weight_of(members[0]),
+                                                     members)
+    return block
 
 
 def _row_masks(lam: Matrix01) -> tuple[int, ...]:
@@ -286,13 +305,8 @@ class BlockData:
         interval = Interval.finite(0, len(kept) - 2)
         tnc = TypeNC(tuple(len(kept) - m.bit_count() if ci else m.bit_count()
                            for m, ci in zip(reduced[0], self.tnc.c)), self.tnc.c)
-        first = _from_masks(reduced[0], interval, tnc)
-        key = _block_key(first)
-        core = _single_block_cache.get(key)
-        if core is None:
-            members = [first] + [_from_masks(x, interval, tnc) for x in reduced[1:]]
-            core = BlockData(interval, tnc, weight_of(first), tuple(_linear_extension(members)))
-            _single_block_cache[key] = core
+        core = _registered(_block_key(_from_masks(reduced[0], interval, tnc)),
+                           lambda: [_from_masks(x, interval, tnc) for x in reduced])
         pos = tuple(map(core._mask_pos.get, reduced))
         if core.size != self.size or None in pos:
             raise SuperklError(f"block of {self.members[0].text()} and its core "
@@ -474,8 +488,10 @@ def _inverse_row(dx: dict[int, LaurentInt], x: int,
 class BlockTable:
     """All blocks of one finite context, from one enumeration.
 
-    ``weights`` is the enumeration, in ``enumerate_weights`` order;
-    ``blocks`` are sorted by weight and shared with ``block_data``.
+    ``weights`` is the enumeration, in ``enumerate_weights`` order.  The
+    weights are grouped by ``_block_key`` and each group is looked up in or
+    added to the registry, so ``blocks`` are shared with ``block_data``;
+    they are sorted by their sl_I weight.
     """
 
     def __init__(self, interval: Interval, tnc: TypeNC):
@@ -485,38 +501,20 @@ class BlockTable:
         groups: dict[tuple, list[Matrix01]] = {}
         for lam in self.weights:
             groups.setdefault(_block_key(lam), []).append(lam)
-        self.blocks: list[BlockData] = []
-        for key in sorted(groups, key=lambda k: k[2]):
-            block = _single_block_cache.get(key)
-            if block is None:
-                group = groups[key]
-                block = BlockData(interval, tnc, weight_of(group[0]),
-                                  tuple(_linear_extension(group)))
-                _single_block_cache[key] = block
-            self.blocks.append(block)
+        self.blocks: list[BlockData] = sorted(
+            (_registered(key, group.copy) for key, group in groups.items()),
+            key=lambda b: sorted(b.weight.items()))
 
 
-def _signed_column_counts(lam: Matrix01) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for row, ci in zip(lam.devs, lam.tnc.c):
-        sign = 1 if ci == 0 else -1
-        for j in row:
-            out[j] = out.get(j, 0) + sign
-    return {j: v for j, v in out.items() if v}
+def _block_members_direct(lam: Matrix01) -> list[Matrix01]:
+    """lam's block, unsorted: the weights of its context with its ``column_counts``.
 
-
-def _block_members_direct(lam: Matrix01) -> tuple[Matrix01, ...]:
-    """Enumerate just the block of lam: same type, same signed column counts.
-
-    Two weights of one type share the sl_I weight iff their per-column
-    signed deviation counts agree, so the block is generated row by row
-    with feasibility pruning instead of enumerating the whole module.
+    The block is generated row by row, with feasibility pruning, instead
+    of enumerating the whole module.
     """
-    import itertools
-
     interval = lam.interval
     tnc = lam.tnc
-    target = _signed_column_counts(lam)
+    target = column_counts(lam)
     allowed = list(interval.cols())
     rem_plus = [0] * (tnc.level + 1)
     rem_minus = [0] * (tnc.level + 1)
@@ -548,7 +546,7 @@ def _block_members_direct(lam: Matrix01) -> tuple[Matrix01, ...]:
                 rec(i + 1, nxt, rows + [pick])
 
     rec(0, dict(target), [])
-    return tuple(_linear_extension(out))
+    return out
 
 
 def block_data(lam: Matrix01) -> BlockData:
@@ -556,12 +554,7 @@ def block_data(lam: Matrix01) -> BlockData:
     if not lam.interval.is_finite():
         raise IntervalInfinite("blocks over infinite intervals can be infinite; "
                                "truncate first")
-    key = _block_key(lam)
-    block = _single_block_cache.get(key)
-    if block is None:
-        block = BlockData(lam.interval, lam.tnc, weight_of(lam), _block_members_direct(lam))
-        _single_block_cache[key] = block
-    return block
+    return _registered(_block_key(lam), lambda: _block_members_direct(lam))
 
 
 def _linear_extension(members: list[Matrix01]) -> list[Matrix01]:
@@ -574,11 +567,6 @@ def _linear_extension(members: list[Matrix01]) -> list[Matrix01]:
     grid = profile_grid(members)
     return sorted(members, key=lambda m: (-sum(map(sum, signed_profile(m, grid))),
                                           m.text()))
-
-
-def block_table(interval: Interval, tnc: TypeNC) -> BlockTable:
-    """A fresh table of the context; its blocks come from the block cache."""
-    return BlockTable(interval, tnc)
 
 
 def canonical_basis(lam: Matrix01) -> ModuleVec:
@@ -603,7 +591,7 @@ def kl_d(lam: Matrix01, mu: Matrix01) -> LaurentInt:
     if not lam.interval.is_finite():
         raise IntervalInfinite("use kl_d_stable for infinite intervals")
     _check_same_context(lam, mu)
-    if weight_of(lam) != weight_of(mu):
+    if column_counts(lam) != column_counts(mu):
         return zero
     block = block_data(lam)
     d = block.d_matrix()
@@ -615,7 +603,7 @@ def kl_p(lam: Matrix01, mu: Matrix01) -> LaurentInt:
     if not lam.interval.is_finite():
         raise IntervalInfinite("kl_p requires a finite interval")
     _check_same_context(lam, mu)
-    if weight_of(lam) != weight_of(mu):
+    if column_counts(lam) != column_counts(mu):
         return one if lam == mu else zero
     block = block_data(lam)
     inv = block.p_matrix()
@@ -682,10 +670,9 @@ def kl_d_stable(lam: Matrix01, mu: Matrix01) -> LaurentInt:
     Computes in the minimal admissible window and re-checks at every
     one-column enlargement available inside the interval.
     """
+    _check_same_context(lam, mu)
     if lam.interval.is_finite():
         return kl_d(lam, mu)
-    if lam.interval != mu.interval or lam.tnc != mu.tnc:
-        raise StabilityViolation("weights live over different contexts")
     iv = lam.interval
     devcols = sorted(set(lam.all_dev_cols()) | set(mu.all_dev_cols()))
     window = minimal_window(iv, lam.tnc, devcols)

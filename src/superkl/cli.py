@@ -27,6 +27,7 @@ from .weights import (
     TypeNC,
     defect,
     defect_in_window,
+    defect_window,
     enumerate_weights,  # noqa: F401 (perfbench/tracing.py wraps cli.enumerate_weights)
     minimal_window,
     order_leq,
@@ -89,7 +90,7 @@ def _finite_pair(args, interval, tnc):
 
 def cmd_poset(args):
     interval, tnc = _context(args)
-    table = canon.block_table(interval, tnc)
+    table = canon.BlockTable(interval, tnc)
     lt = {}
     for block in table.blocks:  # the order never relates two blocks
         # members is a linear extension, so only a later member can lie above
@@ -114,7 +115,7 @@ def cmd_poset(args):
 
 def cmd_blocks(args):
     interval, tnc = _context(args)
-    table = canon.block_table(interval, tnc)
+    table = canon.BlockTable(interval, tnc)
     blocks = [{"weight": b.weight.to_json(),
                "members": [m.text() for m in b.members]}
               for b in table.blocks]
@@ -139,7 +140,7 @@ def cmd_canonical(args):
         _check_block_budget(args, lam)
         basis = [{"lambda": lam.to_json(), "terms": _vec_json(canon.canonical_basis(lam))}]
     else:
-        table = canon.block_table(interval, tnc)
+        table = canon.BlockTable(interval, tnc)
         if args.max_block:  # name the first weight, in enumeration order, over budget
             over = {lam for block in table.blocks if block.size > args.max_block
                     for lam in block.members}
@@ -234,14 +235,9 @@ def cmd_prinjective(args):
 def cmd_defect(args):
     interval, tnc = _context(args)
     lam = parse_matrix(args.matrix, interval, tnc)
-    if interval.is_finite():
-        payload = {"matrix": lam.to_json(), "defect": defect(lam),
-                   "window": interval.text()}
-    else:
-        window = minimal_window(interval, tnc, lam.all_dev_cols())
-        payload = {"matrix": lam.to_json(),
-                   "defect": defect_in_window(lam, window),
-                   "window": window.text()}
+    window = defect_window(lam)
+    payload = {"matrix": lam.to_json(), "defect": defect_in_window(lam, window),
+               "window": window.text()}
     return payload, [(lam.text(), str(payload["defect"]))]
 
 

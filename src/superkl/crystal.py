@@ -25,11 +25,11 @@ from .weights import (
     Interval,
     Matrix01,
     TypeNC,
+    column_counts,
     enumerate_weights,
     in_Lambda_J,
     kappa,
     kappa_for_window,
-    weight_of,
 )
 
 
@@ -66,10 +66,10 @@ def crystal_e(lam: Matrix01, i: int) -> Matrix01 | None:
 
 
 def same_block(lam: Matrix01, mu: Matrix01) -> bool:
-    """Two weights index the same block iff their sl_I-weights agree."""
+    """Two weights of one context share a block iff their ``column_counts`` agree."""
     if lam.interval != mu.interval or lam.tnc != mu.tnc:
         raise ContextMismatch("weights live over different contexts")
-    return weight_of(lam) == weight_of(mu)
+    return column_counts(lam) == column_counts(mu)
 
 
 def _component(start: Matrix01, colors) -> set[Matrix01]:

@@ -378,23 +378,37 @@ def kappa_for_window(interval: Interval, tnc: TypeNC, window: Interval) -> Matri
     return Matrix01(interval, tnc, kw.devs)
 
 
+def column_counts(lam: Matrix01) -> dict[int, int]:
+    """The signed deviation count per column, zeros dropped.
+
+    A row of baseline 0 counts +1 at each deviation (a 1-entry), a row of
+    baseline 1 counts -1 (a 0-entry).  Two weights of one context have the
+    same sl_I weight, so lie in one block, iff their counts agree.
+    """
+    out: dict[int, int] = {}
+    for row, ci in zip(lam.devs, lam.tnc.c):
+        sign = 1 if ci == 0 else -1
+        for j in row:
+            out[j] = out.get(j, 0) + sign
+    return {j: v for j, v in out.items() if v}
+
+
 def weight_of(lam: Matrix01) -> WeightPI:
     """The sl_I-weight of a monomial, as a w-coefficient map.
 
     Each 1-entry contributes eps_j = w_j - w_(j-1) with w dropped outside I.
     Rows of baseline 1 are handled through their deviations: the all-ones
     row has weight zero in every interval, so such a row contributes
-    -eps_j for each deviation column j.
+    -eps_j for each deviation column j, so the weight is sum_j v_j eps_j
+    over the ``column_counts`` v.
     """
     out = WeightPI()
     iv = lam.interval
-    for i, row in enumerate(lam.devs):
-        sign = 1 if lam.tnc.c[i] == 0 else -1
-        for j in row:
-            if j in iv:
-                out.add_into(j, sign)
-            if j - 1 in iv:
-                out.add_into(j - 1, -sign)
+    for j, v in column_counts(lam).items():
+        if j in iv:
+            out.add_into(j, v)
+        if j - 1 in iv:
+            out.add_into(j - 1, -v)
     return out
 
 
@@ -477,12 +491,13 @@ def defect(lam: Matrix01) -> int:
     infinite intervals the window must satisfy |J_+| >= 2 max(n) and
     contain every deviation; the result does not depend on the choice.
     """
+    return defect_in_window(lam, defect_window(lam))
+
+
+def defect_window(lam: Matrix01) -> Interval:
+    """The window ``defect`` reads: I if finite, else the minimal window of lam."""
     iv = lam.interval
-    if iv.is_finite():
-        window = iv
-    else:
-        window = minimal_window(iv, lam.tnc, lam.all_dev_cols())
-    return defect_in_window(lam, window)
+    return iv if iv.is_finite() else minimal_window(iv, lam.tnc, lam.all_dev_cols())
 
 
 def defect_in_window(lam: Matrix01, window: Interval) -> int:

@@ -74,7 +74,7 @@ def test_criterion_01_bar_involution_suite():
 
 def _small_blocks():
     for interval, tnc in contexts():
-        table = canon.block_table(interval, tnc)
+        table = canon.BlockTable(interval, tnc)
         for block in table.blocks:
             if block.size <= 20:
                 yield block

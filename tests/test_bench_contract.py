@@ -35,7 +35,7 @@ def test_traced_queries_and_restore():
     restore = tracing.install(tracer)
     try:
         canonical.kl_d(lam, lam)
-        table = canonical.block_table(interval, tnc)
+        table = canonical.BlockTable(interval, tnc)
     finally:
         restore()
     counts = tracer.counts

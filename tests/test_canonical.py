@@ -3,9 +3,9 @@ import random
 import pytest
 
 from superkl.canonical import (
+    BlockTable,
     bar_invariant_completion,
     bar_psi,
-    block_table,
     canonical_basis,
     canonical_basis_direct,
     clear_caches,
@@ -88,7 +88,7 @@ def test_psi_matrix_rejects_support_outside_the_order(monkeypatch):
     # give psi(v_lam) extra support at each member mu with not lam <= mu,
     # one at a time: the triangularity check must refuse every one
     interval, tnc = Interval.finite(0, 2), TypeNC((1, 1, 1), (0, 1, 0))
-    block = max(block_table(interval, tnc).blocks, key=lambda b: b.size)
+    block = max(BlockTable(interval, tnc).blocks, key=lambda b: b.size)
     real = canon._psi_kernel
     bad_pairs = [(lam, mu) for lam in block.members for mu in block.members
                  if not order_leq(lam, mu)]
@@ -141,7 +141,7 @@ def test_block_members_are_a_linear_extension():
                           (I01, TypeNC((1, 1, 1, 1), (0, 1, 0, 1))),
                           (I01, TypeNC((2, 1, 1, 1), (0, 0, 0, 0)))):
         clear_caches()
-        for block in block_table(interval, tnc).blocks:
+        for block in BlockTable(interval, tnc).blocks:
             members = block.members
             for a, lam in enumerate(members):
                 for b, mu in enumerate(members):
@@ -155,14 +155,14 @@ def test_block_data_and_block_table_share_one_block(table_first):
     interval, tnc = Interval.finite(0, 2), TypeNC((2, 1, 1), (0, 1, 0))
     clear_caches()
     if table_first:
-        blocks = block_table(interval, tnc).blocks
+        blocks = BlockTable(interval, tnc).blocks
     lams = enumerate_weights(interval, tnc)[::7]
     direct = [canon.block_data(lam) for lam in lams]
     if not table_first:
-        blocks = block_table(interval, tnc).blocks
+        blocks = BlockTable(interval, tnc).blocks
     for lam, block in zip(lams, direct):
         assert [b for b in blocks if lam in b.members] == [block]  # by identity
-    assert block_table(interval, tnc).blocks == blocks
+    assert BlockTable(interval, tnc).blocks == blocks
     assert len(canon._single_block_cache) == len(blocks)
 
 
@@ -196,10 +196,15 @@ def test_pairs_from_different_contexts_are_refused():
     mu = parse_matrix("0100/0100", Interval.finite(0, 2), t)
     assert weight_of(lam) == weight_of(mu)
     other = parse_matrix("10/01", I00, t)
-    for a, b in ((lam, mu), (mu, lam), (lam, other)):
-        for fn in (kl_d, kl_p):
-            with pytest.raises(TypeMismatch, match="weights live over different contexts"):
-                fn(a, b)
+    over_z = parse_matrix("@0:10/01", Interval.all_z(), t)
+    over_geq = parse_matrix("@0:10/01", Interval.half_up(0), t)
+    cases = [(a, b, fn) for a, b in ((lam, mu), (mu, lam), (lam, other))
+             for fn in (kl_d, kl_p, kl_d_stable)]
+    cases += [(a, b, kl_d_stable) for a, b in
+              ((over_z, over_geq), (over_geq, over_z), (over_z, lam), (lam, over_z))]
+    for a, b, fn in cases:
+        with pytest.raises(TypeMismatch, match="weights live over different contexts"):
+            fn(a, b)
 
 
 def test_kl_p_inverse():
@@ -208,7 +213,7 @@ def test_kl_p_inverse():
     high = parse_matrix("01/10", I00, t)
     assert kl_p(low, low) == one
     assert kl_p(low, high) == q
-    table = block_table(I01, TypeNC((2, 1), (0, 0)))
+    table = BlockTable(I01, TypeNC((2, 1), (0, 0)))
     for block in table.blocks:
         d = block.d_matrix()
         p = block.p_matrix()
@@ -378,7 +383,7 @@ def test_level2_d_entries_are_monomial():
     seen = 0
     for tnc in (TypeNC((1, 1), (0, 0)), TypeNC((2, 1), (0, 1)),
                 TypeNC((2, 2), (0, 0)), TypeNC((1, 2), (1, 0))):
-        table = block_table(I02, tnc)
+        table = BlockTable(I02, tnc)
         for block in table.blocks:
             d = block.d_matrix()
             for a in range(block.size):

@@ -99,7 +99,7 @@ def test_every_core_matches_the_unreduced_solve():
     blocks = reduced = 0
     for interval, tnc in oracle_contexts():
         canon.clear_caches()
-        for block in canon.block_table(interval, tnc).blocks:
+        for block in canon.BlockTable(interval, tnc).blocks:
             blocks += 1
             reduced += check_core(block) is not block
     assert reduced > 0
@@ -109,7 +109,7 @@ def test_every_core_matches_the_unreduced_solve():
 def test_cores_are_shared_through_the_registry(monkeypatch, tmp_path):
     interval, tnc = Interval.finite(0, 4), TypeNC((2, 2, 2), (0, 0, 0))
     canon.clear_caches()
-    blocks = canon.block_table(interval, tnc).blocks
+    blocks = canon.BlockTable(interval, tnc).blocks
     cores = [b.core()[0] for b in blocks]
     by_key = {}
     for block, core in zip(blocks, cores):
@@ -151,7 +151,7 @@ def test_clear_caches_frees_blocks_and_cores_without_a_gc_pass():
     # a fresh CLI process starts with empty caches; a long-lived one must
     # get there by clear_caches alone, or memory grows query by query
     canon.clear_caches()
-    blocks = canon.block_table(Interval.finite(0, 2), TypeNC((2, 1, 1), (0, 1, 0))).blocks
+    blocks = canon.BlockTable(Interval.finite(0, 2), TypeNC((2, 1, 1), (0, 1, 0))).blocks
     for block in blocks:
         block.p_matrix()
     refs = [weakref.ref(b) for b in canon._single_block_cache.values()]
@@ -168,7 +168,7 @@ def test_clear_caches_frees_blocks_and_cores_without_a_gc_pass():
 def test_a_registered_core_with_other_members_is_refused():
     interval, tnc = Interval.finite(0, 4), TypeNC((2, 2, 2), (0, 0, 0))
     canon.clear_caches()
-    blocks = canon.block_table(interval, tnc).blocks
+    blocks = canon.BlockTable(interval, tnc).blocks
     block, core = next((b, b.core()[0]) for b in blocks if b.size > 2 and b.core()[0] is not b)
     key = canon._block_key(core.members[0])
     canon.clear_caches()
@@ -200,7 +200,7 @@ def random_context(draw):
 @given(random_context(), st.integers(0, 10**6), st.integers(0, 10**6))
 def test_random_block_core_matches_the_unreduced_solve(context, pick_block, pick_member):
     canon.clear_caches()
-    blocks = canon.block_table(*context).blocks
+    blocks = canon.BlockTable(*context).blocks
     blocks = [b for b in blocks if b.size > 1] or blocks
     block = blocks[pick_block % len(blocks)]
     core = check_core(block)
@@ -265,7 +265,7 @@ LARGE = (Interval.finite(0, 2), TypeNC((2, 2, 2, 2), (0, 1, 0, 1)))
 
 def largest_block():
     canon.clear_caches()
-    return max(canon.block_table(*LARGE).blocks, key=lambda b: b.size)
+    return max(canon.BlockTable(*LARGE).blocks, key=lambda b: b.size)
 
 
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)
@@ -273,7 +273,7 @@ def largest_block():
        st.lists(st.tuples(st.sampled_from("dp"), st.integers(0, 10**6)), max_size=12))
 def test_rows_read_in_any_order_match_the_eager_solve(context, pick_block, reads):
     canon.clear_caches()
-    blocks = canon.block_table(*context).blocks
+    blocks = canon.BlockTable(*context).blocks
     blocks = [b for b in blocks if b.size > 1] or blocks
     block = blocks[pick_block % len(blocks)]
     # an unregistered copy of the block gives the eager reference
