@@ -1,14 +1,15 @@
 """Everything over an infinite interval runs through finite windows.
 
-Defect and decomposition polynomials computed in any admissible window
-agree with every enlargement; the library picks the minimal window, then
-re-verifies stability on one-column enlargements automatically.
+Defect and the d- and p-polynomials computed in any admissible window
+agree with every enlargement; the library reads them in one window,
+``stable_window`` (the minimal window covering every deviation), then
+re-verifies d and p on one-column enlargements automatically.
 """
 
-from superkl.canonical import kl_d, kl_d_stable
+from superkl.canonical import kl_d, kl_d_stable, kl_p, kl_p_stable
 from superkl.crystal import WindowTower, is_prinjective
 from superkl.weights import (
-    Interval, Matrix01, TypeNC, defect, defect_in_window, minimal_window, truncate,
+    Interval, Matrix01, TypeNC, defect, defect_in_window, stable_window, truncate,
 )
 
 z = Interval.all_z()
@@ -16,7 +17,7 @@ t = TypeNC((2, 1), (0, 1))
 
 lam = Matrix01(z, t, ((0, 3), (2,)))
 print("lam =", lam.text())
-window = minimal_window(z, t, lam.all_dev_cols())
+window = stable_window(lam)
 print("minimal admissible window:", window.text())
 for pad in (0, 1, 2, 3):
     w = Interval.finite(window.lo - pad, window.hi + pad)
@@ -25,13 +26,17 @@ print("defect(lam) =", defect(lam))
 
 print()
 print("== window-stable decomposition polynomials ==")
-mu = Matrix01(z, t, ((2, 3), (0,)))
-print("mu =", mu.text())
-print("kl_d_stable(lam, mu) =", kl_d_stable(lam, mu))
+nu = Matrix01(z, t, ((0, 3), (0,)))
+mu = Matrix01(z, t, ((1, 3), (1,)))
+print("nu =", nu.text(), " mu =", mu.text())
+pair_window = stable_window(nu, mu)
+print("read in", pair_window.text())
+print("kl_d_stable(nu, mu) =", kl_d_stable(nu, mu))
+print("kl_p_stable(nu, mu) =", kl_p_stable(nu, mu))
 for pad in (1, 3):
-    w = Interval.finite(window.lo - pad, window.hi + pad)
-    print(f"  recomputed over {w.text():8}:",
-          kl_d(truncate(lam, w), truncate(mu, w)))
+    w = Interval.finite(pair_window.lo - pad, pair_window.hi + pad)
+    nw, mw = truncate(nu, w), truncate(mu, w)
+    print(f"  recomputed over {w.text():8}: d = {kl_d(nw, mw)}, p = {kl_p(nw, mw)}")
 
 print()
 print("== prinjectivity through the window tower ==")

@@ -41,6 +41,7 @@ from .canonical import (
     kl_d,
     kl_d_stable,
     kl_p,
+    kl_p_stable,
     twisted_canonical,
     young_word_dim,
 )

@@ -79,11 +79,11 @@ from .weights import (
     column_counts,
     enumerate_weights,
     kappa,
-    minimal_window,
     order_leq,
     profile_grid,
     profile_leq,
     signed_profile,
+    stable_window,
     truncate,
     weight_of,
 )
@@ -601,7 +601,7 @@ def kl_d(lam: Matrix01, mu: Matrix01) -> LaurentInt:
 def kl_p(lam: Matrix01, mu: Matrix01) -> LaurentInt:
     """The inverse-family polynomial p_{lam,mu} (in N[q])."""
     if not lam.interval.is_finite():
-        raise IntervalInfinite("kl_p requires a finite interval")
+        raise IntervalInfinite("use kl_p_stable for infinite intervals")
     _check_same_context(lam, mu)
     if column_counts(lam) != column_counts(mu):
         return one if lam == mu else zero
@@ -664,33 +664,37 @@ def young_word_dim(lam: Matrix01, word) -> LaurentInt:
     return val.shift(defect(lam))
 
 
-def kl_d_stable(lam: Matrix01, mu: Matrix01) -> LaurentInt:
-    """d_{lam,mu} over an infinite interval, via a stable finite window.
+def _stable(kl, lam: Matrix01, mu: Matrix01) -> LaurentInt:
+    """kl(lam, mu) over an infinite interval, via a stable finite window.
 
-    Computes in the minimal admissible window and re-checks at every
+    Computes in ``stable_window(lam, mu)`` and re-checks at every
     one-column enlargement available inside the interval.
     """
     _check_same_context(lam, mu)
     if lam.interval.is_finite():
-        return kl_d(lam, mu)
-    iv = lam.interval
-    devcols = sorted(set(lam.all_dev_cols()) | set(mu.all_dev_cols()))
-    window = minimal_window(iv, lam.tnc, devcols)
-    base = kl_d(truncate(lam, window), truncate(mu, window))
+        return kl(lam, mu)
+    window = stable_window(lam, mu)
+    base = kl(truncate(lam, window), truncate(mu, window))
     for dlo, dhi in ((1, 0), (0, 1), (1, 1)):
-        lo = window.lo - dlo
-        hi = window.hi + dhi
-        if iv.lo is not None and lo < iv.lo:
+        bigger = Interval.finite(window.lo - dlo, window.hi + dhi)
+        if not bigger.issubset(lam.interval):
             continue
-        if iv.hi is not None and hi > iv.hi:
-            continue
-        bigger = Interval.finite(lo, hi)
-        again = kl_d(truncate(lam, bigger), truncate(mu, bigger))
+        again = kl(truncate(lam, bigger), truncate(mu, bigger))
         if again != base:
             raise StabilityViolation(
-                f"kl_d changed from {base} to {again} when enlarging "
+                f"{kl.__name__} changed from {base} to {again} when enlarging "
                 f"{window.text()} to {bigger.text()}")
     return base
+
+
+def kl_d_stable(lam: Matrix01, mu: Matrix01) -> LaurentInt:
+    """d_{lam,mu} over any interval, window-stable over an infinite one."""
+    return _stable(kl_d, lam, mu)
+
+
+def kl_p_stable(lam: Matrix01, mu: Matrix01) -> LaurentInt:
+    """p_{lam,mu} over any interval, window-stable over an infinite one."""
+    return _stable(kl_p, lam, mu)
 
 
 def bar_invariant_completion(c: LaurentInt) -> LaurentInt:

@@ -27,12 +27,10 @@ from .weights import (
     TypeNC,
     defect,
     defect_in_window,
-    defect_window,
     enumerate_weights,  # noqa: F401 (perfbench/tracing.py wraps cli.enumerate_weights)
-    minimal_window,
     order_leq,
     parse_matrix,
-    truncate,
+    stable_window,
 )
 
 
@@ -80,12 +78,6 @@ def _map_blocks(fn, items, threads: int):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
-
-
-def _finite_pair(args, interval, tnc):
-    lam = parse_matrix(args.matrix, interval, tnc)
-    mu = parse_matrix(args.mu, interval, tnc)
-    return lam, mu
 
 
 def cmd_poset(args):
@@ -160,22 +152,16 @@ def cmd_canonical(args):
 
 def cmd_klpoly(args):
     interval, tnc = _context(args)
+    lam = parse_matrix(args.matrix, interval, tnc)
+    mu = parse_matrix(args.mu, interval, tnc)
+    payload = {"lambda": lam.to_json(), "mu": mu.to_json()}
     if interval.is_finite():
-        lam, mu = _finite_pair(args, interval, tnc)
         _check_block_budget(args, lam)
-        d = canon.kl_d(lam, mu)
-        p = canon.kl_p(lam, mu)
-        payload = {"lambda": lam.to_json(), "mu": mu.to_json(),
-                   "d": render(d), "p": render(p)}
+        d, p = canon.kl_d(lam, mu), canon.kl_p(lam, mu)
     else:
-        lam = parse_matrix(args.matrix, interval, tnc)
-        mu = parse_matrix(args.mu, interval, tnc)
-        window = minimal_window(
-            interval, tnc, sorted(set(lam.all_dev_cols()) | set(mu.all_dev_cols())))
-        d = canon.kl_d_stable(lam, mu)
-        p = canon.kl_p(truncate(lam, window), truncate(mu, window))
-        payload = {"lambda": lam.to_json(), "mu": mu.to_json(),
-                   "d": render(d), "p": render(p), "window": window.text()}
+        d, p = canon.kl_d_stable(lam, mu), canon.kl_p_stable(lam, mu)
+        payload["window"] = stable_window(lam, mu).text()
+    payload.update(d=render(d), p=render(p))
     return payload, [(payload["d"], payload["p"])]
 
 
@@ -213,6 +199,8 @@ def cmd_prinjective(args):
         members = sorted(m.text() for m in crys.lambda_circ(interval, tnc))
         payload = {"members": members, "count": len(members)}
         return payload, ((m,) for m in members)
+    if args.max_r < 1:
+        raise SuperklError(f"--max-r must be at least 1, got {args.max_r}")
     tower = crys.WindowTower(interval, tnc, schedule=args.schedule)
     lam = parse_matrix(args.matrix, interval, tnc)
     r = crys.is_prinjective(lam, tower, args.max_r)
@@ -235,7 +223,7 @@ def cmd_prinjective(args):
 def cmd_defect(args):
     interval, tnc = _context(args)
     lam = parse_matrix(args.matrix, interval, tnc)
-    window = defect_window(lam)
+    window = stable_window(lam)
     payload = {"matrix": lam.to_json(), "defect": defect_in_window(lam, window),
                "window": window.text()}
     return payload, [(lam.text(), str(payload["defect"]))]
@@ -357,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-block", type=int, default=0, dest="max_block",
                         help="refuse blocks larger than this (0 = unlimited)")
     parser.add_argument("--schedule", default="default",
-                        help="tower growth: default|left|right|alternate_lr|alternate_rl")
+                        help="tower growth: " + "|".join(crys.SCHEDULES))
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", default="", help="write output to FILE")
     return parser

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContextMismatch, EmptyWeightSet, IntervalInfinite
+from .errors import ContextMismatch, EmptyWeightSet, IntervalInfinite, SuperklError
 from .qmodule import ModuleVec, divided_power_f
 from .weights import (
     Interval,
@@ -30,6 +30,7 @@ from .weights import (
     in_Lambda_J,
     kappa,
     kappa_for_window,
+    minimal_window,
 )
 
 
@@ -111,46 +112,42 @@ class ShiftData:
         return [self.s + self.eps * k for k in range(1, self.a + 1)]
 
 
+SCHEDULES = ("default", "left", "right", "alternate_lr", "alternate_rl")
+
+
 class WindowTower:
     """Nested finite windows I_1 c I_2 c ... inside an infinite interval.
 
-    |I_1|+1 >= 2 max(n) and each step adds one column toward an unbounded
-    side.  The growth schedule is a run parameter; the default alternates
-    (starting leftward) over the whole line and grows toward the open end
-    of a half-infinite interval.
+    I_1 is the minimal window of the interval (``minimal_window`` with no
+    deviations: |I_1+| >= 2 max(n), pinned at the closed end of a half
+    line, starting at 0 over Z), and each step adds one column toward an
+    unbounded side.  The growth schedule, one of ``SCHEDULES``, is a run
+    parameter; the default alternates (starting leftward) over the whole
+    line, and a half-infinite interval always grows toward its open end.
     """
 
-    def __init__(self, interval: Interval, tnc: TypeNC,
-                 schedule: str = "default", base_lo: int | None = None):
+    def __init__(self, interval: Interval, tnc: TypeNC, schedule: str = "default"):
         if interval.is_finite():
             raise IntervalInfinite("a tower needs an infinite interval")
+        if schedule not in SCHEDULES:
+            raise ValueError(f"unknown schedule {schedule!r}")
         self.interval = interval
         self.tnc = tnc
-        width = max(1, 2 * tnc.max_n() - 1)  # |I_1|, so |I_1+| >= 2 max(n)
         if interval.lo is not None:
-            # half line up: the base window is pinned at the closed end
-            lo = interval.lo
-            directions = "right"
+            self._dirs = "right"
         elif interval.hi is not None:
-            lo = interval.hi - width + 1
-            directions = "left"
+            self._dirs = "left"
         else:
-            lo = 0 if base_lo is None else base_lo
-            directions = "alternate_lr" if schedule == "default" else schedule
-        self._dirs = directions
-        self._windows = [Interval.finite(lo, lo + width - 1)]
+            self._dirs = "alternate_lr" if schedule == "default" else schedule
+        self._windows = [minimal_window(interval, tnc, [])]
         self._shifts: list[ShiftData] = []
 
     def _direction(self, r: int) -> str:
-        if self._dirs == "left":
-            return "left"
-        if self._dirs == "right":
-            return "right"
         if self._dirs == "alternate_lr":
             return "left" if r % 2 == 1 else "right"
         if self._dirs == "alternate_rl":
             return "right" if r % 2 == 1 else "left"
-        raise ValueError(f"unknown schedule {self._dirs!r}")
+        return self._dirs
 
     def _grow(self):
         r = len(self._windows)
@@ -230,6 +227,8 @@ def is_prinjective(lam: Matrix01, tower: WindowTower, r_max: int):
     """
     if lam.interval != tower.interval or lam.tnc != tower.tnc:
         raise ContextMismatch("weight does not match the tower")
+    if r_max < 1:
+        raise SuperklError(f"r_max must be at least 1, got {r_max}")
     for r in range(1, r_max + 1):
         if not in_Lambda_J(lam, tower.window(r)):
             continue

@@ -491,13 +491,20 @@ def defect(lam: Matrix01) -> int:
     infinite intervals the window must satisfy |J_+| >= 2 max(n) and
     contain every deviation; the result does not depend on the choice.
     """
-    return defect_in_window(lam, defect_window(lam))
+    return defect_in_window(lam, stable_window(lam))
 
 
-def defect_window(lam: Matrix01) -> Interval:
-    """The window ``defect`` reads: I if finite, else the minimal window of lam."""
-    iv = lam.interval
-    return iv if iv.is_finite() else minimal_window(iv, lam.tnc, lam.all_dev_cols())
+def stable_window(*lams: Matrix01) -> Interval:
+    """The window every infinite-interval answer is read in.
+
+    The interval itself when it is finite; otherwise the minimal window
+    covering the deviation columns of all the given weights.
+    """
+    iv = lams[0].interval
+    if iv.is_finite():
+        return iv
+    cols = sorted({j for lam in lams for j in lam.all_dev_cols()})
+    return minimal_window(iv, lams[0].tnc, cols)
 
 
 def defect_in_window(lam: Matrix01, window: Interval) -> int:
@@ -533,7 +540,7 @@ def minimal_window(interval: Interval, tnc: TypeNC,
             a = 0
         b = a
     if interval.hi is not None and b > interval.hi:
-        b = interval.hi  # only possible for empty dev_cols anchored high
+        b = interval.hi  # every deviation is in the top column hi + 1, so a > b
     while b - a + 2 < width:
         if interval.hi is None or b < interval.hi:
             b += 1

@@ -105,3 +105,17 @@ def test_traced_canonical_context_with_core_blocks(capsys):
     assert any(block.core()[0] is not block for block in cache)
     assert checks.canonical_context(op, out) == []
     assert checks.touched_blocks() == []
+
+
+def test_traced_klpoly_over_z_opens_a_stable_window_span(capsys):
+    canonical.clear_caches()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        code = cli.main(["klpoly", "--interval", "z", "--n", "1,1", "--c", "0,0",
+                         "--matrix", "@0:10/01", "--mu", "@0:01/10"])
+    finally:
+        restore()
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert tracer.layer_index["canonical.stable_window"] in tracer.layer

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -13,12 +14,18 @@ from superkl.canonical import (
     kl_d,
     kl_d_stable,
     kl_p,
+    kl_p_stable,
     psi_monomial,
     twisted_canonical,
     young_word_dim,
 )
 import superkl.canonical as canon
-from superkl.errors import IntervalInfinite, NonTriangularBar, TypeMismatch
+from superkl.errors import (
+    IntervalInfinite,
+    NonTriangularBar,
+    StabilityViolation,
+    TypeMismatch,
+)
 from superkl.laurent import LaurentInt, one, zero
 from superkl.qmodule import ModuleVec, act_e, act_f, form
 from superkl.weights import (
@@ -33,6 +40,7 @@ from superkl.weights import (
     order_leq,
     order_lt,
     parse_matrix,
+    stable_window,
     truncate,
     weight_of,
 )
@@ -199,9 +207,10 @@ def test_pairs_from_different_contexts_are_refused():
     over_z = parse_matrix("@0:10/01", Interval.all_z(), t)
     over_geq = parse_matrix("@0:10/01", Interval.half_up(0), t)
     cases = [(a, b, fn) for a, b in ((lam, mu), (mu, lam), (lam, other))
-             for fn in (kl_d, kl_p, kl_d_stable)]
-    cases += [(a, b, kl_d_stable) for a, b in
-              ((over_z, over_geq), (over_geq, over_z), (over_z, lam), (lam, over_z))]
+             for fn in (kl_d, kl_p, kl_d_stable, kl_p_stable)]
+    cases += [(a, b, fn) for a, b in
+              ((over_z, over_geq), (over_geq, over_z), (over_z, lam), (lam, over_z))
+              for fn in (kl_d_stable, kl_p_stable)]
     for a, b, fn in cases:
         with pytest.raises(TypeMismatch, match="weights live over different contexts"):
             fn(a, b)
@@ -355,20 +364,45 @@ def test_kl_d_stable():
 
 
 def test_kl_d_stable_matches_shifted_windows(rng):
+    # d and p over Z and both half lines, against a generous window
+    cases = ((Interval.all_z(), Interval.finite(-8, 8)),
+             (Interval.half_up(-2), Interval.finite(-2, 12)),
+             (Interval.half_down(3), Interval.finite(-11, 3)))
+    for t in (TypeNC((1, 1), (0, 0)), TypeNC((2, 1), (0, 1))):
+        for interval, big in cases:
+            for _ in range(6):
+                lam = random_infinite_matrix(rng, interval, t, span=4)
+                mu = rng.choice(list(_block_members(lam)))
+                lam_big, mu_big = truncate(lam, big), truncate(mu, big)
+                assert kl_d_stable(lam, mu) == kl_d(lam_big, mu_big)
+                assert kl_p_stable(lam, mu) == kl_p(lam_big, mu_big)
+
+
+def test_kl_p_stable_refuses_a_p_that_moves_with_the_window(monkeypatch):
     t = TypeNC((1, 1), (0, 0))
     z = Interval.all_z()
-    for _ in range(10):
-        lam = random_infinite_matrix(rng, z, t, span=4)
-        members = [m for m in _block_members(lam)]
-        mu = rng.choice(members)
-        val = kl_d_stable(lam, mu)
-        # recompute in a generous window
-        big = Interval.finite(-8, 8)
-        assert kl_d(truncate(lam, big), truncate(mu, big)) == val
+    low = Matrix01(z, t, ((0,), (1,)))
+    high = Matrix01(z, t, ((1,), (0,)))
+    window = stable_window(low, high)
+    real = canon.kl_p
+
+    @functools.wraps(real)
+    def wider_differs(lam, mu):
+        value = real(lam, mu)
+        return value if lam.interval == window else value + one
+
+    monkeypatch.setattr(canon, "kl_p", wider_differs)
+    with pytest.raises(StabilityViolation, match=r"^kl_p changed from q to q \+ 1 when"):
+        kl_p_stable(low, high)
+    assert kl_d_stable(low, high) == q
 
 
 def _block_members(lam):
-    window = Interval.finite(min(lam.all_dev_cols()) - 1, max(lam.all_dev_cols()) + 1)
+    """Members of lam's block with deviations within a column of lam's."""
+    iv, cols = lam.interval, lam.all_dev_cols()
+    lo = cols[0] - 1 if iv.lo is None else max(cols[0] - 1, iv.lo)
+    hi = cols[-1] + 1 if iv.hi is None else min(cols[-1] + 1, iv.hi)
+    window = Interval.finite(lo, hi)
     cut = truncate(lam, window)
     wt = weight_of(cut)
     for m in enumerate_weights(window, lam.tnc):

@@ -75,6 +75,7 @@ def test_klpoly_infinite(capsys):
                            "--matrix", "@0:10/01", "--mu", "@0:01/10")
     assert code == 0
     payload = json.loads(out)
+    validate("klpoly", payload)
     assert payload["d"] == "q"
     assert "window" in payload
 
@@ -222,6 +223,19 @@ def test_vacuous_klr_inputs_are_refused(capsys):
         assert payload.get("checked", 0) > 0 or payload["degrees"]
 
 
+def test_prinjective_max_r_below_one_is_refused(capsys):
+    argv = ("prinjective", "--interval", "z", "--n", "1,1", "--c", "0,0",
+            "--matrix", "@0:10/01", "--max-r")
+    for r in ("0", "-3"):
+        code, out, err = run_cli(capsys, *argv, r)
+        assert code == 1 and out == "", r
+        payload = json.loads(err)
+        assert payload["error"] == "SuperklError"
+        assert payload["message"] == f"--max-r must be at least 1, got {r}"
+    code, out, err = run_cli(capsys, *argv, "1")
+    assert code == 0 and err == "" and json.loads(out)["windows"]
+
+
 def test_error_payload_on_stderr(capsys):
     for argv, error in (
             (("poset", "--interval", "z", "--n", "1", "--c", "0"), "IntervalInfinite"),
@@ -230,10 +244,19 @@ def test_error_payload_on_stderr(capsys):
             (("klpoly", "--interval", "0:1", "--n", "1,1", "--c", "0,0",
               "--matrix", "10000/010", "--mu", "1/010"), "ValueError"),
             (("klpoly", "--interval", "0:1", "--n", "1,1", "--c", "0,0",
-              "--matrix", "10/010", "--mu", "100/010"), "ValueError")):
+              "--matrix", "10/010", "--mu", "100/010"), "ValueError"),
+            # the tower refuses a schedule it would never read
+            (("prinjective", "--interval", "z", "--n", "1,1", "--c", "0,0",
+              "--matrix", "@0:10/01", "--max-r", "1", "--schedule", "bogus"), "ValueError"),
+            (("prinjective", "--interval", "geq:0", "--n", "1,1", "--c", "0,0",
+              "--matrix", "@0:10/01", "--max-r", "1", "--schedule", "bogus"), "ValueError"),
+            (("prinjective", "--interval", "leq:0", "--n", "1,1", "--c", "0,0",
+              "--matrix", "@0:10/01", "--max-r", "1", "--schedule", "bogus"), "ValueError")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == error
+        if "--schedule" in argv:
+            assert json.loads(err)["message"] == "unknown schedule 'bogus'"
 
 
 def test_out_file(tmp_path, capsys):
@@ -375,6 +398,11 @@ GOLDEN = [
      "a237a4d180b2dc5572a551a0366f9193c71cdea0c3bde60a28a0295dc502097b"),
     ("prinjective z 1,1 0,0 json @40:10/01 --max-r=3",
      "690cb9f8ec89d1184131bd3d89b4b7135af90a172a326e24838304c3360e72ca"),
+    ("klpoly geq:0 1,1 0,0 json @0:10/01 --mu=@0:01/10",
+     "bb2d477df2e42ba09d6a264051695ae3541bfada81df3092ad002c3844779218"),
+    # the only deviations sit in the top column, so minimal_window clips
+    ("klpoly leq:2 1,1 0,0 json @3:1/1 --mu=@3:1/1",
+     "f22112277f67d93cd1727114129a556c4dc086b5f6f9c3856537ab69901660b9"),
 ]
 # the specs whose command ends undecided, with its payload on stdout
 GOLDEN_EXIT = {"prinjective z 1,1 0,0 json @40:10/01 --max-r=3": 2}

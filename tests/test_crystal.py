@@ -10,7 +10,7 @@ from superkl.crystal import (
     lambda_circ,
     same_block,
 )
-from superkl.errors import ContextMismatch, IntervalInfinite
+from superkl.errors import ContextMismatch, IntervalInfinite, SuperklError
 from superkl.qmodule import ModuleVec
 from superkl.weights import (
     Interval,
@@ -22,6 +22,7 @@ from superkl.weights import (
     parse_matrix,
     weight_of,
 )
+from conftest import iter_types
 
 I00 = Interval.finite(0, 0)
 I01 = Interval.finite(0, 1)
@@ -124,6 +125,30 @@ def test_tower_windows_and_kappas():
     assert down.window(1).hi == 0 and down.window(4).hi == 0
 
 
+def _width_rule_base_window(interval, tnc):
+    """The first tower window as the width formula once placed it."""
+    width = max(1, 2 * tnc.max_n() - 1)  # |I_1|, so |I_1+| >= 2 max(n)
+    if interval.lo is not None:
+        lo = interval.lo
+    elif interval.hi is not None:
+        lo = interval.hi - width + 1
+    else:
+        lo = 0
+    return Interval.finite(lo, lo + width - 1)
+
+
+def test_tower_base_window_is_the_width_rule():
+    intervals = (Interval.all_z(), Interval.half_up(0), Interval.half_up(3),
+                 Interval.half_down(0), Interval.half_down(-2))
+    cases = 0
+    for tnc in iter_types(4, max_level=3, polarities=(0, 1)):
+        for interval in intervals:
+            assert WindowTower(interval, tnc).window(1) == \
+                _width_rule_base_window(interval, tnc), (interval, tnc)
+            cases += 1
+    assert cases == 5550
+
+
 def test_tower_component_nesting():
     t = TypeNC((1, 1), (0, 0))
     for schedule in ("alternate_lr", "alternate_rl", "left", "right"):
@@ -156,6 +181,10 @@ def test_prinjective_unknown_at_budget():
     # deviations far outside the first windows
     lam = Matrix01(Interval.all_z(), t, ((40,), (41,)))
     assert is_prinjective(lam, tower, 3) is None
+    # a budget below one window checks nothing
+    for r_max in (0, -3):
+        with pytest.raises(SuperklError, match=f"r_max must be at least 1, got {r_max}"):
+            is_prinjective(tower.kappa_r(1), tower, r_max)
 
 
 def test_sigma_bookkeeping():
