@@ -13,7 +13,7 @@ from superkl.canonical import (
 )
 from superkl.laurent import render
 from superkl.qmodule import ModuleVec, form
-from superkl.weights import Interval, TypeNC
+from superkl.weights import Interval, TypeNC, koszul_dual
 
 I = Interval.finite(0, 1)
 t = TypeNC((2, 1), (0, 0))
@@ -52,3 +52,10 @@ a, b = big.members[0], big.members[-1]
 print("(b_a, b*_a) =", form(canonical_basis(a), dual_canonical(a)))
 print("(b_a, b*_b) =", form(canonical_basis(a), dual_canonical(b)))
 print("twisted b~ of", b.text(), "=", twisted_canonical(b))
+
+print()
+print("== Koszul duality: p_(lam,mu) is d_(T(mu),T(lam)) in the dual block ==")
+lam, mu = big.members[0], big.members[-1]
+print(f"T({lam.text()}) = {koszul_dual(lam).text()}")
+print(f"p[{lam.text()}, {mu.text()}] = {render(kl_p(lam, mu))}   "
+      f"d[T({mu.text()}), T({lam.text()})] = {render(kl_d(koszul_dual(mu), koszul_dual(lam)))}")

@@ -52,6 +52,13 @@ reads the psi rows b with d[a][b] != 0 and no others; each psi row is
 checked for triangularity and diagonal 1 when a solve first reads it.
 Row a of p reads the p rows of the d-support of a, so a point query on a
 large block solves only the rows its answer depends on.
+
+``dual_canonical`` needs a column of p, not a row.  Koszul duality gives
+p_{lam,mu}(q) = d_{T(mu),T(lam)}(q), where T = ``koszul_dual`` reverses
+the columns of the l x N 01-matrix, transposes it and reads the result as
+a weight of level N over 0:(l-2).  So column mu of p is row T(mu) of the
+d-matrix of the dual block, one row solved on first read, mapped back
+through T^-1.  ``kl_p`` still reads p rows.
 """
 
 from __future__ import annotations
@@ -79,6 +86,8 @@ from .weights import (
     column_counts,
     enumerate_weights,
     kappa,
+    koszul_dual,
+    koszul_dual_inverse,
     order_leq,
     profile_grid,
     profile_leq,
@@ -516,17 +525,20 @@ def _block_members_direct(lam: Matrix01) -> list[Matrix01]:
     tnc = lam.tnc
     target = column_counts(lam)
     allowed = list(interval.cols())
+    # a row changes a column's count by at most 1, so after row i the count
+    # lies between -rem_minus[i + 1] and rem_plus[i + 1]
     rem_plus = [0] * (tnc.level + 1)
     rem_minus = [0] * (tnc.level + 1)
     for i in range(tnc.level - 1, -1, -1):
-        rem_plus[i] = rem_plus[i + 1] + (tnc.n[i] if tnc.c[i] == 0 else 0)
-        rem_minus[i] = rem_minus[i + 1] + (tnc.n[i] if tnc.c[i] == 1 else 0)
+        moves = 1 if tnc.n[i] else 0
+        rem_plus[i] = rem_plus[i + 1] + (moves if tnc.c[i] == 0 else 0)
+        rem_minus[i] = rem_minus[i + 1] + (moves if tnc.c[i] == 1 else 0)
     out = []
 
     def rec(i, counts, rows):
         if i == tnc.level:
-            if not counts:
-                out.append(Matrix01(interval, tnc, tuple(rows)))
+            if not counts:  # sorted picks of I_+, n_i per row: valid by construction
+                out.append(Matrix01._trusted(interval, tnc, tuple(rows)))
             return
         sign = 1 if tnc.c[i] == 0 else -1
         for pick in itertools.combinations(allowed, tnc.n[i]):
@@ -612,15 +624,24 @@ def kl_p(lam: Matrix01, mu: Matrix01) -> LaurentInt:
 
 
 def dual_canonical(mu: Matrix01) -> ModuleVec:
-    """b*_mu = sum_lam p_{lam,mu}(-q) v_lam."""
+    """b*_mu = sum_lam p_{lam,mu}(-q) v_lam, read off one row of the Koszul dual.
+
+    p_{lam,mu}(q) = d_{T(mu),T(lam)}(q) with T = ``koszul_dual``, so the
+    column of p at mu is row T(mu) of the dual block's d-matrix, mapped
+    back through T^-1.  Below level 2 every block is a singleton and
+    b*_mu = v_mu.
+    """
     if not mu.interval.is_finite():
         raise IntervalInfinite("dual canonical basis requires a finite interval")
-    block = block_data(mu)
-    inv = block.p_matrix()
-    b = block.position(mu)
     out = ModuleVec(mu.interval, mu.tnc)
-    out.terms = {block.members[a]: inv[a][b]
-                 for a in range(block.size) if b in inv[a]}
+    if mu.tnc.level < 2:
+        out.terms = {mu: one}
+        return out
+    dual = koszul_dual(mu)
+    block = block_data(dual)
+    row = block.d_matrix()[block.position(dual)]
+    out.terms = {koszul_dual_inverse(block.members[b], mu.interval, mu.tnc): c.subs_neg_q()
+                 for b, c in row.items()}
     return out
 
 
@@ -664,26 +685,33 @@ def young_word_dim(lam: Matrix01, word) -> LaurentInt:
     return val.shift(defect(lam))
 
 
-def _stable(kl, lam: Matrix01, mu: Matrix01) -> LaurentInt:
-    """kl(lam, mu) over an infinite interval, via a stable finite window.
+def stable_windows(lam: Matrix01, mu: Matrix01) -> list[Interval]:
+    """Every window ``_stable`` reads kl(lam, mu) in, the base window first.
 
-    Computes in ``stable_window(lam, mu)`` and re-checks at every
-    one-column enlargement available inside the interval.
+    The base is ``stable_window(lam, mu)``; after it come its one-column
+    enlargements that lie inside the interval.  A finite interval is its
+    own only window.
+    """
+    window = stable_window(lam, mu)
+    bigger = (Interval.finite(window.lo - dlo, window.hi + dhi)
+              for dlo, dhi in ((1, 0), (0, 1), (1, 1)))
+    return [window] + [w for w in bigger if w.issubset(lam.interval)]
+
+
+def _stable(kl, lam: Matrix01, mu: Matrix01) -> LaurentInt:
+    """kl(lam, mu) over any interval, read in ``stable_windows`` and re-checked.
+
+    The value in the base window must not change in any enlargement.
     """
     _check_same_context(lam, mu)
-    if lam.interval.is_finite():
-        return kl(lam, mu)
-    window = stable_window(lam, mu)
+    window, *bigger = stable_windows(lam, mu)
     base = kl(truncate(lam, window), truncate(mu, window))
-    for dlo, dhi in ((1, 0), (0, 1), (1, 1)):
-        bigger = Interval.finite(window.lo - dlo, window.hi + dhi)
-        if not bigger.issubset(lam.interval):
-            continue
-        again = kl(truncate(lam, bigger), truncate(mu, bigger))
+    for w in bigger:
+        again = kl(truncate(lam, w), truncate(mu, w))
         if again != base:
             raise StabilityViolation(
                 f"{kl.__name__} changed from {base} to {again} when enlarging "
-                f"{window.text()} to {bigger.text()}")
+                f"{window.text()} to {w.text()}")
     return base
 
 

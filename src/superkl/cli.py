@@ -28,9 +28,11 @@ from .weights import (
     defect,
     defect_in_window,
     enumerate_weights,  # noqa: F401 (perfbench/tracing.py wraps cli.enumerate_weights)
+    koszul_dual,
     order_leq,
     parse_matrix,
     stable_window,
+    truncate,
 )
 
 
@@ -120,8 +122,10 @@ def _over_budget(args, lam) -> BudgetExceeded:
     return BudgetExceeded(f"block of {lam.text()} exceeds --max-block {args.max_block}")
 
 
-def _check_block_budget(args, lam):
-    if args.max_block and canon.block_data(lam).size > args.max_block:
+def _check_block_budget(args, lam, built=None):
+    """Refuse lam when the block the command builds for it, the block of
+    ``built`` (of lam itself by default), exceeds --max-block."""
+    if args.max_block and canon.block_data(built or lam).size > args.max_block:
         raise _over_budget(args, lam)
 
 
@@ -155,8 +159,9 @@ def cmd_klpoly(args):
     lam = parse_matrix(args.matrix, interval, tnc)
     mu = parse_matrix(args.mu, interval, tnc)
     payload = {"lambda": lam.to_json(), "mu": mu.to_json()}
+    for window in canon.stable_windows(lam, mu):
+        _check_block_budget(args, lam, truncate(lam, window))
     if interval.is_finite():
-        _check_block_budget(args, lam)
         d, p = canon.kl_d(lam, mu), canon.kl_p(lam, mu)
     else:
         d, p = canon.kl_d_stable(lam, mu), canon.kl_p_stable(lam, mu)
@@ -168,6 +173,8 @@ def cmd_klpoly(args):
 def cmd_dualbasis(args):
     interval, tnc = _context(args)
     lam = parse_matrix(args.matrix, interval, tnc)
+    if interval.is_finite() and tnc.level >= 2:  # below level 2 no block is built
+        _check_block_budget(args, lam, koszul_dual(lam))
     v = canon.dual_canonical(lam)
     payload = {"lambda": lam.to_json(), "terms": _vec_json(v)}
     return payload, ((t["coeff"], json.dumps(t["basis"])) for t in payload["terms"])
@@ -176,6 +183,8 @@ def cmd_dualbasis(args):
 def cmd_twisted(args):
     interval, tnc = _context(args)
     lam = parse_matrix(args.matrix, interval, tnc)
+    if interval.is_finite():
+        _check_block_budget(args, lam, canon._reverse_rows(lam))
     v = canon.twisted_canonical(lam)
     payload = {"lambda": lam.to_json(), "terms": _vec_json(v)}
     return payload, ((t["coeff"], json.dumps(t["basis"])) for t in payload["terms"])

@@ -244,6 +244,50 @@ class Matrix01:
         return self.text()
 
 
+def koszul_dual(lam: Matrix01) -> Matrix01:
+    """T(lam): the l x N 01-matrix of lam, columns reversed, then transposed.
+
+    The N x l result is read as a weight of level N over 0:(l-2), every
+    row of polarity 0, so its type n' is its row sums: the column sums of
+    lam, right to left.  T maps lam's block onto one block of that dual
+    context, and p_{lam,mu}(q) = d_{T(mu),T(lam)}(q) (Koszul duality).
+    Twice applied, T turns the 01-matrix by 180 degrees.
+    """
+    if not lam.interval.is_finite():
+        raise IntervalInfinite("the Koszul dual requires a finite interval")
+    level = lam.tnc.level
+    if level < 2:
+        raise ValueError(f"the Koszul dual requires level >= 2, got {level}")
+    cols = lam.interval.cols()
+    top = cols[-1]
+    rows: list[list[int]] = [[] for _ in cols]  # row k of T(lam) is column top - k
+    for i, (row, ci) in enumerate(zip(lam.devs, lam.tnc.c)):
+        for j in (row if ci == 0 else [j for j in cols if j not in row]):
+            rows[top - j].append(i)
+    return Matrix01._trusted(Interval.finite(0, level - 2),
+                             TypeNC(tuple(map(len, rows)), (0,) * len(rows)),
+                             tuple(map(tuple, rows)))
+
+
+def koszul_dual_inverse(nu: Matrix01, interval: Interval, tnc: TypeNC) -> Matrix01:
+    """The weight lam of the context (interval, tnc) with koszul_dual(lam) = nu."""
+    cols = interval.cols()
+    if len(nu.devs) != len(cols) or (nu.interval.lo, nu.interval.hi) != (0, tnc.level - 2):
+        raise TypeMismatch(f"{nu.text()} is not the Koszul dual of a weight over "
+                           f"{interval.text()} at level {tnc.level}")
+    ones: list[list[int]] = [[] for _ in tnc.c]  # ones[i]: the 1-columns of row i
+    for j, row in zip(cols, reversed(nu.devs)):
+        for i in row:
+            ones[i].append(j)
+    devs = tuple(tuple(r) if ci == 0 else tuple(j for j in cols if j not in r)
+                 for r, ci in zip(ones, tnc.c))
+    # the rows come out sorted and inside I_+; only their lengths can be wrong
+    if tuple(map(len, devs)) != tnc.n:
+        raise TypeMismatch(f"{nu.text()} is not the Koszul dual of a weight of type "
+                           f"n = {tnc.n}, c = {tnc.c}")
+    return Matrix01._trusted(interval, tnc, devs)
+
+
 def parse_matrix(text: str, interval: Interval, tnc: TypeNC) -> Matrix01:
     """Parse the text form ``@start:rows`` (or bare rows for finite I).
 

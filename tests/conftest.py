@@ -3,7 +3,9 @@ import sys
 
 import pytest
 
-from superkl.weights import Interval, Matrix01, TypeNC, weight_count
+from superkl import canonical as canon
+from superkl.laurent import zero
+from superkl.weights import Interval, Matrix01, TypeNC, koszul_dual, weight_count
 
 
 def iter_intervals(max_cols=5):
@@ -58,6 +60,40 @@ def random_infinite_matrix(rng, interval, tnc, span=6):
     cols = list(range(base, base + span))
     devs = tuple(tuple(sorted(rng.sample(cols, ni))) for ni in tnc.n)
     return Matrix01(interval, tnc, devs)
+
+
+def p_column(mu: Matrix01) -> dict:
+    """b*_mu read as the column of p at mu, the reading ``dual_canonical`` replaced."""
+    block = canon.block_data(mu)
+    p = block.p_matrix()
+    b = block.position(mu)
+    return {block.members[a]: p[a][b] for a in range(block.size) if b in p[a]}
+
+
+def duality_failures(interval: Interval, tnc: TypeNC, dual=koszul_dual) -> list:
+    """The pairs (lam, mu) of one context with p_{lam,mu} != d_{dual(mu),dual(lam)}.
+
+    Each block's p-matrix is compared column by column with the d rows of
+    the block of dual(members[0]); dual must map the block into that one.
+    """
+    failures = []
+    for block in canon.BlockTable(interval, tnc).blocks:
+        p = block.p_matrix()
+        images = [dual(m) for m in block.members]
+        dual_block = canon.block_data(images[0])
+        d = dual_block.d_matrix()
+        pos = [dual_block.position(x) for x in images]
+        back = {x: a for a, x in enumerate(pos)}
+        columns = [{} for _ in range(block.size)]
+        for a, row in enumerate(p):
+            for b, entry in row.items():
+                columns[b][a] = entry.subs_neg_q()
+        for b, column in enumerate(columns):
+            row = {back[x]: c for x, c in d[pos[b]].items()}
+            failures += [(block.members[a], block.members[b])
+                         for a in column.keys() | row.keys()
+                         if column.get(a, zero) != row.get(a, zero)]
+    return failures
 
 
 @pytest.fixture

@@ -1,15 +1,21 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
 Everything is exact arithmetic; no tolerances.  The bar-involution sweep
-(criterion 1) fixes the collection of modules used by criteria 2-4: all
-(interval, type) contexts of level <= 3 over intervals with |I_+| <= 5 and
-dimension <= 500.
+(criterion 1) fixes the collection of modules used by criteria 2-4 and 13:
+all (interval, type) contexts of level <= 3 over intervals with |I_+| <= 5
+and dimension <= 500.
 """
 
 import random
 import time
 
-from conftest import acceptance_line, random_infinite_matrix, sweep_contexts
+from conftest import (
+    acceptance_line,
+    duality_failures,
+    p_column,
+    random_infinite_matrix,
+    sweep_contexts,
+)
 
 from superkl import canonical as canon
 from superkl import crystal as crys
@@ -501,3 +507,20 @@ def test_criterion_12_equivalent_type_invariance():
     acceptance_line(12, True,
                     f"identical weight sets, orders and d-matrices under "
                     f"{checked} flipped-type comparisons")
+
+
+def test_criterion_13_koszul_duality():
+    # runs last, so that the blocks of criteria 2-4 are still registered
+    t0 = time.time()
+    sweep = [(interval, tnc) for interval, tnc in contexts() if tnc.level >= 2]
+    weights = 0
+    for interval, tnc in sweep:
+        assert duality_failures(interval, tnc) == [], (interval.text(), tnc)
+        for mu in enumerate_weights(interval, tnc):
+            assert canon.dual_canonical(mu).terms == p_column(mu), mu.text()
+            weights += 1
+    canon.clear_caches()
+    acceptance_line(13, True,
+                    f"p_(lam,mu)(q) = d_(T(mu),T(lam))(q) on every block of "
+                    f"{len(sweep)} modules of level >= 2; dual_canonical == "
+                    f"p column on {weights} weights ({time.time()-t0:.1f}s)")

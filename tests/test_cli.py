@@ -7,7 +7,14 @@ import pytest
 
 from superkl import canonical, cli
 from superkl.qmodule import ModuleVec
-from superkl.weights import Interval, TypeNC, enumerate_weights, order_leq, parse_matrix
+from superkl.weights import (
+    Interval,
+    TypeNC,
+    enumerate_weights,
+    koszul_dual,
+    order_leq,
+    parse_matrix,
+)
 
 
 def run_cli(capsys, *argv):
@@ -200,6 +207,53 @@ def test_budget_exit_code(capsys):
     code, _, err = run_cli(capsys, "nilhecke-rank", "--m", "9", "--cap", "4")
     assert code == 2
     assert json.loads(err)["error"] == "budget"
+
+
+def over_budget(capsys, argv, weight, budget):
+    """Run argv with --max-block budget - 1 and budget: refused, then answered.
+
+    Returns the keys of the blocks the refused run registered.
+    """
+    canonical.clear_caches()
+    code, out, err = run_cli(capsys, *argv, "--max-block", str(budget - 1))
+    assert code == 2 and out == ""
+    assert err == ('{"error": "budget", "message": "block of '
+                   f'{weight} exceeds --max-block {budget - 1}"}}\n')
+    built = set(canonical._single_block_cache)
+    canonical.clear_caches()
+    unlimited = run_cli(capsys, *argv)
+    canonical.clear_caches()
+    assert run_cli(capsys, *argv, "--max-block", str(budget)) == unlimited
+    assert unlimited[0] == 0
+    return built
+
+
+CTX3 = ("--interval", "0:1", "--n", "1,1,1", "--c", "0,1,0")
+
+
+def test_dualbasis_budget_reads_the_dual_block(capsys):
+    lam = parse_matrix("001/011/100", Interval.finite(0, 1), TypeNC((1, 1, 1), (0, 1, 0)))
+    built = over_budget(capsys, ["dualbasis", *CTX3, "--matrix", "001/011/100"],
+                        lam.text(), 5)
+    assert built == {canonical._block_key(koszul_dual(lam))}
+
+
+def test_twisted_budget_reads_the_row_reversed_block(capsys):
+    lam = parse_matrix("001/011/100", Interval.finite(0, 1), TypeNC((1, 1, 1), (0, 1, 0)))
+    built = over_budget(capsys, ["twisted", *CTX3, "--matrix", "001/011/100"],
+                        lam.text(), 5)
+    assert built == {canonical._block_key(canonical._reverse_rows(lam))}
+
+
+def test_klpoly_budget_bounds_every_window_of_an_infinite_interval(capsys):
+    # the block has 2 members in the base window 0:0 and 4 in -1:1
+    argv = ["klpoly", "--interval", "z", "--n", "1,1", "--c", "0,1",
+            "--matrix", "@0:100/011", "--mu", "@0:010/101"]
+    lam = parse_matrix("@0:100/011", Interval.all_z(), TypeNC((1, 1), (0, 1)))
+    over_budget(capsys, argv, lam.text(), 4)
+    canonical.clear_caches()
+    code, _, err = run_cli(capsys, *argv, "--max-block", "2")
+    assert code == 2 and json.loads(err)["error"] == "budget"
 
 
 def test_vacuous_klr_inputs_are_refused(capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from superkl.canonical import _block_key, _block_members_direct
 from superkl.crystal import crystal_e, crystal_f
 from superkl.errors import (
     DegreeMismatch,
@@ -308,16 +309,25 @@ def test_parse_matrix_rows_span_the_finite_interval():
 
 
 def test_unchecked_weights_pass_the_checked_constructor():
-    # enumerate_weights and flip (so the crystal operators) build their
-    # results without validation; the public constructor re-checks them all
+    # enumerate_weights, flip (so the crystal operators) and the direct
+    # block generator build their results without validation; the public
+    # constructor re-checks them all (tests/test_koszul_dual.py does the
+    # same for koszul_dual and its inverse)
     def assert_valid(lam):
         assert Matrix01(lam.interval, lam.tnc, lam.devs) == lam
 
     built = 0
     for interval, tnc in sweep_contexts():
         colors = list(interval.colors())
+        keys = set()
         for lam in enumerate_weights(interval, tnc):
             assert_valid(lam)
+            key = _block_key(lam)
+            if key not in keys:
+                keys.add(key)
+                for member in _block_members_direct(lam):
+                    assert_valid(member)
+                    built += 1
             for i in colors:
                 for step in (crystal_e(lam, i), crystal_f(lam, i)):
                     if step is not None:
