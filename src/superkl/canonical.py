@@ -36,6 +36,10 @@ is the one place a block is built and added there: ``block_data``,
 d and p memos are shared whichever path reaches it first.  Tables are not
 memoized; the blocks are.
 
+A block's one order table, ``_profiles``, holds each member's signed
+profile over the block's grid, built on first read and not at registration;
+``BlockData.leq``, the psi check and ``poset`` read it, the oracle does not.
+
 A column is frozen in a block when every member has the same entries in
 it.  Deleting the frozen columns and renumbering the rest turns the
 members into one block of a smaller context, the block's core, with the
@@ -271,9 +275,19 @@ class BlockData:
         return {_row_masks(m): b for b, m in enumerate(self.members)}
 
     @cached_property
+    def _profiles(self) -> list[list[tuple[int, ...]]]:
+        """The block's order table, on first read: each member's ``signed_profile``."""
+        grid = profile_grid(self.members)
+        return [signed_profile(m, grid) for m in self.members]
+
+    def leq(self, a: int, b: int) -> bool:
+        """The (TP1) order on the members at positions a and b."""
+        return profile_leq(self._profiles[a], self._profiles[b])
+
+    @cached_property
     def _psi_rows(self) -> "_Rows":
         """Row a -> sparse map b -> coefficient of member b in psi(v_a), on first read."""
-        return _checked_psi(self.members, self._mask_pos, self.interval, self.tnc)
+        return _checked_psi(self.members, self._mask_pos, self._profiles)
 
     def psi_matrix(self) -> list[dict[int, LaurentInt]]:
         """Every row of psi, each checked for triangularity and diagonal 1."""
@@ -384,25 +398,22 @@ class _Rows(Sequence):
 
 
 def _checked_psi(members: tuple[Matrix01, ...], mask_pos: dict[tuple[int, ...], int],
-                 interval: Interval, tnc: TypeNC) -> _Rows:
+                 profiles: list) -> _Rows:
     """psi on a block's members, one row per first read.
 
     Reads the psi kernel through a row-bitmask -> position map, and checks
-    that psi(v_a) is supported on members b >= a in the order, comparing
-    signed profiles built once over the block's grid, with coefficient 1
-    at a itself.
+    that psi(v_a) is supported on members b >= a in the order, read off the
+    block's order table ``profiles``, with coefficient 1 at a itself.
     """
-    grid = profile_grid(members)
-    profiles = [signed_profile(m, grid) for m in members]
     masks = list(mask_pos)
-    ncols = interval.n_cols()
+    ncols = members[0].interval.n_cols()
 
     def fill(_, a):
         row: dict[int, LaurentInt] = {}
         for x, c in _psi_kernel(ncols, masks[a]).items():
             b = mask_pos.get(x)
             if b is None or not profile_leq(profiles[a], profiles[b]):
-                mu = _from_masks(x, interval, tnc)
+                mu = _from_masks(x, members[0].interval, members[0].tnc)
                 raise NonTriangularBar(
                     f"psi(v[{members[a].text()}]) has support at {mu.text()}")
             row[b] = c
@@ -572,13 +583,16 @@ def block_data(lam: Matrix01) -> BlockData:
 def _linear_extension(members: list[Matrix01]) -> list[Matrix01]:
     """Sort a block so that lam < mu implies lam comes first.
 
-    The sum of a weight's ``signed_profile`` over the block's grid is
-    strictly decreasing upward in the order, so it provides a linear
-    extension directly; ties are broken by the text form for determinism.
+    The sum of a weight's ``signed_profile`` over the block's grid strictly
+    decreases upward in the order; ties are broken by text.  Row i (from 0)
+    lies in l - i prefix rows and a deviation at j in the grid entries from
+    index rank(j) on, so the sum is a block constant minus the key below.
     """
-    grid = profile_grid(members)
-    return sorted(members, key=lambda m: (-sum(map(sum, signed_profile(m, grid))),
-                                          m.text()))
+    rank = {j: r for r, j in enumerate(profile_grid(members))}
+    c = members[0].tnc.c
+    weights = [(len(c) - i) * (-1) ** ci for i, ci in enumerate(c)]
+    return sorted(members, key=lambda m: (sum(w * sum(map(rank.get, row)) for w, row
+                                              in zip(weights, m.devs)), m.text()))
 
 
 def canonical_basis(lam: Matrix01) -> ModuleVec:
@@ -616,7 +630,7 @@ def kl_p(lam: Matrix01, mu: Matrix01) -> LaurentInt:
         raise IntervalInfinite("use kl_p_stable for infinite intervals")
     _check_same_context(lam, mu)
     if column_counts(lam) != column_counts(mu):
-        return one if lam == mu else zero
+        return zero
     block = block_data(lam)
     inv = block.p_matrix()
     entry = inv[block.position(lam)].get(block.position(mu), zero)

@@ -29,7 +29,7 @@ from .weights import (
     defect_in_window,
     enumerate_weights,  # noqa: F401 (perfbench/tracing.py wraps cli.enumerate_weights)
     koszul_dual,
-    order_leq,
+    order_leq,  # noqa: F401 (perfbench/tracing.py wraps cli.order_leq)
     parse_matrix,
     stable_window,
     truncate,
@@ -85,26 +85,17 @@ def _map_blocks(fn, items, threads: int):
 def cmd_poset(args):
     interval, tnc = _context(args)
     table = canon.BlockTable(interval, tnc)
-    lt = {}
+    covers = []
     for block in table.blocks:  # the order never relates two blocks
         # members is a linear extension, so only a later member can lie above
-        members = block.members
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                if order_leq(a, b):
-                    lt.setdefault(a, set()).add(b)
-    weights = table.weights
-    covers = []
-    for a in weights:
-        above = lt.get(a, set())
-        for b in sorted(above, key=lambda m: m.text()):
-            if not any(b in lt.get(c, set()) for c in above):
-                covers.append({"lower": a.text(), "upper": b.text()})
-    payload = {"weights": [w.to_json() for w in weights],
-               "count": len(weights),
-               "covers": sorted(covers, key=lambda e: (e["lower"], e["upper"]))}
-    rows = ((e["lower"], e["upper"]) for e in payload["covers"])
-    return payload, rows
+        size, text = block.size, [m.text() for m in block.members]
+        above = [{b for b in range(a + 1, size) if block.leq(a, b)} for a in range(size)]
+        covers += [(text[a], text[b]) for a, ups in enumerate(above)
+                   for b in ups.difference(*(above[c] for c in ups))]
+    covers.sort()
+    payload = {"weights": [w.to_json() for w in table.weights], "count": len(table.weights),
+               "covers": [{"lower": a, "upper": b} for a, b in covers]}
+    return payload, covers
 
 
 def cmd_blocks(args):

@@ -105,11 +105,7 @@ class ShiftData:
     s: int
     eps: int                       # +1 when growing left, -1 when growing right
     word: tuple[int, ...]          # (s+eps*a)^{p_a} ... (s+eps*1)^{p_1}
-    d_r: int
     sigma: Fraction                # (1/2)(p_1 + ... + p_a), kept exact
-
-    def colors(self) -> list[int]:
-        return [self.s + self.eps * k for k in range(1, self.a + 1)]
 
 
 SCHEDULES = ("default", "left", "right", "alternate_lr", "alternate_rl")
@@ -178,9 +174,8 @@ class WindowTower:
         word = []
         for k in range(a, 0, -1):
             word.extend([s + eps * k] * p[k - 1])
-        d_r = sum(ns)
         sigma = Fraction(sum(p), 2)
-        return ShiftData(direction, p, a, s, eps, tuple(word), d_r, sigma)
+        return ShiftData(direction, p, a, s, eps, tuple(word), sigma)
 
     def window(self, r: int) -> Interval:
         """The r-th window I_r (1-based)."""

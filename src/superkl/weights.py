@@ -493,8 +493,8 @@ def signed_profile(lam: Matrix01, grid) -> list[tuple[int, ...]]:
 
         sum_{i<=k} (-1)^{c_i} #{deviations of row i at columns <= grid[t]}.
 
-    This is the one place the count is made; the matrix order, the linear
-    extension of a block and the truncation ideals all read it from here.
+    This is the one place the count is made; the matrix order, a block's
+    order table and the truncation ideals all read it from here.
     """
     profile = []
     acc = [0] * len(grid)

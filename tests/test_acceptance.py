@@ -263,15 +263,20 @@ def test_criterion_07_order_theory_suite():
                 if _leq_from_keys(keys, level, a, b):
                     mask |= 1 << i
             masks.append(mask)
-        # the fast comparator is the public order on every pair inside a
-        # block, and the public order never relates two blocks
+        # the fast comparator is the public order and the block's order table
+        # on every pair inside a block, and the public order never relates
+        # two blocks
         blocks = {}
         for i, w in enumerate(ws):
             blocks.setdefault(weight_of(w), []).append(i)
         for block in blocks.values():
+            data = canon.block_data(ws[block[0]])
+            assert data.size == len(block)
+            pos = {a: data.position(ws[a]) for a in block}
             for a in block:
                 for b in block:
-                    assert bool(masks[a] >> b & 1) == order_leq(ws[a], ws[b])
+                    leq = bool(masks[a] >> b & 1)
+                    assert leq == order_leq(ws[a], ws[b]) == data.leq(pos[a], pos[b])
             in_block_pairs += len(block) ** 2
         for _ in range(5):
             a, b = rng.randrange(n), rng.randrange(n)
@@ -292,6 +297,7 @@ def test_criterion_07_order_theory_suite():
                 if masks[j] & ~m:
                     raise AssertionError("transitivity fails")
         posets += 1
+    canon.clear_caches()
 
     # Lemma comb chain and orderdesc boxes
     import itertools
@@ -325,8 +331,8 @@ def test_criterion_07_order_theory_suite():
                 desc_checked += 1
     acceptance_line(7, True,
                     f"partial-order axioms on {posets} posets; public order == "
-                    f"reference on {in_block_pairs} in-block pairs; linkage chain "
-                    f"({comb_checked} links) and Bruhat<->matrix order "
+                    f"block table == reference on {in_block_pairs} in-block pairs; "
+                    f"linkage chain ({comb_checked} links) and Bruhat<->matrix order "
                     f"({desc_checked} pairs) on [-3,3] boxes ({time.time()-t0:.1f}s)")
 
 

@@ -22,13 +22,17 @@ try:
 finally:
     sys.path.remove(_PERFBENCH)
 
+# every (module, name) that tracing.install replaces by name, read with
+# getattr below: a name missing from one of them fails here, not only in a
+# traced pass
+WRAPPED_BY_NAME = [(module, "enumerate_weights") for module in (weights, canonical, crystal, cli)]
+WRAPPED_BY_NAME += [(module, "order_leq") for module in (weights, canonical, cli)]
+
 
 def test_traced_queries_and_restore():
     interval, tnc = Interval.finite(0, 2), TypeNC((2, 1, 1), (0, 1, 0))
     lam = enumerate_weights(interval, tnc)[5]
-    originals = [(module, name, getattr(module, name))
-                 for module in (weights, canonical, crystal, cli)
-                 for name in ("enumerate_weights", "order_leq") if hasattr(module, name)]
+    originals = [(module, name, getattr(module, name)) for module, name in WRAPPED_BY_NAME]
     init = canonical.BlockTable.__init__
     canonical.clear_caches()
     tracer = tracing.Tracer()
@@ -82,8 +86,7 @@ def test_traced_canonical_context_with_core_blocks(capsys):
                 (canonical, "kl_d_stable"), (cli, "_emit"), (crystal, "crystal_edges"),
                 (crystal, "_component"), (superweights, "bruhat_leq"),
                 (klr, "verify_relations")]
-    patched += [(module, name) for module in (weights, canonical, crystal, cli)
-                for name in ("enumerate_weights", "order_leq") if hasattr(module, name)]
+    patched += WRAPPED_BY_NAME
     originals = [getattr(owner, name) for owner, name in patched]
     (op,), _ = workloads.generate("canonical-context", 0, "tiny")
     canonical.clear_caches()
@@ -119,3 +122,22 @@ def test_traced_klpoly_over_z_opens_a_stable_window_span(capsys):
     out, err = capsys.readouterr()
     assert code == 0 and err == ""
     assert tracer.layer_index["canonical.stable_window"] in tracer.layer
+
+
+def test_traced_poset_reads_the_block_table_and_the_oracle_does_not(capsys):
+    # poset reads each block's order table; the oracle keeps to order_leq
+    leq = tracing.Tracer().layer_index["weights.order_leq"]
+    canonical.clear_caches()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        code = cli.main(["poset", "--interval", "0:2", "--n", "2,1,2", "--c", "0,1,0"])
+        oracle_before = len(tracer.layer)
+        block = next(b for b in canonical._single_block_cache.values() if b.size > 1)
+        canonical.canonical_basis_direct(block.members[0])
+    finally:
+        restore()
+    capsys.readouterr()
+    assert code == 0
+    assert leq not in tracer.layer[:oracle_before]
+    assert leq in tracer.layer[oracle_before:]

@@ -2,6 +2,8 @@ import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superkl.canonical import (
     BlockTable,
@@ -40,8 +42,11 @@ from superkl.weights import (
     order_leq,
     order_lt,
     parse_matrix,
+    profile_grid,
+    signed_profile,
     stable_window,
     truncate,
+    weight_count,
     weight_of,
 )
 from conftest import random_infinite_matrix
@@ -155,6 +160,54 @@ def test_block_members_are_a_linear_extension():
                 for b, mu in enumerate(members):
                     if order_lt(lam, mu):
                         assert a < b, (lam.text(), mu.text())
+
+
+def profile_sum_order(members):
+    """A block sorted by the sum of each whole ``signed_profile``, then by text."""
+    grid = profile_grid(members)
+    return sorted(members, key=lambda m: (-sum(map(sum, signed_profile(m, grid))), m.text()))
+
+
+def raw_column_order(members):
+    """The closed-form key with the raw column j where its grid rank belongs."""
+    c = members[0].tnc.c
+    weights = [(len(c) - i) * (-1 if ci else 1) for i, ci in enumerate(c)]
+    return sorted(members, key=lambda m: (
+        sum(w * sum(row) for w, row in zip(weights, m.devs)), m.text()))
+
+
+@pytest.mark.parametrize("interval,tnc,gaps", [
+    (Interval.finite(0, 3), TypeNC((2, 2, 2, 2), (0, 1, 0, 1)), False),
+    (Interval.finite(0, 4), TypeNC((2, 2, 2), (0, 0, 0)), True),
+])
+def test_linear_extension_is_the_profile_sum_order(interval, tnc, gaps):
+    # a key on raw columns agrees with the rank key only when no block's
+    # grid skips a column; over 0:4 (2,2,2) some do, and there it must fail
+    clear_caches()
+    blocks = BlockTable(interval, tnc).blocks
+    assert [list(b.members) for b in blocks] == [profile_sum_order(b.members) for b in blocks]
+    raw = [list(b.members) == raw_column_order(b.members) for b in blocks]
+    assert all(raw) != gaps
+
+
+@st.composite
+def ordered_context(draw):
+    """A finite context of level 2-4, rows of either polarity, dimension <= 1500."""
+    interval = Interval.finite(0, draw(st.integers(0, 3)))
+    level = draw(st.integers(2, 4))
+    n = draw(st.lists(st.integers(1, interval.n_cols() - 1), min_size=level, max_size=level))
+    c = tuple(draw(st.lists(st.integers(0, 1), min_size=level, max_size=level)))
+    while weight_count(interval, TypeNC(tuple(n), c)) > 1500:
+        n[n.index(max(n))] -= 1
+    return interval, TypeNC(tuple(n), c)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(ordered_context())
+def test_random_linear_extension_is_the_profile_sum_order(context):
+    clear_caches()
+    for block in BlockTable(*context).blocks:
+        assert list(block.members) == profile_sum_order(block.members)
 
 
 @pytest.mark.parametrize("table_first", [False, True])

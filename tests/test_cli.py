@@ -402,6 +402,12 @@ GOLDEN = [
      "b4996c3a807de744f62f394a337468ad6fd6e248db2b93811fa6e28061212275"),
     ("blocks 0:2 2,1,2 0,1,0 json",
      "187e8dfd462896869eff34b4d73b299b75d44b2b2b41e5d7aacb54617325c2b2"),
+    # the two orders contexts: large enough that the text tie-break of the
+    # linear extension decides member order
+    ("blocks 0:3 2,2,2,2 0,1,0,1 json",
+     "c18faaa74578c1d20daa23f6ec2e17b8d821ba3d99cc74e03806f310eb836529"),
+    ("poset 0:3 2,2,1 0,0,0 json",
+     "ee681238e4bf4fcb54511b173eba8b3f46f99e7e45901008b86a61543bee51b2"),
     ("canonical 0:2 1,1,1 0,0,0 json",
      "e7e30ed048b78d3bf7b238862438f6ecf12c0473557000b8019dcf339769b9e0"),
     ("canonical 0:1 2,1,1 0,1,0 json",
