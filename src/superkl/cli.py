@@ -10,6 +10,7 @@ emitted in completion order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -59,14 +60,37 @@ def _vec_json(v: ModuleVec) -> list:
             for lam, c in sorted(v.terms.items(), key=lambda kv: kv[0].text())]
 
 
+class _Shared(dict):
+    """A payload fragment that several places of one payload name.
+
+    ``_json_text`` keeps the text it last rendered, and the depth it
+    rendered it at, on the fragment itself, and hands that text back when
+    asked for the same depth.  This is safe because no payload fragment is
+    ever mutated once it is built, and the text lives and dies with the
+    payload, so no earlier run can reach it.  One slot, not one text per
+    depth: a canonical member is named at two depths, as a lambda and as a
+    term's basis, and one slot already renders each member once per depth
+    on 0:4 (2,2,2), while a text per depth would keep twice the text alive
+    for as long as the payload.
+    """
+
+    __slots__ = ("indent", "text")
+
+    def __init__(self, fragment: dict):
+        super().__init__(fragment)
+        self.indent = None
+
+
 def _block_basis(block) -> list[tuple]:
     """(lam, basis entry) for every member, read off the block's d rows.
 
-    Each member is rendered once per block; a row's terms are sorted by
-    text as in ``_vec_json``.
+    Each member is rendered once per block into one ``_Shared`` dict, and
+    that one object is the ``"lambda"`` of its own entry and the
+    ``"basis"`` of every term that names it, so the writer need not render
+    it once per term; a row's terms are sorted by text as in ``_vec_json``.
     """
     members = block.members
-    js = [m.to_json() for m in members]
+    js = [_Shared(m.to_json()) for m in members]
     rank = {b: r for r, b in enumerate(sorted(range(block.size),
                                               key=lambda b: members[b].text()))}
     return [(lam, {"lambda": js[a],
@@ -319,7 +343,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="superkl",
         description="exact canonical-basis and crystal combinatorics "
@@ -356,10 +382,26 @@ def _json_text(obj, indent: str = "") -> str:
 
     Handles str, int, bool, None, lists and dicts with str keys, the types
     every payload is made of; anything else, a non-str key included, is a
-    TypeError.
+    TypeError.  A ``_Shared`` fragment keeps the text of its last depth, so
+    a fragment named many times in a row at one depth is rendered once
+    there.  str, dict and list, the bulk of a payload, are tested first.
     """
-    if isinstance(obj, str):
+    kind = type(obj)
+    if kind is str:
         return encode_basestring_ascii(obj)
+    if kind is _Shared:
+        if obj.indent != indent:
+            obj.text, obj.indent = _dict_text(obj, indent), indent
+        return obj.text
+    if kind is dict:
+        return _dict_text(obj, indent)
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        # the item list is dropped as soon as it is joined, not held to return
+        text = f",\n{inner}".join([_json_text(v, inner) for v in obj])
+        return f"[\n{inner}{text}\n{indent}]"
     if obj is None:
         return "null"
     if obj is True:
@@ -368,19 +410,21 @@ def _json_text(obj, indent: str = "") -> str:
         return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    inner = indent + "  "
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        items = (_json_text(v, inner) for v in obj)
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (f"{encode_basestring_ascii(k)}: {_json_text(obj[k], inner)}"
-                 for k in sorted(obj))
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        return _dict_text(obj, indent)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _dict_text(obj: dict, indent: str) -> str:
+    """The dict case of ``_json_text``: keys sorted, each through the writer."""
+    if not obj:
+        return "{}"
+    inner = indent + "  "
+    text = f",\n{inner}".join([f"{encode_basestring_ascii(k)}: {_json_text(obj[k], inner)}"
+                                for k in sorted(obj)])
+    return f"{{\n{inner}{text}\n{indent}}}"
 
 
 def _emit(args, payload, rows, dot=None) -> str:
@@ -399,25 +443,26 @@ def _emit(args, payload, rows, dot=None) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result = COMMANDS[args.command](args)
-        payload, rows = result[0], result[1]
-        dot = result[2] if len(result) > 2 else None
-        meta = {"command": args.command, "interval": args.interval}
-        if args.n:
-            meta["type"] = {"n": [int(x) for x in args.n.split(",")],
-                            "c": [int(x) for x in args.c.split(",")]}
-        if isinstance(payload, dict):
-            payload = {**meta, **payload}
-        text = _emit(args, payload, rows, dot)
+        try:
+            result = COMMANDS[args.command](args)
+        except Unknown as exc:  # undecided: the payload is still the output
+            text, code = _json_text({"command": args.command, **exc.payload}), 2
+        else:
+            payload, rows = result[0], result[1]
+            dot = result[2] if len(result) > 2 else None
+            meta = {"command": args.command, "interval": args.interval}
+            if args.n:
+                meta["type"] = {"n": [int(x) for x in args.n.split(",")],
+                                "c": [int(x) for x in args.c.split(",")]}
+            if isinstance(payload, dict):
+                payload = {**meta, **payload}
+            text, code = _emit(args, payload, rows, dot), 0
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
         else:
             print(text)
-        return 0
-    except Unknown as exc:
-        print(_json_text({"command": args.command, **exc.payload}))
-        return 2
+        return code
     except BudgetExceeded as exc:
         json.dump({"error": "budget", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

@@ -4,6 +4,8 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superkl import canonical, cli
 from superkl.qmodule import ModuleVec
@@ -150,6 +152,16 @@ def test_prinjective_unknown_exit_code(capsys):
     assert code == 2
     payload = json.loads(out)
     assert payload["prinjective"] == "unknown"
+
+
+def test_undecided_result_honours_out(tmp_path, capsys):
+    argv = ("prinjective", "--interval", "z", "--n", "1,1", "--c", "0,0",
+            "--matrix", "@40:10/01", "--max-r", "3")
+    _, stdout, _ = run_cli(capsys, *argv)
+    target = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out, err) == (2, "", "")
+    assert target.read_text() == stdout
 
 
 def test_superweight_and_bruhat(capsys):
@@ -463,6 +475,13 @@ GOLDEN = [
     # the only deviations sit in the top column, so minimal_window clips
     ("klpoly leq:2 1,1 0,0 json @3:1/1 --mu=@3:1/1",
      "f22112277f67d93cd1727114129a556c4dc086b5f6f9c3856537ab69901660b9"),
+    # whole contexts whose basis names each member many times: the writer
+    # renders a shared member fragment once per depth, the tsv rows hand
+    # the same fragments to json.dumps
+    ("canonical 0:3 2,2,1 0,0,0 json",
+     "c525f0f409e32bf0dfc5c0cd35a18d3e85f33297f106ebaf3e4a827d76f2f208"),
+    ("canonical 0:2 2,2,2 0,1,0 tsv",
+     "14ad64da9f0fc6a62bb0d798ad20ee39419fe1f594f9b801bde46dc8c411115b"),
 ]
 # the specs whose command ends undecided, with its payload on stdout
 GOLDEN_EXIT = {"prinjective z 1,1 0,0 json @40:10/01 --max-r=3": 2}
@@ -511,3 +530,70 @@ def test_json_writer_matches_json_dumps():
     for bad in (1.5, {1, 2}, [0, 0.5], {"a": {3}}, {1: "a"}):
         with pytest.raises(TypeError):
             cli._json_text(bad)
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    spec = GOLDEN[0][0]
+    assert cli.build_parser() is cli.build_parser()
+    _, first, _ = run_cli(capsys, *golden_argv(spec))
+    with pytest.raises(SystemExit):  # argparse rejects an unknown format
+        cli.main(["poset", "--format", "xml"])
+    capsys.readouterr()
+    code, other, _ = run_cli(capsys, "blocks", "--interval", "0:1", "--n", "1,1", "--c", "0,0")
+    assert code == 0 and other != first
+    _, again, _ = run_cli(capsys, *golden_argv(spec))
+    assert again == first
+    assert hashlib.sha256(first.encode()).hexdigest() == GOLDEN[0][1]
+
+
+def test_shared_fragment_at_interleaved_depths():
+    frag = cli._Shared({"rows": ["10", "01"], "window_start": -2})
+    payload = [frag, [[frag]], frag, [[frag]], {"a": frag}]  # depths 1, 3, 1, 3, 2
+    expected = json.dumps(payload, indent=2, sort_keys=True)
+    assert cli._json_text(payload) == expected
+    assert cli._json_text(payload) == expected
+    assert cli._json_text(frag) == json.dumps(frag, indent=2, sort_keys=True)
+
+
+def test_rendering_a_payload_twice_gives_the_same_text():
+    payload = golden_payload("canonical 0:2 2,1,2 0,1,0 json")
+    first = cli._json_text(payload)
+    assert first == json.dumps(payload, indent=2, sort_keys=True)
+    assert cli._json_text(payload) == first
+
+
+def test_block_basis_shares_one_fragment_per_member():
+    table = canonical.BlockTable(Interval.finite(0, 2), TypeNC((2, 1, 2), (0, 1, 0)))
+    terms = 0
+    for block in table.blocks:
+        pairs = cli._block_basis(block)
+        # a term names member b when its basis is b's JSON
+        named = {json.dumps(lam.to_json(), sort_keys=True): entry["lambda"]
+                 for lam, entry in pairs}
+        assert len(named) == block.size
+        assert all(type(f) is cli._Shared for f in named.values())
+        for _, entry in pairs:
+            for term in entry["terms"]:
+                assert term["basis"] is named[json.dumps(term["basis"], sort_keys=True)]
+                terms += 1
+    assert terms > len(table.weights)  # some member is named more than once
+
+
+_scalars = st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+
+
+def _trees(leaves):
+    return st.recursive(leaves, lambda kids: st.lists(kids, max_size=3)
+                        | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+                        max_leaves=12)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.lists(st.dictionaries(st.text(max_size=3), _trees(_scalars), max_size=3),
+                min_size=1, max_size=3), st.data())
+def test_json_writer_matches_json_dumps_with_shared_fragments(fragments, data):
+    shared = [cli._Shared(f) for f in fragments]
+    payload = data.draw(_trees(_scalars | st.sampled_from(shared)))
+    expected = json.dumps(payload, indent=2, sort_keys=True)
+    assert cli._json_text(payload) == expected
+    assert cli._json_text(payload) == expected
