@@ -71,7 +71,7 @@ import itertools
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import (
     IntervalInfinite,
@@ -509,9 +509,10 @@ class BlockTable:
     """All blocks of one finite context, from one enumeration.
 
     ``weights`` is the enumeration, in ``enumerate_weights`` order.  The
-    weights are grouped by ``_block_key`` and each group is looked up in or
-    added to the registry, so ``blocks`` are shared with ``block_data``;
-    they are sorted by their sl_I weight.
+    weights are grouped by their sorted ``column_counts``, and each group is
+    looked up in or added to the registry under its ``_block_key``, so
+    ``blocks`` are shared with ``block_data``; they are sorted by their sl_I
+    weight.
     """
 
     def __init__(self, interval: Interval, tnc: TypeNC):
@@ -520,9 +521,10 @@ class BlockTable:
         self.weights = enumerate_weights(interval, tnc)
         groups: dict[tuple, list[Matrix01]] = {}
         for lam in self.weights:
-            groups.setdefault(_block_key(lam), []).append(lam)
+            groups.setdefault(tuple(sorted(column_counts(lam).items())), []).append(lam)
         self.blocks: list[BlockData] = sorted(
-            (_registered(key, group.copy) for key, group in groups.items()),
+            (_registered((interval, tnc, counts), group.copy)
+             for counts, group in groups.items()),
             key=lambda b: sorted(b.weight.items()))
 
 
@@ -591,8 +593,10 @@ def _linear_extension(members: list[Matrix01]) -> list[Matrix01]:
     rank = {j: r for r, j in enumerate(profile_grid(members))}
     c = members[0].tnc.c
     weights = [(len(c) - i) * (-1) ** ci for i, ci in enumerate(c)]
-    return sorted(members, key=lambda m: (sum(w * sum(map(rank.get, row)) for w, row
-                                              in zip(weights, m.devs)), m.text()))
+    # the block's rows repeat across members: sum each distinct row's ranks once
+    table = {row: sum(map(rank.get, row)) for row in {row for m in members for row in m.devs}}
+    return sorted(members, key=lambda m: (
+        sum(map(mul, weights, map(table.__getitem__, m.devs))), m.text()))
 
 
 def canonical_basis(lam: Matrix01) -> ModuleVec:

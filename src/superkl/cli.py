@@ -162,11 +162,26 @@ def cmd_canonical(args):
                        for pair in pairs)
         # enumeration order is the sorted order of the lambda JSON
         basis = [entries[lam] for lam in table.weights]
-    payload = {"basis": basis}
-    rows = ((json.dumps(e["lambda"]),
-             " + ".join(f"({t['coeff']}) {json.dumps(t['basis'])}"
-                        for t in e["terms"])) for e in basis)
-    return payload, rows
+    return {"basis": basis}, _basis_rows(basis)
+
+
+def _basis_rows(basis):
+    """The tsv/text rows of a basis: each distinct fragment is dumped once.
+
+    The memo is keyed by ``id`` and lives only as long as this generator;
+    ``basis`` holds every fragment alive for that long, so no id is reused.
+    """
+    texts: dict[int, str] = {}
+
+    def dumps(fragment) -> str:
+        text = texts.get(id(fragment))
+        if text is None:
+            text = texts[id(fragment)] = json.dumps(fragment)
+        return text
+
+    for e in basis:
+        yield dumps(e["lambda"]), " + ".join(f"({t['coeff']}) {dumps(t['basis'])}"
+                                             for t in e["terms"])
 
 
 def cmd_klpoly(args):
@@ -214,7 +229,7 @@ def cmd_crystal(args):
                   for a, i, b in edges],
     }
     rows = ((e["from"], str(e["color"]), e["to"]) for e in payload["edges"])
-    return payload, rows, crys.dot_text(weights, edges)
+    return payload, rows, lambda: crys.dot_text(weights, edges)
 
 
 def cmd_prinjective(args):
@@ -428,11 +443,12 @@ def _dict_text(obj: dict, indent: str) -> str:
 
 
 def _emit(args, payload, rows, dot=None) -> str:
-    """The output text; ``rows`` is iterated only for tsv and text."""
+    """The output text; ``rows`` is iterated only for tsv and text, and
+    ``dot``, a callable returning the DOT text, is called only for dot."""
     if args.format == "dot":
         if dot is None:
             raise SuperklError("dot output is only available for crystal")
-        return dot
+        return dot()
     if args.format == "tsv":
         return "\n".join("\t".join(row) for row in rows)
     if args.format == "text":

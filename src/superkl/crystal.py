@@ -38,14 +38,18 @@ def _signature(lam: Matrix01, i: int):
     """Return (surviving minus rows, surviving plus rows), top to bottom."""
     minus_rows = []
     plus_stack = []
-    for row in range(lam.tnc.level):
-        pair = (lam.entry(row, i), lam.entry(row, i + 1))
-        if pair == (1, 0):
+    for row, (devs, ci) in enumerate(zip(lam.devs, lam.tnc.c)):
+        at_i = i in devs
+        if at_i == (i + 1 in devs):  # equal entries at i and i + 1
+            continue
+        # entries (1, 0): the deviation is at i in a row of baseline 0, at i + 1
+        # in a row of baseline 1
+        if at_i != ci:
             if plus_stack:
                 plus_stack.pop()
             else:
                 minus_rows.append(row)
-        elif pair == (0, 1):
+        else:
             plus_stack.append(row)
     return minus_rows, plus_stack
 
@@ -233,18 +237,24 @@ def is_prinjective(lam: Matrix01, tower: WindowTower, r_max: int):
 
 
 def crystal_edges(interval: Interval, tnc: TypeNC):
-    """All f-edges over a finite interval: list of (lam, color, mu)."""
+    """All f-edges over a finite interval: the weights and a list of (lam, color, mu).
+
+    Both ends of every edge are instances of the returned ``weights``: each
+    f-target is looked up by its ``devs``, so each weight is one object,
+    rendered once, however many edges name it.
+    """
     if not interval.is_finite():
         raise IntervalInfinite("crystal enumeration requires a finite interval")
     weights = enumerate_weights(interval, tnc)
     if not weights:
         raise EmptyWeightSet("no weights for this type")
+    by_devs = {lam.devs: lam for lam in weights}
     edges = []
     for lam in weights:
         for i in interval.colors():
             mu = crystal_f(lam, i)
             if mu is not None:
-                edges.append((lam, i, mu))
+                edges.append((lam, i, by_devs[mu.devs]))
     return weights, edges
 
 

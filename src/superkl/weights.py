@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from math import comb
 
 from .errors import (
@@ -137,6 +137,21 @@ class TypeNC:
         return TypeNC(self.n[::-1], self.c[::-1])
 
 
+@lru_cache(maxsize=4096)
+def _row_text(lo: int, hi: int, ci: int, row: tuple[int, ...]) -> str:
+    """One row over columns lo..hi: baseline ci, flipped at the deviations.
+
+    A pure function of its arguments, so the memo, keyed by their values,
+    can only hand back the text those values give: no earlier run can
+    change an answer through it.  It is bounded, and the rows of one
+    context over one window are few.
+    """
+    chars = [str(ci)] * (hi - lo + 1)
+    for j in row:
+        chars[j - lo] = str(1 - ci)
+    return "".join(chars)
+
+
 @dataclass(frozen=True)
 class Matrix01:
     """A 01-matrix weight, stored by its per-row deviation columns."""
@@ -204,40 +219,44 @@ class Matrix01:
         minimal window that contains every deviation (a single column
         when there are none).
         """
-        if self.interval.is_finite():
-            cols = self.interval.cols()
-            return cols[0], cols[-1]
+        iv = self.interval
+        if iv.is_finite():
+            return iv.lo, iv.hi + 1
         devcols = self.all_dev_cols()
         if not devcols:
-            anchor = self.interval.lo if self.interval.lo is not None else 0
+            anchor = iv.lo if iv.lo is not None else 0
             return anchor, anchor
         return devcols[0], devcols[-1]
 
-    @cached_property
-    def _text(self) -> str:
-        """The text form, rendered once per instance on first use.
+    def __hash__(self) -> int:
+        """The hash of ``devs`` alone, not of the interval and type too.
 
-        Each row starts as baseline characters over the window and has its
-        deviation columns flipped.  The memo sits in the instance dict, so
-        equality and hashing still read the fields alone.
+        Equal weights have equal ``devs``, so they hash equal; weights of
+        other contexts with the same ``devs`` share the hash but compare
+        unequal, so a set or dict keeps them apart.
         """
-        lo, hi = self.window()
-        rows = []
-        for row, ci in zip(self.devs, self.tnc.c):
-            chars = [str(ci)] * (hi - lo + 1)
-            for j in row:
-                chars[j - lo] = str(1 - ci)
-            rows.append("".join(chars))
-        return f"@{lo}:" + "/".join(rows)
-
-    def row_strings(self) -> list[str]:
-        return self._text.partition(":")[2].split("/") if self.devs else []
+        return hash(self.devs)
 
     def text(self) -> str:
-        return self._text
+        """The text form ``@lo:row/row/...``, rendered once per instance.
+
+        The memo sits in the instance dict under ``_text``, so equality
+        and hashing still read the fields alone.  Two threads that render
+        one weight at once both store the same string, so it needs no lock.
+        """
+        text = self.__dict__.get("_text")
+        if text is None:
+            lo, hi = self.window()
+            text = self.__dict__["_text"] = f"@{lo}:" + "/".join(
+                [_row_text(lo, hi, ci, row) for ci, row in zip(self.tnc.c, self.devs)])
+        return text
+
+    def row_strings(self) -> list[str]:
+        return self.text().partition(":")[2].split("/") if self.devs else []
 
     def to_json(self) -> dict:
-        return {"window_start": int(self._text[1:self._text.index(":")]),
+        text = self.text()
+        return {"window_start": int(text[1:text.index(":")]),
                 "rows": self.row_strings()}
 
     def __str__(self):

@@ -7,6 +7,7 @@ library or a change of the output shape would otherwise break only the
 benchmark runs and its self-test; here it fails the tests.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -141,3 +142,18 @@ def test_traced_poset_reads_the_block_table_and_the_oracle_does_not(capsys):
     assert code == 0
     assert leq not in tracer.layer[:oracle_before]
     assert leq in tracer.layer[oracle_before:]
+
+
+def test_traced_crystal_counts_the_edges_it_prints(capsys):
+    edges = tracing.Tracer().layer_index["crystal.edges"]
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        code = cli.main(["crystal", "--interval", "0:2", "--n", "2,1", "--c", "0,1"])
+    finally:
+        restore()
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert edges in tracer.layer
+    printed = json.loads(out)["edges"]
+    assert printed and tracer.counts["crystal.edges_count"] == len(printed)

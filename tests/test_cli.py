@@ -476,12 +476,22 @@ GOLDEN = [
     ("klpoly leq:2 1,1 0,0 json @3:1/1 --mu=@3:1/1",
      "f22112277f67d93cd1727114129a556c4dc086b5f6f9c3856537ab69901660b9"),
     # whole contexts whose basis names each member many times: the writer
-    # renders a shared member fragment once per depth, the tsv rows hand
-    # the same fragments to json.dumps
+    # renders a shared member fragment once per depth, the tsv rows dump
+    # each distinct fragment once
     ("canonical 0:3 2,2,1 0,0,0 json",
      "c525f0f409e32bf0dfc5c0cd35a18d3e85f33297f106ebaf3e4a827d76f2f208"),
     ("canonical 0:2 2,2,2 0,1,0 tsv",
      "14ad64da9f0fc6a62bb0d798ad20ee39419fe1f594f9b801bde46dc8c411115b"),
+    # the orders contexts of the benchmark, and rows of baseline 1 through
+    # the crystal signature and the block grouping
+    ("crystal 0:4 2,2,2 0,0,0 json",
+     "6ebcc5f5249cb2e1e204b627f91cb6755fd0f06fdf3a063b047786e82367a1b4"),
+    ("crystal 0:3 2,2,1 0,1,0 json",
+     "4107f3f8b9b319aee17269a10b0b345622c186e04f7b265ee2fbfc72e366ef99"),
+    ("prinjective 0:4 2,2,2 0,0,0 json",
+     "571eb02ddf84f1ebbf9fc67f47cf1c4495211d62a000c904fb3cd50ec87a44fd"),
+    ("blocks 0:3 2,2,1 1,0,1 json",
+     "80cadcec34efd1a451bd1677683fe347731b2d6081819fbe949c494be60cefd1"),
 ]
 # the specs whose command ends undecided, with its payload on stdout
 GOLDEN_EXIT = {"prinjective z 1,1 0,0 json @40:10/01 --max-r=3": 2}

@@ -1,7 +1,9 @@
 import pytest
 
+from superkl import cli, crystal
 from superkl.crystal import (
     WindowTower,
+    _signature,
     crystal_dot,
     crystal_e,
     crystal_edges,
@@ -22,7 +24,7 @@ from superkl.weights import (
     parse_matrix,
     weight_of,
 )
-from conftest import iter_types
+from conftest import iter_types, random_infinite_matrix, sweep_contexts
 
 I00 = Interval.finite(0, 0)
 I01 = Interval.finite(0, 1)
@@ -211,3 +213,56 @@ def test_crystal_dot_output():
     assert '"@0:10" -> "@0:01" [label="0"]' in dot
     with pytest.raises(IntervalInfinite):
         crystal_edges(Interval.all_z(), t)
+
+
+def signature_by_entries(lam, i):
+    """The signature rule read entry by entry, the reference for ``_signature``."""
+    minus_rows = []
+    plus_stack = []
+    for row in range(lam.tnc.level):
+        pair = (lam.entry(row, i), lam.entry(row, i + 1))
+        if pair == (1, 0):
+            if plus_stack:
+                plus_stack.pop()
+            else:
+                minus_rows.append(row)
+        elif pair == (0, 1):
+            plus_stack.append(row)
+    return minus_rows, plus_stack
+
+
+def test_signature_matches_the_entry_reading(rng):
+    cases = [(w, interval.colors()) for interval, tnc in sweep_contexts()
+             for w in enumerate_weights(interval, tnc)]
+    for interval in (Interval.all_z(), Interval.parse("geq:-3"), Interval.parse("leq:4")):
+        for tnc in (TypeNC((2, 1), (0, 1)), TypeNC((1, 3, 2), (1, 0, 1)),
+                    TypeNC((2, 2, 1), (1, 1, 0))):
+            for _ in range(40):
+                lam = random_infinite_matrix(rng, interval, tnc)
+                lo, hi = lam.window()
+                cases.append((lam, [i for i in range(lo - 1, hi + 1)
+                                    if interval.contains_col(i) and interval.contains_col(i + 1)]))
+    assert {ci for lam, _ in cases for ci in lam.tnc.c} == {0, 1}
+    signatures = [(_signature(lam, i), signature_by_entries(lam, i))
+                  for lam, colors in cases for i in colors]
+    assert all(new == ref for new, ref in signatures)
+    # both kinds of row survive somewhere, so both branches are compared
+    assert any(new[0] for new, _ in signatures) and any(new[1] for new, _ in signatures)
+
+
+def test_edge_targets_are_the_enumerated_weights():
+    for interval, tnc in sweep_contexts(max_dim=200, max_cols=4):
+        weights, edges = crystal_edges(interval, tnc)
+        ids = {id(w) for w in weights}
+        assert all(id(lam) in ids and id(mu) in ids for lam, _, mu in edges)
+        assert all(crystal_f(lam, i) == mu for lam, i, mu in edges)
+
+
+def test_json_crystal_builds_no_dot_text(capsys, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("dot_text called for a JSON crystal")
+    monkeypatch.setattr(crystal, "dot_text", refuse)
+    for fmt in ("json", "tsv"):
+        assert cli.main(["crystal", "--interval", "0:2", "--n", "2,1", "--c", "0,1",
+                         "--format", fmt]) == 0
+    assert capsys.readouterr().out

@@ -16,6 +16,7 @@ from superkl.weights import (
     Interval,
     Matrix01,
     TypeNC,
+    _row_text,
     convert_to_type,
     defect,
     defect_in_window,
@@ -264,6 +265,7 @@ def reference_row_strings(lam):
 
 
 def test_rendering_matches_entry_by_entry_rows(rng):
+    _row_text.cache_clear()  # every row below is rendered, none read from an earlier test
     weights = [w for interval, tnc in sweep_contexts(max_dim=40, max_cols=4)
                for w in enumerate_weights(interval, tnc)]
     weights += enumerate_weights(I01, TypeNC((), ()))  # no rows at all
@@ -289,6 +291,25 @@ def test_rendering_matches_entry_by_entry_rows(rng):
         lam.row_strings().append("x")
         lam.to_json()["rows"].append("x")
         assert lam.row_strings() == rows and lam.to_json()["rows"] == rows
+
+
+def test_row_text_cache_is_bounded():
+    assert _row_text.cache_info().maxsize is not None
+    assert _row_text(0, 3, 1, (1, 3)) == "1010"
+
+
+def test_equal_devs_in_other_contexts_stay_apart():
+    devs = ((0,), (1,))
+    lam = Matrix01(I01, TypeNC((1, 1), (0, 0)), devs)
+    others = [Matrix01(Interval.finite(0, 2), lam.tnc, devs),   # another interval
+              Matrix01(I01, TypeNC((1, 1), (0, 1)), devs),      # another polarity
+              Matrix01(Interval.all_z(), lam.tnc, devs)]
+    for other in others:
+        assert hash(other) == hash(lam) and other != lam and lam != other
+        assert len({lam, other}) == 2 and {lam: 1, other: 2}[other] == 2
+    # a weight is not its deviation tuple, though the two hash alike
+    assert hash(lam) == hash(devs) and lam != devs and len({lam, devs}) == 2
+    assert len({lam, *others, devs}) == 5
 
 
 def test_parse_matrix_rejects_non_binary_rows():
