@@ -50,19 +50,27 @@ core and translated to every block that reduces to it.  ``psi_matrix``
 stays unreduced and eager, the oracle path that ``canonical_basis_direct``
 reads: it checks every row.
 
-``d_matrix`` and ``p_matrix`` are row views, and a row is solved the first
-time it is read.  b_lam involves only members mu >= lam, so row a of d
-reads the psi rows b with d[a][b] != 0 and no others; each psi row is
-checked for triangularity and diagonal 1 when a solve first reads it.
-Row a of p reads the p rows of the d-support of a, so a point query on a
-large block solves only the rows its answer depends on.
+``d_matrix`` is a row view, and a row is solved the first time it is
+read.  b_lam involves only members mu >= lam, so row a of d reads the psi
+rows b with d[a][b] != 0 and no others; each psi row is checked for
+triangularity and diagonal 1 when a solve first reads it.  ``p_matrix``
+inverts the whole d-matrix at once, for the readers that want every row.
 
-``dual_canonical`` needs a column of p, not a row.  Koszul duality gives
+One entry at (lam, mu) depends only on the interval [pos(lam), pos(mu)]
+of lam's core: column b of a d row reads only the columns before it, and
+psi rows are triangular in the linear extension.  So ``kl_d`` solves row
+lam of d cut at mu's column, and ``kl_p`` solves column mu of p from the
+bottom up, p[x][mu] = delta_{x,mu} - sum_{x < k <= mu} d[x][k] p[k][mu],
+over the d rows, cut at mu, that are reached from lam.  Both solves are
+local to the call and fill no view; the psi rows they read are the
+block's checked ones.
+
+``dual_canonical`` needs a whole column of p.  Koszul duality gives
 p_{lam,mu}(q) = d_{T(mu),T(lam)}(q), where T = ``koszul_dual`` reverses
 the columns of the l x N 01-matrix, transposes it and reads the result as
 a weight of level N over 0:(l-2).  So column mu of p is row T(mu) of the
 d-matrix of the dual block, one row solved on first read, mapped back
-through T^-1.  ``kl_p`` still reads p rows.
+through T^-1.
 """
 
 from __future__ import annotations
@@ -352,10 +360,11 @@ class BlockData:
         r = self._psi_rows
         return _Rows(self.size, lambda _, a: _d_row(r, a))
 
-    def p_matrix(self) -> "_Rows":
+    def p_matrix(self) -> Sequence[dict[int, LaurentInt]]:
         """Inverse of the d-matrix (entries are p(-q) before substitution).
 
-        Inverted on the core only; any other block translates the core's rows.
+        Inverted whole, on the core only; any other block translates the
+        core's rows.
         """
         if self._pinv is None:
             core, pos = self.core()
@@ -424,18 +433,21 @@ def _checked_psi(members: tuple[Matrix01, ...], mask_pos: dict[tuple[int, ...], 
     return _Rows(len(members), fill)
 
 
-def _d_row(r: _Rows, a: int) -> dict[int, LaurentInt]:
-    """Row a of the d-matrix from the psi rows r.
+def _d_row(r: _Rows, a: int, stop: int | None = None) -> dict[int, LaurentInt]:
+    """Row a of the d-matrix from the psi rows r, at columns up to stop.
 
     Solves sum_{c <= b} bar(d[a][c]) r[c][b] = d[a][b] modulo qZ[q]
     column by column.  Each finished d[a][c] is pushed at once through row
     c of psi into the defects of the later columns, so column b reads its
     defect from one accumulator, and only the psi rows of the row's
-    support are read.
+    support are read.  Column b reads only the columns before it, so the
+    row cut at stop (the last column by default) is exact.
     """
+    if stop is None:
+        stop = len(r) - 1
     d: dict[int, LaurentInt] = {a: one}
     defects: dict[int, dict[int, int]] = {}
-    for b in range(a, len(r)):
+    for b in range(a, stop + 1):
         if b > a:
             s = {e: c for e, c in defects.pop(b, {}).items() if c}
             if not s:
@@ -445,7 +457,7 @@ def _d_row(r: _Rows, a: int) -> dict[int, LaurentInt]:
             d[b] = LaurentInt({e: c for e, c in s.items() if e > 0})
         db = d[b]
         for x, rx in r[b].items():
-            if x > b:
+            if b < x <= stop:
                 acc = defects.setdefault(x, {})
                 for e1, c1 in db.coeffs.items():
                     for e2, c2 in rx.coeffs.items():
@@ -453,33 +465,23 @@ def _d_row(r: _Rows, a: int) -> dict[int, LaurentInt]:
     return d
 
 
-def _translate(rows: _Rows, pos: tuple[int, ...]) -> _Rows:
+def _translate(rows: Sequence[dict[int, LaurentInt]], pos: tuple[int, ...]) -> _Rows:
     """A core's matrix read at member positions: entry (a, b) is rows[pos[a]][pos[b]]."""
     back = {x: a for a, x in enumerate(pos)}
     return _Rows(len(pos), lambda _, a: dict(sorted(
         ((back[y], c) for y, c in rows[pos[a]].items()), key=itemgetter(0))))
 
 
-def _invert_unitriangular(d: Sequence[dict[int, LaurentInt]]) -> _Rows:
-    """The inverse of an upper unitriangular matrix, each row on first read.
+def _invert_unitriangular(d: Sequence[dict[int, LaurentInt]]) -> list[dict[int, LaurentInt]]:
+    """The inverse of an upper unitriangular matrix, filled from the bottom row up.
 
     Row a of the inverse is e_a - sum_{k > a} d[a][k] (row k of the
-    inverse).  Reading row a first collects the rows its d-support reaches
-    that are still empty, then fills them from the bottom up, so no fill
-    recurses.
+    inverse), so every row it reads is already filled.
     """
-    def fill(inv, a):
-        rows = inv.rows
-        reached, stack = {a}, [a]
-        while stack:
-            for k in d[stack.pop()]:
-                if k not in reached and rows[k] is None:
-                    reached.add(k)
-                    stack.append(k)
-        for x in sorted(reached, reverse=True):
-            rows[x] = _inverse_row(d[x], x, rows)
-        return rows[a]
-    return _Rows(len(d), fill)
+    rows: list[dict[int, LaurentInt] | None] = [None] * len(d)
+    for x in range(len(d) - 1, -1, -1):
+        rows[x] = _inverse_row(d[x], x, rows)
+    return rows
 
 
 def _inverse_row(dx: dict[int, LaurentInt], x: int,
@@ -616,29 +618,81 @@ def _check_same_context(lam: Matrix01, mu: Matrix01) -> None:
         raise TypeMismatch("weights live over different contexts")
 
 
+def _core_interval(lam: Matrix01, mu: Matrix01) -> tuple[_Rows, int, int] | None:
+    """(psi rows of the core, pos(lam), pos(mu)) in lam's core; None if the entry is 0.
+
+    An entry at (lam, mu) is 0 unless mu is a member of lam's block and
+    lam comes no later than mu in its linear extension.
+    """
+    block = block_data(lam)
+    b = block._pos.get(mu)
+    if b is None:
+        return None
+    core, pos = block.core()
+    a, m = pos[block.position(lam)], pos[b]
+    return (core._psi_rows, a, m) if a <= m else None
+
+
+def _reach(r: _Rows, a: int, stop: int) -> dict[int, dict[int, LaurentInt]]:
+    """Row x of the d-matrix cut at stop, for every x reached from a through them."""
+    rows: dict[int, dict[int, LaurentInt]] = {}
+    todo = [a]
+    while todo:
+        x = todo.pop()
+        if x not in rows:
+            rows[x] = _d_row(r, x, stop)
+            todo.extend(rows[x])
+    return rows
+
+
+def _p_column(rows: dict[int, dict[int, LaurentInt]], m: int) -> dict[int, LaurentInt]:
+    """Column m of the inverse of d at the positions of rows, from the bottom up.
+
+    p[x][m] = delta_{xm} - sum_{x < k <= m} d[x][k] p[k][m]; rows holds the
+    rows of d at every position such a sum reaches, cut at m.
+    """
+    col: dict[int, LaurentInt] = {m: one}
+    for x in sorted(rows, reverse=True):
+        if x == m:
+            continue
+        acc: dict[int, int] = {}
+        for k, dk in rows[x].items():
+            pk = col.get(k)  # None at k = x, which col does not hold yet
+            if pk is not None:
+                for e1, c1 in dk.coeffs.items():
+                    for e2, c2 in pk.coeffs.items():
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) - c1 * c2
+        entry = LaurentInt(acc)
+        if entry:
+            col[x] = entry
+    return col
+
+
 def kl_d(lam: Matrix01, mu: Matrix01) -> LaurentInt:
-    """The graded decomposition polynomial d_{lam,mu}."""
+    """The graded decomposition polynomial d_{lam,mu}, from row lam of d cut at mu."""
     if not lam.interval.is_finite():
         raise IntervalInfinite("use kl_d_stable for infinite intervals")
     _check_same_context(lam, mu)
-    if column_counts(lam) != column_counts(mu):
+    found = _core_interval(lam, mu)
+    if found is None:
         return zero
-    block = block_data(lam)
-    d = block.d_matrix()
-    return d[block.position(lam)].get(block.position(mu), zero)
+    r, a, m = found
+    return _d_row(r, a, m).get(m, zero)
 
 
 def kl_p(lam: Matrix01, mu: Matrix01) -> LaurentInt:
-    """The inverse-family polynomial p_{lam,mu} (in N[q])."""
+    """The inverse-family polynomial p_{lam,mu} (in N[q]), from one column of p.
+
+    Only the d rows reached from lam, cut at mu, are solved.
+    """
     if not lam.interval.is_finite():
         raise IntervalInfinite("use kl_p_stable for infinite intervals")
     _check_same_context(lam, mu)
-    if column_counts(lam) != column_counts(mu):
+    found = _core_interval(lam, mu)
+    if found is None:
         return zero
-    block = block_data(lam)
-    inv = block.p_matrix()
-    entry = inv[block.position(lam)].get(block.position(mu), zero)
-    return entry.subs_neg_q()
+    r, a, m = found
+    return _p_column(_reach(r, a, m), m).get(a, zero).subs_neg_q()
 
 
 def dual_canonical(mu: Matrix01) -> ModuleVec:

@@ -459,6 +459,8 @@ def _emit(args, payload, rows, dot=None) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.max_block < 0:  # 0 is unlimited; a negative budget refuses every block
+            raise SuperklError(f"--max-block must be at least 0, got {args.max_block}")
         try:
             result = COMMANDS[args.command](args)
         except Unknown as exc:  # undecided: the payload is still the output

@@ -39,7 +39,7 @@ def test_traced_queries_and_restore():
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)
     try:
-        canonical.kl_d(lam, lam)
+        canonical.canonical_basis(lam)
         table = canonical.BlockTable(interval, tnc)
     finally:
         restore()

@@ -302,6 +302,21 @@ def test_prinjective_max_r_below_one_is_refused(capsys):
     assert code == 0 and err == "" and json.loads(out)["windows"]
 
 
+def test_negative_max_block_is_refused(capsys):
+    argv = ("klpoly", "--interval", "0:1", "--n", "1,1", "--c", "0,1",
+            "--matrix", "100/011", "--mu", "010/101", "--max-block")
+    for budget in ("-1", "-40"):
+        canonical.clear_caches()
+        code, out, err = run_cli(capsys, *argv, budget)
+        assert code == 1 and out == "", budget
+        assert json.loads(err) == {"error": "SuperklError",
+                                   "message": f"--max-block must be at least 0, got {budget}"}
+        assert not canonical._single_block_cache
+    # 0 stays unlimited
+    code, out, err = run_cli(capsys, *argv, "0")
+    assert code == 0 and err == "" and json.loads(out)["d"]
+
+
 def test_error_payload_on_stderr(capsys):
     for argv, error in (
             (("poset", "--interval", "z", "--n", "1", "--c", "0"), "IntervalInfinite"),

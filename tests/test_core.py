@@ -234,7 +234,8 @@ def test_whole_context_budget_names_the_first_weight_in_enumeration_order(capsys
 
 
 # ---------------------------------------------------------------------------
-# Row views: d_matrix and p_matrix compute a row the first time it is read.
+# Row views: d_matrix computes a row the first time it is read; p_matrix inverts
+# it whole, and kl_d and kl_p fill neither.
 
 def eager_d(r):
     """The d-matrix solved row after row over the whole psi matrix r."""
@@ -313,13 +314,41 @@ def test_one_kl_d_reads_only_the_psi_rows_of_its_d_support(monkeypatch):
     assert narrower > len(members) // 2
 
 
+def test_one_kl_p_reads_only_its_interval_and_fills_no_view(monkeypatch):
+    block = largest_block()
+    core, pos = block.core()
+    want = block.p_matrix()[0]
+    # mu: the last member in the lower half of the core with p_{lam,mu} != 0
+    b = max(x for x in want if pos[x] < core.size // 2)
+    lam, mu = block.members[0], block.members[b]
+    kernel = canon._psi_kernel
+    read = []
+
+    def counting(ncols, masks):
+        read.append(masks)
+        return kernel(ncols, masks)
+
+    monkeypatch.setattr(canon, "_psi_kernel", counting)
+    canon.clear_caches()
+    got = canon.kl_p(lam, mu)
+    block = canon.block_data(lam)
+    core, pos = block.core()
+    rows = sorted(map(core._mask_pos.__getitem__, read))
+    assert len(rows) > 1 and rows[-1] <= pos[block.position(mu)] < core.size - 1
+    for view in (block, core):
+        assert view._dmat is None and view._pinv is None
+    assert got == want[b].subs_neg_q() != zero
+
+
 def test_a_bad_psi_row_that_kl_d_reads_is_refused(monkeypatch):
     block = largest_block()
     core, pos = block.core()
     a = block.size // 2
     lam = block.members[a]
-    # the last psi row the d solve of lam reads, made to reach below itself
-    b = pos[max(block.d_matrix()[a])]
+    # mu is the last member of lam's d-support; kl_d(lam, mu) solves row lam
+    # up to mu's column and so reads the psi row of mu, made to reach below itself
+    mu = block.members[max(block.d_matrix()[a])]
+    b = pos[block.position(mu)]
     below = next(x for x in range(b) if not order_leq(core.members[b], core.members[x]))
     bad, extra = canon._row_masks(core.members[b]), canon._row_masks(core.members[below])
     kernel = canon._psi_kernel
@@ -334,7 +363,7 @@ def test_a_bad_psi_row_that_kl_d_reads_is_refused(monkeypatch):
         fresh.psi_matrix()
     canon.clear_caches()
     with pytest.raises(NonTriangularBar) as lazy:
-        canon.kl_d(lam, lam)
+        canon.kl_d(lam, mu)
     assert str(lazy.value) == str(eager.value)
     assert str(lazy.value) == (f"psi(v[{core.members[b].text()}]) has support at "
                                f"{core.members[below].text()}")
