@@ -61,9 +61,10 @@ of lam's core: column b of a d row reads only the columns before it, and
 psi rows are triangular in the linear extension.  So ``kl_d`` solves row
 lam of d cut at mu's column, and ``kl_p`` solves column mu of p from the
 bottom up, p[x][mu] = delta_{x,mu} - sum_{x < k <= mu} d[x][k] p[k][mu],
-over the d rows, cut at mu, that are reached from lam.  Both solves are
-local to the call and fill no view; the psi rows they read are the
-block's checked ones.
+over the d rows, cut at mu, that are reached from lam.  ``kl_dp`` reads
+both entries off one such set of rows, the first of which is row lam cut
+at mu.  These solves are local to the call and fill no view; the psi rows
+they read are the block's checked ones.
 
 ``dual_canonical`` needs a whole column of p.  Koszul duality gives
 p_{lam,mu}(q) = d_{T(mu),T(lam)}(q), where T = ``koszul_dual`` reverses
@@ -151,10 +152,18 @@ def _row_masks(lam: Matrix01) -> tuple[int, ...]:
 
 
 def _from_masks(masks: tuple[int, ...], interval: Interval, tnc: TypeNC) -> Matrix01:
-    """The weight of a row-bitmask monomial in the context (interval, tnc)."""
+    """The weight of a row-bitmask monomial in the context (interval, tnc).
+
+    Row i's deviations are the columns where bit k differs from the
+    polarity, read in increasing order: sorted, distinct and inside I_+ by
+    construction, so the weight is built without the checked constructor.
+    That each row has n_i deviations is the caller's: every mask here is a
+    block member, a psi term of one, or a core member, whose type is read
+    off its own rows.
+    """
     lo = interval.lo
     ks = range(interval.n_cols())
-    return Matrix01(interval, tnc, tuple(
+    return Matrix01._trusted(interval, tnc, tuple(
         tuple(lo + k for k in ks if (m >> k) & 1 != ci)
         for m, ci in zip(masks, tnc.c)))
 
@@ -331,8 +340,10 @@ class BlockData:
         kept = [k for k in range(ncols) if (moving >> k) & 1]
         # a lone unfrozen column would be fixed by the row sums
         assert len(kept) >= 2, "a block of size >= 2 keeps at least two columns"
-        reduced = [tuple(sum(((m >> k) & 1) << i for i, k in enumerate(kept)) for m in x)
-                   for x in masks]
+        # the members share their rows: compact each distinct row mask once
+        compact = {m: sum(((m >> k) & 1) << i for i, k in enumerate(kept))
+                   for m in {m for x in masks for m in x}}
+        reduced = [tuple(map(compact.__getitem__, x)) for x in masks]
         interval = Interval.finite(0, len(kept) - 2)
         tnc = TypeNC(tuple(len(kept) - m.bit_count() if ci else m.bit_count()
                            for m, ci in zip(reduced[0], self.tnc.c)), self.tnc.c)
@@ -466,8 +477,14 @@ def _d_row(r: _Rows, a: int, stop: int | None = None) -> dict[int, LaurentInt]:
 
 
 def _translate(rows: Sequence[dict[int, LaurentInt]], pos: tuple[int, ...]) -> _Rows:
-    """A core's matrix read at member positions: entry (a, b) is rows[pos[a]][pos[b]]."""
+    """A core's matrix read at member positions: entry (a, b) is rows[pos[a]][pos[b]].
+
+    A row keeps its columns in increasing order.  A core's rows are in that
+    order already, so when pos is increasing a row is renamed, not re-sorted.
+    """
     back = {x: a for a, x in enumerate(pos)}
+    if all(x < y for x, y in zip(pos, pos[1:])):
+        return _Rows(len(pos), lambda _, a: {back[y]: c for y, c in rows[pos[a]].items()})
     return _Rows(len(pos), lambda _, a: dict(sorted(
         ((back[y], c) for y, c in rows[pos[a]].items()), key=itemgetter(0))))
 
@@ -687,12 +704,22 @@ def kl_p(lam: Matrix01, mu: Matrix01) -> LaurentInt:
     """
     if not lam.interval.is_finite():
         raise IntervalInfinite("use kl_p_stable for infinite intervals")
+    return kl_dp(lam, mu)[1]
+
+
+def kl_dp(lam: Matrix01, mu: Matrix01) -> tuple[LaurentInt, LaurentInt]:
+    """(d_{lam,mu}, p_{lam,mu}) over a finite interval, from one ``_reach``.
+
+    Row lam of d cut at mu is the first row ``_reach`` solves, so d is read
+    off it and each cut row is solved once for both.
+    """
     _check_same_context(lam, mu)
     found = _core_interval(lam, mu)
     if found is None:
-        return zero
+        return zero, zero
     r, a, m = found
-    return _p_column(_reach(r, a, m), m).get(a, zero).subs_neg_q()
+    rows = _reach(r, a, m)
+    return rows[a].get(m, zero), _p_column(rows, m).get(a, zero).subs_neg_q()
 
 
 def dual_canonical(mu: Matrix01) -> ModuleVec:

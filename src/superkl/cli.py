@@ -3,8 +3,16 @@
 Every command prints one machine-readable document on stdout (JSON by
 default; tsv/text/dot where it makes sense) and reports errors as a JSON
 object on stderr.  Exit codes: 0 success, 2 budget exhausted or undecided,
-1 error.  Outputs are byte-deterministic: everything is sorted, never
-emitted in completion order.
+1 error; an undecided payload is JSON whatever ``--format`` says.  Outputs
+are byte-deterministic: everything is sorted, never emitted in completion
+order.
+
+The JSON text is ``json.dumps(payload, indent=2, sort_keys=True)``.  A
+whole-context ``canonical`` hands the writer ``_Entry`` nodes instead of
+entry dicts: each entry is rendered from its block's pieces
+(``_BlockBasis``), and its bytes equal ``json.dumps`` of the data form
+``{"lambda": member JSON, "terms": _vec_json(b_lambda)}`` at the same
+indent.  Its tsv and text rows come from the same pieces.
 """
 
 from __future__ import annotations
@@ -60,43 +68,92 @@ def _vec_json(v: ModuleVec) -> list:
             for lam, c in sorted(v.terms.items(), key=lambda kv: kv[0].text())]
 
 
-class _Shared(dict):
-    """A payload fragment that several places of one payload name.
+class _BlockBasis:
+    """The basis entries of one block of a whole-context ``canonical``, as pieces.
 
-    ``_json_text`` keeps the text it last rendered, and the depth it
-    rendered it at, on the fragment itself, and hands that text back when
-    asked for the same depth.  This is safe because no payload fragment is
-    ever mutated once it is built, and the text lives and dies with the
-    payload, so no earlier run can reach it.  One slot, not one text per
-    depth: a canonical member is named at two depths, as a lambda and as a
-    term's basis, and one slot already renders each member once per depth
-    on 0:4 (2,2,2), while a text per depth would keep twice the text alive
-    for as long as the payload.
+    It holds the block's members, its d rows (read here, so ``_map_blocks``
+    runs the solve) and each member's rank in text order, the order of the
+    terms of a row as in ``_vec_json``.  ``coeffs`` is the command's memo
+    of ``render`` texts, keyed by the id of a d entry: the rows held here
+    keep every entry alive for as long as the memo, so no id is reused.
+    ``_map_blocks`` may build the pieces in threads; the memo is filled
+    only when entries are rendered, by the writer or the tsv/text rows in
+    one thread.  No per-term object is built.
     """
 
-    __slots__ = ("indent", "text")
+    __slots__ = ("members", "rows", "rank", "coeffs", "fragments", "indent", "heads",
+                 "compact")
 
-    def __init__(self, fragment: dict):
-        super().__init__(fragment)
+    def __init__(self, block, coeffs: dict[int, str]):
+        self.members = members = block.members
+        self.rows = list(block.d_matrix())
+        self.rank = [0] * len(members)
+        for r, b in enumerate(sorted(range(len(members)), key=lambda b: members[b].text())):
+            self.rank[b] = r
+        self.coeffs = coeffs
+        self.fragments = None  # each member's JSON text at depth 0, on first render
+        self.heads = None  # each member's term text up to its coefficient, at ``indent``
         self.indent = None
+        self.compact = None  # each member's ``json.dumps`` text, on first tsv/text row
+
+    def terms(self, a: int) -> list[int]:
+        """Row a's columns in term order."""
+        return sorted(self.rows[a], key=self.rank.__getitem__)
+
+    def coeff(self, c) -> str:
+        """``render(c)``, once per d entry of the command."""
+        text = self.coeffs.get(id(c))
+        if text is None:
+            text = self.coeffs[id(c)] = render(c)
+        return text
+
+    def entry_text(self, a: int, indent: str) -> str:
+        """``json.dumps(entry, indent=2, sort_keys=True)`` of member a's entry at indent.
+
+        A member's text at a deeper indent is its depth-0 text with the
+        indent put after each newline, which is exact because a JSON string
+        holds no raw newline.  Each term is one template filled with the
+        term's member and its coefficient: keys "basis" < "coeff".  The
+        member heads of one indent are kept, one indent at a time.
+        """
+        inner, item, field = indent + "  ", indent + "    ", indent + "      "
+        if self.fragments is None:
+            self.fragments = [_json_text(m.to_json()) for m in self.members]
+        if self.indent != indent:
+            deeper = "\n" + field
+            head, tail = f'{{{deeper}"basis": ', f',{deeper}"coeff": '
+            self.heads = [head + f.replace("\n", deeper) + tail for f in self.fragments]
+            self.indent = indent
+        heads, coeff, row = self.heads, self.coeff, self.rows[a]
+        close = f"\n{item}}}"
+        texts = [heads[b] + encode_basestring_ascii(coeff(row[b])) + close
+                 for b in self.terms(a)]
+        lam = self.fragments[a].replace("\n", "\n" + inner)
+        terms = f"[\n{item}" + f",\n{item}".join(texts) + f"\n{inner}]" if texts else "[]"
+        return f'{{\n{inner}"lambda": {lam},\n{inner}"terms": {terms}\n{indent}}}'
+
+    def row_texts(self, a: int) -> tuple[str, str]:
+        """Member a's tsv/text row: its ``json.dumps`` text and its terms."""
+        if self.compact is None:
+            self.compact = [json.dumps(m.to_json()) for m in self.members]
+        compact, coeff, row = self.compact, self.coeff, self.rows[a]
+        return compact[a], " + ".join([f"({coeff(row[b])}) {compact[b]}"
+                                       for b in self.terms(a)])
 
 
-def _block_basis(block) -> list[tuple]:
-    """(lam, basis entry) for every member, read off the block's d rows.
+class _Entry:
+    """One basis entry of a whole-context ``canonical``: a writer node.
 
-    Each member is rendered once per block into one ``_Shared`` dict, and
-    that one object is the ``"lambda"`` of its own entry and the
-    ``"basis"`` of every term that names it, so the writer need not render
-    it once per term; a row's terms are sorted by text as in ``_vec_json``.
+    ``_json_text`` renders it at the indent it hands it, from its block's
+    pieces, as ``json.dumps`` would render the entry's data form
+    ``{"lambda": member JSON, "terms": _vec_json(b_lambda)}``.
     """
-    members = block.members
-    js = [_Shared(m.to_json()) for m in members]
-    rank = {b: r for r, b in enumerate(sorted(range(block.size),
-                                              key=lambda b: members[b].text()))}
-    return [(lam, {"lambda": js[a],
-                   "terms": [{"basis": js[b], "coeff": render(row[b])}
-                             for b in sorted(row, key=rank.__getitem__)]})
-            for a, (lam, row) in enumerate(zip(members, block.d_matrix()))]
+
+    __slots__ = ("block", "a")
+
+    def __init__(self, block: _BlockBasis, a: int):
+        self.block = block
+        self.a = a
 
 
 def _map_blocks(fn, items, threads: int):
@@ -150,38 +207,22 @@ def cmd_canonical(args):
         lam = parse_matrix(args.matrix, interval, tnc)
         _check_block_budget(args, lam)
         basis = [{"lambda": lam.to_json(), "terms": _vec_json(canon.canonical_basis(lam))}]
-    else:
-        table = canon.BlockTable(interval, tnc)
-        if args.max_block:  # name the first weight, in enumeration order, over budget
-            over = {lam for block in table.blocks if block.size > args.max_block
-                    for lam in block.members}
-            for lam in table.weights:
-                if lam in over:
-                    raise _over_budget(args, lam)
-        entries = dict(pair for pairs in _map_blocks(_block_basis, table.blocks, args.threads)
-                       for pair in pairs)
-        # enumeration order is the sorted order of the lambda JSON
-        basis = [entries[lam] for lam in table.weights]
-    return {"basis": basis}, _basis_rows(basis)
-
-
-def _basis_rows(basis):
-    """The tsv/text rows of a basis: each distinct fragment is dumped once.
-
-    The memo is keyed by ``id`` and lives only as long as this generator;
-    ``basis`` holds every fragment alive for that long, so no id is reused.
-    """
-    texts: dict[int, str] = {}
-
-    def dumps(fragment) -> str:
-        text = texts.get(id(fragment))
-        if text is None:
-            text = texts[id(fragment)] = json.dumps(fragment)
-        return text
-
-    for e in basis:
-        yield dumps(e["lambda"]), " + ".join(f"({t['coeff']}) {dumps(t['basis'])}"
-                                             for t in e["terms"])
+        return {"basis": basis}, ((json.dumps(e["lambda"]), " + ".join(
+            f"({t['coeff']}) {json.dumps(t['basis'])}" for t in e["terms"])) for e in basis)
+    table = canon.BlockTable(interval, tnc)
+    if args.max_block:  # name the first weight, in enumeration order, over budget
+        over = {lam for block in table.blocks if block.size > args.max_block
+                for lam in block.members}
+        for lam in table.weights:
+            if lam in over:
+                raise _over_budget(args, lam)
+    coeffs: dict[int, str] = {}  # this command's coefficient texts, see _BlockBasis
+    blocks = _map_blocks(lambda block: _BlockBasis(block, coeffs), table.blocks, args.threads)
+    entries = {lam: _Entry(block, a) for block in blocks
+               for a, lam in enumerate(block.members)}
+    # enumeration order is the sorted order of the lambda JSON
+    basis = [entries[lam] for lam in table.weights]
+    return {"basis": basis}, (e.block.row_texts(e.a) for e in basis)
 
 
 def cmd_klpoly(args):
@@ -192,7 +233,7 @@ def cmd_klpoly(args):
     for window in canon.stable_windows(lam, mu):
         _check_block_budget(args, lam, truncate(lam, window))
     if interval.is_finite():
-        d, p = canon.kl_d(lam, mu), canon.kl_p(lam, mu)
+        d, p = canon.kl_dp(lam, mu)
     else:
         d, p = canon.kl_d_stable(lam, mu), canon.kl_p_stable(lam, mu)
         payload["window"] = stable_window(lam, mu).text()
@@ -396,18 +437,16 @@ def _json_text(obj, indent: str = "") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, one join per container.
 
     Handles str, int, bool, None, lists and dicts with str keys, the types
-    every payload is made of; anything else, a non-str key included, is a
-    TypeError.  A ``_Shared`` fragment keeps the text of its last depth, so
-    a fragment named many times in a row at one depth is rendered once
-    there.  str, dict and list, the bulk of a payload, are tested first.
+    every payload is made of, and ``_Entry``, the one writer node, rendered
+    from its block's pieces at the indent it is handed; anything else, a
+    non-str key included, is a TypeError.  str, dict, ``_Entry`` and list, the bulk of
+    a payload, are tested first.
     """
     kind = type(obj)
     if kind is str:
         return encode_basestring_ascii(obj)
-    if kind is _Shared:
-        if obj.indent != indent:
-            obj.text, obj.indent = _dict_text(obj, indent), indent
-        return obj.text
+    if kind is _Entry:
+        return obj.block.entry_text(obj.a, indent)
     if kind is dict:
         return _dict_text(obj, indent)
     if isinstance(obj, list):
@@ -463,7 +502,7 @@ def main(argv=None) -> int:
             raise SuperklError(f"--max-block must be at least 0, got {args.max_block}")
         try:
             result = COMMANDS[args.command](args)
-        except Unknown as exc:  # undecided: the payload is still the output
+        except Unknown as exc:  # undecided: the payload is the output, in JSON
             text, code = _json_text({"command": args.command, **exc.payload}), 2
         else:
             payload, rows = result[0], result[1]

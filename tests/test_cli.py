@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sweep_contexts
+
 from superkl import canonical, cli
 from superkl.qmodule import ModuleVec
 from superkl.weights import (
     Interval,
+    Matrix01,
     TypeNC,
     enumerate_weights,
     koszul_dual,
@@ -152,6 +155,17 @@ def test_prinjective_unknown_exit_code(capsys):
     assert code == 2
     payload = json.loads(out)
     assert payload["prinjective"] == "unknown"
+
+
+def test_undecided_result_is_json_whatever_the_format(capsys):
+    argv = ("prinjective", "--interval", "z", "--n", "1,1", "--c", "0,0",
+            "--matrix", "@40:10/01", "--max-r", "3")
+    _, json_out, _ = run_cli(capsys, *argv)
+    for fmt in ("tsv", "text"):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, err) == (2, "")
+        assert json.loads(out)["prinjective"] == "unknown"
+        assert out == json_out
 
 
 def test_undecided_result_honours_out(tmp_path, capsys):
@@ -490,9 +504,8 @@ GOLDEN = [
     # the only deviations sit in the top column, so minimal_window clips
     ("klpoly leq:2 1,1 0,0 json @3:1/1 --mu=@3:1/1",
      "f22112277f67d93cd1727114129a556c4dc086b5f6f9c3856537ab69901660b9"),
-    # whole contexts whose basis names each member many times: the writer
-    # renders a shared member fragment once per depth, the tsv rows dump
-    # each distinct fragment once
+    # whole contexts whose basis names each member many times: entries and
+    # rows are rendered from per-block pieces, each member once per block
     ("canonical 0:3 2,2,1 0,0,0 json",
      "c525f0f409e32bf0dfc5c0cd35a18d3e85f33297f106ebaf3e4a827d76f2f208"),
     ("canonical 0:2 2,2,2 0,1,0 tsv",
@@ -507,6 +520,14 @@ GOLDEN = [
      "571eb02ddf84f1ebbf9fc67f47cf1c4495211d62a000c904fb3cd50ec87a44fd"),
     ("blocks 0:3 2,2,1 1,0,1 json",
      "80cadcec34efd1a451bd1677683fe347731b2d6081819fbe949c494be60cefd1"),
+    # the canonical-context benchmark context, and rows of baseline 1 in
+    # tsv and text, pinned before the entries were rendered from pieces
+    ("canonical 0:4 2,2,2 0,0,0 json",
+     "44350e18c0841c9c03889d9dd8ed79fd6e84f93f119275e8518f932af5714afa"),
+    ("canonical 0:3 2,2,1 0,1,0 tsv",
+     "99ed161dd125f905348aaaa90f40a5d8d988fb4baedb84e69b24db7c3d1b601d"),
+    ("canonical 0:3 2,2,1 0,1,0 text",
+     "8b313f45c004985cc17366513082d697e50d3e82d4d95d2bd5ba3d538164933b"),
 ]
 # the specs whose command ends undecided, with its payload on stdout
 GOLDEN_EXIT = {"prinjective z 1,1 0,0 json @40:10/01 --max-r=3": 2}
@@ -543,8 +564,15 @@ def golden_payload(spec):
         return exc.payload
 
 
+def whole_context_canonical(spec):
+    """A GOLDEN spec that prints the canonical basis of a whole context."""
+    return spec.startswith("canonical ") and len(spec.split()) == 5
+
+
 def test_json_writer_matches_json_dumps():
-    cases = [golden_payload(spec) for spec, _ in GOLDEN]
+    # a whole-context canonical payload holds writer nodes, which json.dumps
+    # cannot take; they are compared with their data form below
+    cases = [golden_payload(spec) for spec, _ in GOLDEN if not whole_context_canonical(spec)]
     cases += [{}, [], {"a": {}}, {"a": []}, [[]], [{}], [[], {}, [[{}]]],
               True, False, None, 0, -7, 2 ** 100, -(3 ** 60),
               {"z": [True, False, None], "a": {"y": -1, "b": [0, ""]}, "M": 2},
@@ -552,7 +580,7 @@ def test_json_writer_matches_json_dumps():
               {"\u00e9t\u00e9": "\u2202 \u0142\u00f3d\u017a \U0001d11e", "\n": "\\"}]
     for payload in cases:
         assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
-    for bad in (1.5, {1, 2}, [0, 0.5], {"a": {3}}, {1: "a"}):
+    for bad in (1.5, {1, 2}, [0, 0.5], {"a": {3}}, {1: "a"}, object()):
         with pytest.raises(TypeError):
             cli._json_text(bad)
 
@@ -571,37 +599,159 @@ def test_parser_is_built_once_and_reused(capsys):
     assert hashlib.sha256(first.encode()).hexdigest() == GOLDEN[0][1]
 
 
-def test_shared_fragment_at_interleaved_depths():
-    frag = cli._Shared({"rows": ["10", "01"], "window_start": -2})
-    payload = [frag, [[frag]], frag, [[frag]], {"a": frag}]  # depths 1, 3, 1, 3, 2
-    expected = json.dumps(payload, indent=2, sort_keys=True)
+def context_argv(interval, tnc, fmt, *extra):
+    return ["canonical", "--interval", interval.text(), "--n", ",".join(map(str, tnc.n)),
+            "--c", ",".join(map(str, tnc.c)), "--format", fmt, *extra]
+
+
+def basis_data(interval, tnc) -> list[dict]:
+    """The basis of a whole context as plain data, built weight by weight
+    from ``canonical_basis`` and ``_vec_json``, not from the block pieces."""
+    return [{"lambda": lam.to_json(), "terms": cli._vec_json(canonical.canonical_basis(lam))}
+            for lam in enumerate_weights(interval, tnc)]
+
+
+def expected_output(interval, tnc, fmt, basis) -> str:
+    """The stdout of whole-context canonical in fmt, from its data form."""
+    if fmt == "json":
+        payload = {"command": "canonical", "interval": interval.text(),
+                   "type": {"n": list(tnc.n), "c": list(tnc.c)}, "basis": basis}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    sep = "\t" if fmt == "tsv" else "  "
+    return "".join(sep.join((json.dumps(e["lambda"]), " + ".join(
+        f"({t['coeff']}) {json.dumps(t['basis'])}" for t in e["terms"]))) + "\n"
+        for e in basis)
+
+
+def test_whole_context_canonical_matches_its_data_form(capsys):
+    # every acceptance context, in every format the command prints
+    contexts = list(sweep_contexts())
+    for interval, tnc in contexts:
+        outs = {fmt: run_cli(capsys, *context_argv(interval, tnc, fmt))
+                for fmt in ("json", "tsv", "text")}
+        basis = basis_data(interval, tnc)
+        for fmt, (code, out, err) in outs.items():
+            assert (code, err) == (0, "")
+            assert out == expected_output(interval, tnc, fmt, basis), (interval, tnc, fmt)
+    assert len(contexts) > 800
+
+
+CONTEXT_A = (Interval.finite(0, 3), TypeNC((2, 2, 1), (0, 0, 0)))
+CONTEXT_B = (Interval.finite(0, 2), TypeNC((2, 2, 2), (0, 1, 0)))
+
+
+def test_whole_context_canonical_with_threads(capsys):
+    for interval, tnc in (CONTEXT_A, CONTEXT_B):
+        canonical.clear_caches()
+        _, out, _ = run_cli(capsys, *context_argv(interval, tnc, "json", "--threads", "3"))
+        assert out == expected_output(interval, tnc, "json", basis_data(interval, tnc))
+
+
+@pytest.mark.parametrize("clear_between", [False, True])
+def test_two_canonical_commands_in_either_order(capsys, clear_between):
+    # the coefficient memo is keyed by id and local to one command: a memo
+    # kept across commands would hand out stale text once ids are reused
+    for order in ((CONTEXT_A, CONTEXT_B), (CONTEXT_B, CONTEXT_A)):
+        canonical.clear_caches()
+        outs = []
+        for interval, tnc in order:
+            if clear_between:
+                canonical.clear_caches()
+            outs += [run_cli(capsys, *context_argv(interval, tnc, fmt))[1]
+                     for fmt in ("json", "tsv")]
+        want = [expected_output(interval, tnc, fmt, basis_data(interval, tnc))
+                for interval, tnc in order for fmt in ("json", "tsv")]
+        assert outs == want
+
+
+def entry_nodes(interval, tnc):
+    """The writer nodes of a whole context, with each node's data form."""
+    args = cli.build_parser().parse_args(context_argv(interval, tnc, "json"))
+    nodes = cli.cmd_canonical(args)[0]["basis"]
+    assert all(type(node) is cli._Entry for node in nodes)
+    return nodes, basis_data(interval, tnc)
+
+
+def test_entry_node_at_interleaved_indents():
+    nodes, data = entry_nodes(Interval.finite(0, 2), TypeNC((2, 1, 2), (0, 1, 0)))
+    big = max(range(len(nodes)), key=lambda i: len(data[i]["terms"]))
+    assert len(data[big]["terms"]) > 1
+    for x, y in ((nodes[big], data[big]), (nodes[0], data[0])):
+        assert cli._json_text(x) == json.dumps(y, indent=2, sort_keys=True)
+    # indents 1, 3, 1, 3, 2, 3 and back, each node at more than one of them
+    def layout(e, f):
+        return [e, [[f]], f, [[e]], {"a": e, "b": [f]}, e]
+    payload = layout(nodes[big], nodes[0])
+    expected = json.dumps(layout(data[big], data[0]), indent=2, sort_keys=True)
     assert cli._json_text(payload) == expected
     assert cli._json_text(payload) == expected
-    assert cli._json_text(frag) == json.dumps(frag, indent=2, sort_keys=True)
 
 
 def test_rendering_a_payload_twice_gives_the_same_text():
+    interval, tnc = Interval.finite(0, 2), TypeNC((2, 1, 2), (0, 1, 0))
     payload = golden_payload("canonical 0:2 2,1,2 0,1,0 json")
+    expected = json.dumps({"basis": basis_data(interval, tnc)}, indent=2, sort_keys=True)
     first = cli._json_text(payload)
-    assert first == json.dumps(payload, indent=2, sort_keys=True)
+    assert first == expected
     assert cli._json_text(payload) == first
 
 
-def test_block_basis_shares_one_fragment_per_member():
-    table = canonical.BlockTable(Interval.finite(0, 2), TypeNC((2, 1, 2), (0, 1, 0)))
-    terms = 0
-    for block in table.blocks:
-        pairs = cli._block_basis(block)
-        # a term names member b when its basis is b's JSON
-        named = {json.dumps(lam.to_json(), sort_keys=True): entry["lambda"]
-                 for lam, entry in pairs}
-        assert len(named) == block.size
-        assert all(type(f) is cli._Shared for f in named.values())
-        for _, entry in pairs:
-            for term in entry["terms"]:
-                assert term["basis"] is named[json.dumps(term["basis"], sort_keys=True)]
-                terms += 1
-    assert terms > len(table.weights)  # some member is named more than once
+def test_a_swapped_term_or_a_shifted_indent_is_caught(monkeypatch, capsys):
+    # negative controls: the comparison with the data form must see either
+    interval, tnc = CONTEXT_A
+    want = {fmt: expected_output(interval, tnc, fmt, basis_data(interval, tnc))
+            for fmt in ("json", "tsv")}
+    terms = cli._BlockBasis.terms
+
+    def swapped(self, a):
+        order = terms(self, a)
+        return order[1::-1] + order[2:]
+    monkeypatch.setattr(cli._BlockBasis, "terms", swapped)
+    for fmt in ("json", "tsv"):
+        assert run_cli(capsys, *context_argv(interval, tnc, fmt))[1] != want[fmt]
+    monkeypatch.setattr(cli._BlockBasis, "terms", terms)
+    assert run_cli(capsys, *context_argv(interval, tnc, "json"))[1] == want["json"]
+
+    entry_text = cli._BlockBasis.entry_text
+    shifted = []
+
+    def shift_one(self, a, indent):
+        if not shifted:
+            shifted.append(a)
+            indent += " "
+        return entry_text(self, a, indent)
+    monkeypatch.setattr(cli._BlockBasis, "entry_text", shift_one)
+    out = run_cli(capsys, *context_argv(interval, tnc, "json"))[1]
+    assert shifted and out != want["json"]
+    assert json.loads(out) == json.loads(want["json"])  # only the bytes differ
+
+
+def test_members_and_coefficients_are_rendered_once(monkeypatch, capsys):
+    # each member's fragment once per block, each d entry once per command
+    interval, tnc = CONTEXT_A
+    canonical.clear_caches()
+    table = canonical.BlockTable(interval, tnc)
+    entries = {id(c) for block in table.blocks for row in block.d_matrix()
+               for c in row.values()}
+    terms = sum(len(row) for block in table.blocks for row in block.d_matrix())
+    assert terms > len(entries)
+    for fmt in ("json", "tsv"):
+        calls = {"to_json": 0, "render": 0}
+        to_json, render = Matrix01.to_json, cli.render
+
+        def counted_to_json(lam):
+            calls["to_json"] += 1
+            return to_json(lam)
+
+        def counted_render(c):
+            calls["render"] += 1
+            return render(c)
+        monkeypatch.setattr(Matrix01, "to_json", counted_to_json)
+        monkeypatch.setattr(cli, "render", counted_render)
+        code, _, _ = run_cli(capsys, *context_argv(interval, tnc, fmt))
+        monkeypatch.undo()
+        assert code == 0
+        assert calls == {"to_json": len(table.weights), "render": len(entries)}
 
 
 _scalars = st.none() | st.booleans() | st.integers() | st.text(max_size=4)
@@ -613,12 +763,24 @@ def _trees(leaves):
                         max_leaves=12)
 
 
+class _Slot(int):
+    """A tree leaf that stands for the entry node at its index."""
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(st.lists(st.dictionaries(st.text(max_size=3), _trees(_scalars), max_size=3),
-                min_size=1, max_size=3), st.data())
-def test_json_writer_matches_json_dumps_with_shared_fragments(fragments, data):
-    shared = [cli._Shared(f) for f in fragments]
-    payload = data.draw(_trees(_scalars | st.sampled_from(shared)))
-    expected = json.dumps(payload, indent=2, sort_keys=True)
+@given(_trees(_scalars | st.integers(0, 5).map(_Slot)))
+def test_json_writer_matches_json_dumps_with_entry_nodes(tree):
+    nodes, data = entry_nodes(Interval.finite(0, 1), TypeNC((2, 1, 1), (0, 1, 0)))
+
+    def fill(x, pick):
+        if type(x) is _Slot:
+            return pick[x]
+        if isinstance(x, list):
+            return [fill(v, pick) for v in x]
+        if isinstance(x, dict):
+            return {k: fill(v, pick) for k, v in x.items()}
+        return x
+    expected = json.dumps(fill(tree, data), indent=2, sort_keys=True)
+    payload = fill(tree, nodes)
     assert cli._json_text(payload) == expected
     assert cli._json_text(payload) == expected

@@ -7,6 +7,7 @@ against an inverse computed by the plain triple loop below.
 
 import gc
 import itertools
+import json
 import sys
 import time
 import weakref
@@ -20,7 +21,7 @@ from conftest import sweep_contexts
 import superkl.canonical as canon
 from superkl import cli
 from superkl.errors import NonTriangularBar, SuperklError
-from superkl.laurent import LaurentInt, one, zero
+from superkl.laurent import LaurentInt, one, render, zero
 from superkl.qmodule import ModuleVec
 from superkl.weights import (
     Interval,
@@ -338,6 +339,39 @@ def test_one_kl_p_reads_only_its_interval_and_fills_no_view(monkeypatch):
     for view in (block, core):
         assert view._dmat is None and view._pinv is None
     assert got == want[b].subs_neg_q() != zero
+
+
+def test_one_cold_klpoly_solves_each_cut_row_once(monkeypatch, capsys):
+    # d and p of one finite klpoly come from one set of cut rows: row lam
+    # cut at mu is solved for d and read again by the p column, not re-solved
+    block = largest_block()
+    p = block.p_matrix()
+    pairs = [(block.members[a], block.members[b]) for a in range(0, block.size, 7)
+             for b in sorted(p[a])[1::3]]
+    want = {(lam, mu): (render(canon.kl_d(lam, mu)), render(canon.kl_p(lam, mu)))
+            for lam, mu in pairs}
+    d_row = canon._d_row
+    solved = []
+
+    def counting(r, a, stop=None):
+        solved.append((id(r), a, stop))
+        return d_row(r, a, stop)
+
+    monkeypatch.setattr(canon, "_d_row", counting)
+    interval, tnc = LARGE
+    context = ["--interval", interval.text(), "--n", ",".join(map(str, tnc.n)),
+               "--c", ",".join(map(str, tnc.c))]
+    most = 0
+    for lam, mu in pairs:
+        canon.clear_caches()
+        solved.clear()
+        code = cli.main(["klpoly", *context, "--matrix", lam.text(), "--mu", mu.text()])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (payload["d"], payload["p"]) == want[lam, mu]
+        assert solved and len(set(solved)) == len(solved), (lam.text(), mu.text())
+        most = max(most, len(solved))
+    assert len(pairs) > 20 and most > 1
 
 
 def test_a_bad_psi_row_that_kl_d_reads_is_refused(monkeypatch):

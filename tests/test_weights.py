@@ -3,8 +3,16 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from superkl.canonical import _block_key, _block_members_direct
+from superkl.canonical import (
+    _block_key,
+    _block_members_direct,
+    _registered,
+    clear_caches,
+    psi_monomial,
+)
 from superkl.crystal import crystal_e, crystal_f
 from superkl.errors import (
     DegreeMismatch,
@@ -257,6 +265,32 @@ def test_matrix_text_roundtrip():
     assert parse_matrix(lam.text(), Interval.all_z(), t) == lam
 
 
+@st.composite
+def weights_over_any_interval(draw):
+    """A weight over a finite, z, geq or leq interval, of level 1 to 3, rows of
+    either polarity, deviations in a span of columns round the anchor."""
+    anchor = draw(st.integers(-5, 5))
+    interval = draw(st.sampled_from([
+        Interval.finite(anchor, anchor + draw(st.integers(0, 4))),
+        Interval.all_z(), Interval.half_up(anchor), Interval.half_down(anchor)]))
+    cols = [j for j in range(anchor - 6, anchor + 7) if interval.contains_col(j)]
+    level = draw(st.integers(1, 3))
+    devs = tuple(tuple(sorted(draw(st.sets(st.sampled_from(cols), max_size=3))))
+                 for _ in range(level))
+    c = tuple(draw(st.lists(st.integers(0, 1), min_size=level, max_size=level)))
+    return Matrix01(interval, TypeNC(tuple(map(len, devs)), c), devs)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(weights_over_any_interval())
+def test_weight_text_and_json_round_trip(lam):
+    text = lam.text()
+    assert parse_matrix(text, lam.interval, lam.tnc) == lam
+    start, rows = text.removeprefix("@").split(":")
+    assert lam.to_json() == {"window_start": int(start), "rows": rows.split("/")}
+    assert json.loads(json.dumps(lam.to_json())) == lam.to_json()
+
+
 def reference_row_strings(lam):
     """The rows built entry by entry over the rendered window."""
     lo, hi = lam.window()
@@ -330,15 +364,17 @@ def test_parse_matrix_rows_span_the_finite_interval():
 
 
 def test_unchecked_weights_pass_the_checked_constructor():
-    # enumerate_weights, flip (so the crystal operators) and the direct
-    # block generator build their results without validation; the public
+    # enumerate_weights, flip (so the crystal operators), the direct block
+    # generator and the row-bitmask reader (so every core's members and the
+    # psi terms) build their results without validation; the public
     # constructor re-checks them all (tests/test_koszul_dual.py does the
     # same for koszul_dual and its inverse)
     def assert_valid(lam):
         assert Matrix01(lam.interval, lam.tnc, lam.devs) == lam
 
-    built = 0
+    built = cores = 0
     for interval, tnc in sweep_contexts():
+        clear_caches()  # every block below is built from the direct generator
         colors = list(interval.colors())
         keys = set()
         for lam in enumerate_weights(interval, tnc):
@@ -346,9 +382,16 @@ def test_unchecked_weights_pass_the_checked_constructor():
             key = _block_key(lam)
             if key not in keys:
                 keys.add(key)
-                for member in _block_members_direct(lam):
+                members = _block_members_direct(lam)
+                for member in members:
                     assert_valid(member)
                     built += 1
+                block = _registered(key, lambda: members)
+                core = block.core()[0]
+                for member in core.members:
+                    assert_valid(member)
+                    built += 1
+                cores += core is not block
             for i in colors:
                 for step in (crystal_e(lam, i), crystal_f(lam, i)):
                     if step is not None:
@@ -358,7 +401,12 @@ def test_unchecked_weights_pass_the_checked_constructor():
                     if lam.entry(row, i) != lam.entry(row, i + 1):
                         assert_valid(lam.flip(row, i))
                         built += 1
-    assert built > 0
+    for interval, tnc in sweep_contexts(max_dim=40):
+        for lam in enumerate_weights(interval, tnc):
+            for mu in psi_monomial(lam).terms:
+                assert_valid(mu)
+                built += 1
+    assert built > 0 and cores > 0
     # a flip of equal entries, or one that leaves I_+, is still refused
     lam = Matrix01(I01, TypeNC((1, 1), (0, 0)), ((0,), (2,)))
     for row, col in ((0, 1), (0, -1), (1, 2)):
