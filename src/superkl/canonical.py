@@ -29,7 +29,11 @@ resulting unitriangular congruences.  d- and p-polynomials are the entries
 of the transition matrix and of its inverse at q -> -q.
 
 A block is keyed by its context and the ``column_counts`` its members
-share, which for one type decide the sl_I weight.  A process holds at most
+share, which for one type decide the sl_I weight.  ``BlockTable`` groups a
+whole context by one integer per weight, ``_packed_keys``: the counts
+packed in a base larger than twice the level, summed from one key per row
+choice, so equal integers mean equal counts.  Each group's registry key is
+still read off its first member by ``_block_key``.  A process holds at most
 one ``BlockData`` per key, in ``_single_block_cache``, and ``_registered``
 is the one place a block is built and added there: ``block_data``,
 ``BlockTable`` and the core reduction all go through it, so a block's psi,
@@ -104,6 +108,7 @@ from .weights import (
     order_leq,
     profile_grid,
     profile_leq,
+    row_choices,
     signed_profile,
     stable_window,
     truncate,
@@ -524,26 +529,42 @@ def _inverse_row(dx: dict[int, LaurentInt], x: int,
     return row
 
 
+def _packed_keys(interval: Interval, tnc: TypeNC) -> list[int]:
+    """Each weight's ``column_counts`` packed in one integer, in enumeration order.
+
+    The count v_j at column j is the digit of B^(j - lo), B = 2^(b + 1)
+    with b the bit length of the level: |v_j| <= level < B/2, so two keys
+    are equal iff the counts are.  A key is the sum of its rows' keys, and
+    each row's key is computed once per choice of ``row_choices``.
+    """
+    base, lo = 1 << (tnc.level.bit_length() + 1), interval.lo
+    keys = [0]
+    for choices, ci in zip(row_choices(interval, tnc), tnc.c):
+        sign = -1 if ci else 1
+        row_keys = [sign * sum([base ** (j - lo) for j in row]) for row in choices]
+        keys = [k + r for k in keys for r in row_keys]
+    return keys
+
+
 class BlockTable:
     """All blocks of one finite context, from one enumeration.
 
     ``weights`` is the enumeration, in ``enumerate_weights`` order.  The
-    weights are grouped by their sorted ``column_counts``, and each group is
-    looked up in or added to the registry under its ``_block_key``, so
-    ``blocks`` are shared with ``block_data``; they are sorted by their sl_I
-    weight.
+    weights are grouped by their ``_packed_keys``, and each group is looked
+    up in or added to the registry under the ``_block_key`` of its first
+    member, so ``blocks`` are shared with ``block_data``; they are sorted by
+    their sl_I weight.
     """
 
     def __init__(self, interval: Interval, tnc: TypeNC):
         self.interval = interval
         self.tnc = tnc
         self.weights = enumerate_weights(interval, tnc)
-        groups: dict[tuple, list[Matrix01]] = {}
-        for lam in self.weights:
-            groups.setdefault(tuple(sorted(column_counts(lam).items())), []).append(lam)
+        groups: dict[int, list[Matrix01]] = {}
+        for key, lam in zip(_packed_keys(interval, tnc), self.weights):
+            groups.setdefault(key, []).append(lam)
         self.blocks: list[BlockData] = sorted(
-            (_registered((interval, tnc, counts), group.copy)
-             for counts, group in groups.items()),
+            (_registered(_block_key(group[0]), group.copy) for group in groups.values()),
             key=lambda b: sorted(b.weight.items()))
 
 

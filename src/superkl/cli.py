@@ -2,10 +2,10 @@
 
 Every command prints one machine-readable document on stdout (JSON by
 default; tsv/text/dot where it makes sense) and reports errors as a JSON
-object on stderr.  Exit codes: 0 success, 2 budget exhausted or undecided,
-1 error; an undecided payload is JSON whatever ``--format`` says.  Outputs
-are byte-deterministic: everything is sorted, never emitted in completion
-order.
+object on stderr, argparse rejections included.  Exit codes: 0 success, 2
+budget exhausted or undecided, 1 error; an undecided payload is JSON
+whatever ``--format`` says.  Outputs are byte-deterministic: everything is
+sorted, never emitted in completion order.
 
 The JSON text is ``json.dumps(payload, indent=2, sort_keys=True)``.  A
 whole-context ``canonical`` hands the writer ``_Entry`` nodes instead of
@@ -28,7 +28,7 @@ from . import canonical as canon
 from . import crystal as crys
 from . import klr
 from . import superweights as sw
-from .errors import BudgetExceeded, SuperklError
+from .errors import BudgetExceeded, SuperklError, UsageError
 from .laurent import render
 from .qmodule import ModuleVec
 from .weights import (
@@ -399,10 +399,20 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose rejections are ``UsageError``s: JSON on stderr, exit 1.
+
+    ``--help`` still prints the help and exits 0.
+    """
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="superkl",
         description="exact canonical-basis and crystal combinatorics "
                     "for tensor products of quantum exterior powers")
@@ -495,9 +505,26 @@ def _emit(args, payload, rows, dot=None) -> str:
     return _json_text(payload)
 
 
+# flags whose values may start with a minus sign: intervals, coordinates, colors
+_SIGNED_FLAGS = frozenset(("--interval", "--coords", "--mu-coords", "--colors", "--word"))
+
+
+def _join_signed_values(argv) -> list[str]:
+    """argv with ``FLAG VALUE`` written ``FLAG=VALUE`` for a signed flag and a
+    value that starts with '-' and a digit, which argparse would read as a flag."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_FLAGS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(
+            _join_signed_values(sys.argv[1:] if argv is None else argv))
         if args.max_block < 0:  # 0 is unlimited; a negative budget refuses every block
             raise SuperklError(f"--max-block must be at least 0, got {args.max_block}")
         try:

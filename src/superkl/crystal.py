@@ -7,6 +7,15 @@ with only unlabeled rows between (a single top-to-bottom stack scan).  A
 surviving '-' gives the f-edge at its lowest such row; a surviving '+'
 gives the e-edge at its highest such row.
 
+A label depends on one row only, so ``crystal_edges`` reads it from a
+per-row table instead of from each weight.  The weights are the product of
+the ``row_choices``, and ``_flip_steps`` holds, for each color, row and
+choice, the label and the index step to the weight with that row flipped;
+a weight's scan is then a loop over its rows with a '+' counter, and the
+f-target is the enumerated weight at the index plus the step.
+``crystal_f`` and ``crystal_e`` stay the per-weight rule, which
+``_component`` follows and the tests compare the table with.
+
 For infinite intervals the prinjective set is the nested union of the
 components of the highest weights of a tower of finite windows growing
 toward the unbounded side(s); the tower also carries the word and shift
@@ -15,9 +24,11 @@ bookkeeping attached to each enlargement step.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import ContextMismatch, EmptyWeightSet, IntervalInfinite, SuperklError
 from .qmodule import ModuleVec, divided_power_f
@@ -31,6 +42,7 @@ from .weights import (
     kappa,
     kappa_for_window,
     minimal_window,
+    row_choices,
 )
 
 
@@ -236,25 +248,63 @@ def is_prinjective(lam: Matrix01, tower: WindowTower, r_max: int):
     return None
 
 
+def _flip_steps(per_row, colors) -> list[list[list[int]]]:
+    """The signature labels of every row choice, with the index step of its flip.
+
+    ``per_row`` is ``row_choices``.  Entry [k][r][a] is for color
+    colors[k] and choice a of row r: 0 when the row has no label there,
+    else the change of the weight's enumeration index when row r moves to
+    the flipped choice.  The choices of a row are sorted by bitstring, and
+    a '-' row reads (1, 0) at (i, i + 1), so its flip lies below it: the
+    step is negative for '-' and positive for '+'.
+    """
+    strides = [prod(map(len, per_row[r + 1:])) for r in range(len(per_row))]
+    index = [{row: a for a, row in enumerate(choices)} for choices in per_row]
+    steps = []
+    for i in colors:
+        pair = {i, i + 1}
+        steps.append([
+            [(at[tuple(sorted(pair.symmetric_difference(row)))] - a) * stride
+             if (i in row) != (i + 1 in row) else 0
+             for a, row in enumerate(choices)]
+            for choices, at, stride in zip(per_row, index, strides)])
+    return steps
+
+
 def crystal_edges(interval: Interval, tnc: TypeNC):
     """All f-edges over a finite interval: the weights and a list of (lam, color, mu).
 
-    Both ends of every edge are instances of the returned ``weights``: each
-    f-target is looked up by its ``devs``, so each weight is one object,
-    rendered once, however many edges name it.
+    Both ends of every edge are instances of the returned ``weights``.  The
+    signature rule of each weight is a top-to-bottom scan of its rows'
+    ``_flip_steps``: a '+' is counted, a '-' cancels one counted '+' or,
+    when none is left, becomes the lowest surviving '-' so far, whose step
+    leads to mu.  No weight is built for an edge.
     """
     if not interval.is_finite():
         raise IntervalInfinite("crystal enumeration requires a finite interval")
     weights = enumerate_weights(interval, tnc)
     if not weights:
         raise EmptyWeightSet("no weights for this type")
-    by_devs = {lam.devs: lam for lam in weights}
+    per_row = row_choices(interval, tnc)
+    colors = interval.colors()
+    by_color = list(zip(colors, _flip_steps(per_row, colors)))
     edges = []
-    for lam in weights:
-        for i in interval.colors():
-            mu = crystal_f(lam, i)
-            if mu is not None:
-                edges.append((lam, i, by_devs[mu.devs]))
+    # the weight at index n has the digits of n as its row choice indices
+    digits = itertools.product(*[range(len(choices)) for choices in per_row])
+    for n, (lam, at) in enumerate(zip(weights, digits)):
+        for i, rows in by_color:
+            plus = step = 0
+            for row, a in zip(rows, at):
+                s = row[a]
+                if s > 0:
+                    plus += 1
+                elif s:
+                    if plus:
+                        plus -= 1
+                    else:
+                        step = s
+            if step:
+                edges.append((lam, i, weights[n + step]))
     return weights, edges
 
 

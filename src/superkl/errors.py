@@ -55,3 +55,7 @@ class DuplicateCoordinate(SuperklError):
 
 class BudgetExceeded(SuperklError):
     """Requested computation exceeds a hard size budget."""
+
+
+class UsageError(SuperklError):
+    """The command line was rejected: an unknown command or flag, or a bad value."""

@@ -384,30 +384,35 @@ def alpha(i: int, interval: Interval) -> WeightPI:
     return out
 
 
+def row_choices(interval: Interval, tnc: TypeNC) -> list[list[tuple[int, ...]]]:
+    """Each row's deviation tuples over a finite interval, by 01-bitstring over I_+.
+
+    Row i has C(|I_+|, n_i) choices, none when n_i > |I_+|.  The weights
+    are their product in this order, so the weight at index n of
+    ``enumerate_weights`` has the mixed-radix digits of n, the last row
+    varying fastest, as its per-row choice indices.
+    """
+    if not interval.is_finite():
+        raise IntervalInfinite("enumeration requires a finite interval")
+    cols = interval.cols()
+    per_row = []
+    for ni, ci in zip(tnc.n, tnc.c):
+        def bitkey(dev, ci=ci):
+            return tuple((1 - ci) if j in dev else ci for j in cols)
+
+        per_row.append(sorted(itertools.combinations(cols, ni), key=bitkey))
+    return per_row
+
+
 def enumerate_weights(interval: Interval, tnc: TypeNC) -> list[Matrix01]:
-    """All weights over a finite interval, ordered by row bitstrings.
+    """All weights over a finite interval: the product of the ``row_choices``.
 
     The count is prod_i C(|I_+|, n_i); the set is empty when some
     n_i > |I_+|.
     """
-    if not interval.is_finite():
-        raise IntervalInfinite("enumeration requires a finite interval")
-    cols = list(interval.cols())
-    z = len(cols)
-    per_row: list[list[tuple[int, ...]]] = []
-    for ni, ci in zip(tnc.n, tnc.c):
-        if ni > z:
-            return []
-        choices = [tuple(sorted(s)) for s in itertools.combinations(cols, ni)]
-        # order rows by their 01-bitstring over I_+
-        def bitkey(dev, ci=ci):
-            return tuple((1 - ci) if j in dev else ci for j in cols)
-
-        choices.sort(key=bitkey)
-        per_row.append(choices)
     # sorted combinations of I_+, n_i per row: valid by construction
     return [Matrix01._trusted(interval, tnc, combo)
-            for combo in itertools.product(*per_row)]
+            for combo in itertools.product(*row_choices(interval, tnc))]
 
 
 def weight_count(interval: Interval, tnc: TypeNC) -> int:

@@ -2,16 +2,28 @@
 
 The reference weight reads the 01-entries through ``Matrix01.entry`` and
 sums eps_j = w_j - w_(j-1), with w dropped outside I, over the 1-entries.
+``BlockTable`` groups weights by ``canonical._packed_keys``, which must
+part every context exactly as ``column_counts`` does.
 """
 
 from collections import defaultdict
 
-from hypothesis import given, settings
+from conftest import sweep_contexts
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import superkl.canonical as canon
+import superkl.weights as weights_module
 from superkl.crystal import same_block
-from superkl.weights import Interval, Matrix01, TypeNC, enumerate_weights, weight_of
+from superkl.weights import (
+    Interval,
+    Matrix01,
+    TypeNC,
+    column_counts,
+    enumerate_weights,
+    weight_count,
+    weight_of,
+)
 
 
 def reference_weight(lam: Matrix01) -> dict[int, int]:
@@ -96,3 +108,72 @@ def test_direct_members_are_the_table_block(context, pick):
     lam = table.weights[pick % len(table.weights)]
     (block,) = [b for b in table.blocks if lam in b.members]
     assert set(canon._block_members_direct(lam)) == set(block.members)
+
+
+def counts_partition(weights) -> set[frozenset]:
+    return partition(weights, lambda lam: tuple(sorted(column_counts(lam).items())))
+
+
+def test_packed_keys_are_the_column_counts_on_the_acceptance_contexts():
+    for interval, tnc in sweep_contexts():
+        weights = enumerate_weights(interval, tnc)
+        keys = dict(zip(weights, canon._packed_keys(interval, tnc), strict=True))
+        assert partition(weights, keys.__getitem__) == counts_partition(weights)
+
+
+@st.composite
+def wide_context(draw):
+    """A finite context of level 1 to 5, rows of both polarities, many full or empty."""
+    lo = draw(st.integers(-3, 3))
+    interval = Interval.finite(lo, lo + draw(st.integers(0, 2)))
+    z, level = interval.n_cols(), draw(st.integers(1, 5))
+    row = st.tuples(st.one_of(st.sampled_from([0, z]), st.integers(0, z)), st.integers(0, 1))
+    rows = draw(st.lists(row, min_size=level, max_size=level))
+    tnc = TypeNC(tuple(n for n, _ in rows), tuple(c for _, c in rows))
+    assume(weight_count(interval, tnc) <= 3000)
+    return interval, tnc
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(wide_context())
+def test_packed_keys_are_the_column_counts(context):
+    weights = enumerate_weights(*context)
+    keys = dict(zip(weights, canon._packed_keys(*context), strict=True))
+    assert partition(weights, keys.__getitem__) == counts_partition(weights)
+
+
+def test_block_table_blocks_and_registry_keys_are_the_column_count_groups():
+    # the grouping by sorted column_counts, one registry key per group
+    for interval, tnc in [*sweep_contexts(max_dim=200, max_cols=4),
+                          (Interval.finite(0, 3), TypeNC((2, 2, 2, 2), (0, 1, 0, 1)))]:
+        canon.clear_caches()
+        groups = defaultdict(set)
+        for lam in enumerate_weights(interval, tnc):
+            groups[canon._block_key(lam)].add(lam)
+        table = canon.BlockTable(interval, tnc)
+        assert {canon._block_key(b.members[0]): set(b.members) for b in table.blocks} == groups
+        assert all(canon._single_block_cache[canon._block_key(b.members[0])] is b
+                   for b in table.blocks)
+        weights = [sorted(b.weight.items()) for b in table.blocks]
+        assert weights == sorted(weights)
+    canon.clear_caches()
+
+
+def test_block_table_reads_column_counts_per_block_not_per_weight(monkeypatch):
+    calls = 0
+
+    def counted(lam):
+        nonlocal calls
+        calls += 1
+        return column_counts(lam)
+    monkeypatch.setattr(canon, "column_counts", counted)
+    monkeypatch.setattr(weights_module, "column_counts", counted)
+    context = Interval.finite(0, 3), TypeNC((2, 2, 2, 2), (0, 1, 0, 1))
+    canon.clear_caches()
+    table = canon.BlockTable(*context)
+    # one registry key and one sl_I weight per block built
+    assert calls <= 2 * len(table.blocks) < len(table.weights) // 10
+    calls = 0
+    assert canon.BlockTable(*context).blocks == table.blocks
+    assert calls == len(table.blocks)  # warm: one registry key per block
+    canon.clear_caches()

@@ -354,6 +354,42 @@ def test_error_payload_on_stderr(capsys):
             assert json.loads(err)["message"] == "unknown schedule 'bogus'"
 
 
+@pytest.mark.parametrize("argv", [
+    ("poset", "--interval", "-1:1", "--n", "1", "--c", "0"),
+    ("superweight", "--interval", "z", "--n", "1,1", "--c", "0,1", "--coords", "-1,1"),
+    ("linkage", "--interval", "z", "--n", "1,1", "--c", "0,1", "--coords", "-1,1"),
+    ("bruhat", "--interval", "z", "--n", "1,1", "--c", "0,1", "--coords", "0,0",
+     "--mu-coords", "-1,1"),
+    ("klr-verify", "--colors", "-1,0"),
+    ("youngdim", "--interval", "-1:0", "--n", "1,1", "--c", "0,0", "--matrix", "100/001",
+     "--word", "-1,0"),
+], ids=["interval", "superweight-coords", "linkage-coords", "mu-coords", "colors", "word"])
+def test_values_with_a_leading_minus_need_no_equals_sign(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    flag = argv[-2]
+    joined = [*argv[:-2], f"{flag}={argv[-1]}"]
+    assert run_cli(capsys, *joined) == (0, out, "")
+    assert json.loads(out)["command"] == argv[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("bogus",), ("poset", "--bogus"), ("klr-verify", "--d", "x"),
+    ("poset", "--format", "xml"), ("poset", "--interval"), ("poset", "--n", "-1,2"), (),
+])
+def test_argparse_rejections_are_json_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "UsageError"
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: superkl")
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "poset", "--interval", "0:0",
@@ -589,9 +625,8 @@ def test_parser_is_built_once_and_reused(capsys):
     spec = GOLDEN[0][0]
     assert cli.build_parser() is cli.build_parser()
     _, first, _ = run_cli(capsys, *golden_argv(spec))
-    with pytest.raises(SystemExit):  # argparse rejects an unknown format
-        cli.main(["poset", "--format", "xml"])
-    capsys.readouterr()
+    code, _, err = run_cli(capsys, "poset", "--format", "xml")  # an unknown format
+    assert code == 1 and json.loads(err)["error"] == "UsageError"
     code, other, _ = run_cli(capsys, "blocks", "--interval", "0:1", "--n", "1,1", "--c", "0,0")
     assert code == 0 and other != first
     _, again, _ = run_cli(capsys, *golden_argv(spec))

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from superkl import cli, crystal
@@ -22,6 +24,7 @@ from superkl.weights import (
     enumerate_weights,
     kappa,
     parse_matrix,
+    row_choices,
     weight_of,
 )
 from conftest import iter_types, random_infinite_matrix, sweep_contexts
@@ -250,12 +253,19 @@ def test_signature_matches_the_entry_reading(rng):
     assert any(new[0] for new, _ in signatures) and any(new[1] for new, _ in signatures)
 
 
+def per_weight_edges(interval, weights):
+    """The f-edges read off ``crystal_f``, one weight and color at a time."""
+    edges = [(lam, i, crystal_f(lam, i)) for lam in weights for i in interval.colors()]
+    return [edge for edge in edges if edge[2] is not None]
+
+
 def test_edge_targets_are_the_enumerated_weights():
-    for interval, tnc in sweep_contexts(max_dim=200, max_cols=4):
+    # the per-weight rule gives the same edges in the same order
+    for interval, tnc in sweep_contexts():
         weights, edges = crystal_edges(interval, tnc)
+        assert edges == per_weight_edges(interval, weights)
         ids = {id(w) for w in weights}
         assert all(id(lam) in ids and id(mu) in ids for lam, _, mu in edges)
-        assert all(crystal_f(lam, i) == mu for lam, i, mu in edges)
 
 
 def test_json_crystal_builds_no_dot_text(capsys, monkeypatch):
@@ -266,3 +276,66 @@ def test_json_crystal_builds_no_dot_text(capsys, monkeypatch):
         assert cli.main(["crystal", "--interval", "0:2", "--n", "2,1", "--c", "0,1",
                          "--format", fmt]) == 0
     assert capsys.readouterr().out
+
+
+def scanned_edges(interval, tnc, swap=False, bottom_up=False):
+    """``crystal_edges``' scan of its ``_flip_steps``, or a mutant of it.
+
+    ``swap`` reads each '+' as a '-' and each '-' as a '+' (a row's step
+    still leads to its own flip); ``bottom_up`` scans the rows upward.
+    """
+    weights = enumerate_weights(interval, tnc)
+    per_row = row_choices(interval, tnc)
+    order = range(len(per_row))[::-1] if bottom_up else range(len(per_row))
+    tables = list(zip(interval.colors(), crystal._flip_steps(per_row, interval.colors())))
+    edges = []
+    for n, at in enumerate(itertools.product(*[range(len(c)) for c in per_row])):
+        for i, rows in tables:
+            plus = step = 0
+            for r in order:
+                s = rows[r][at[r]]
+                if s and (s > 0) != swap:  # a '+'
+                    plus += 1
+                elif s:
+                    if plus:
+                        plus -= 1
+                    else:
+                        step = s
+            if step:
+                edges.append((weights[n], i, weights[n + step]))
+    return edges
+
+
+def test_swapped_labels_or_a_bottom_up_scan_are_caught():
+    swapped = bottom_up = 0
+    for interval, tnc in sweep_contexts(max_dim=200, max_cols=4):
+        weights, edges = crystal_edges(interval, tnc)
+        assert scanned_edges(interval, tnc) == edges == per_weight_edges(interval, weights)
+        swapped += scanned_edges(interval, tnc, swap=True) != edges
+        bottom_up += scanned_edges(interval, tnc, bottom_up=True) != edges
+    assert swapped > 300 and bottom_up > 150  # of 439 contexts
+
+
+def test_crystal_edges_build_no_weight_beyond_the_enumeration(monkeypatch):
+    built = flips = 0
+    trusted, checked = Matrix01._trusted.__func__, Matrix01.__post_init__
+
+    def counted_trusted(cls, *args):
+        nonlocal built
+        built += 1
+        return trusted(cls, *args)
+
+    def counted_checked(self):
+        nonlocal built
+        built += 1
+        checked(self)
+
+    def counted_flip(self, i, j):
+        nonlocal flips
+        flips += 1
+    monkeypatch.setattr(Matrix01, "_trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(Matrix01, "__post_init__", counted_checked)
+    monkeypatch.setattr(Matrix01, "flip", counted_flip)
+    weights, edges = crystal_edges(Interval.finite(0, 4), TypeNC((2, 2, 2), (0, 0, 0)))
+    assert len(edges) == 7900
+    assert built == len(weights) == 3375 and flips == 0
