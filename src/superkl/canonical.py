@@ -29,16 +29,21 @@ resulting unitriangular congruences.  d- and p-polynomials are the entries
 of the transition matrix and of its inverse at q -> -q.
 
 A block is keyed by its context and the ``column_counts`` its members
-share, which for one type decide the sl_I weight.  ``BlockTable`` groups a
-whole context by one integer per weight, ``_packed_keys``: the counts
-packed in a base larger than twice the level, summed from one key per row
-choice, so equal integers mean equal counts.  Each group's registry key is
-still read off its first member by ``_block_key``.  A process holds at most
-one ``BlockData`` per key, in ``_single_block_cache``, and ``_registered``
-is the one place a block is built and added there: ``block_data``,
-``BlockTable`` and the core reduction all go through it, so a block's psi,
-d and p memos are shared whichever path reaches it first.  Tables are not
-memoized; the blocks are.
+share, which for one type decide the sl_I weight.  Both ways of building
+blocks read one integer per row choice, ``_choice_keys``: the choice's
+counts packed in a base larger than twice the level, so equal key sums
+mean equal counts.  ``BlockTable`` groups a whole context by each weight's
+sum, ``_packed_keys``.  A single weight's block, ``_block_members_direct``,
+meets in the middle: the sums of one half of the rows are indexed, and
+each tuple of the other half looks up the sum that completes lam's key.
+Each block's registry key is still read off one member by ``_block_key``,
+and its members are sorted by ``_linear_extension``, from one table per
+row that holds each distinct row's share of the sort key, with no text
+rendered.  A process holds at most one ``BlockData`` per key, in
+``_single_block_cache``, and ``_registered`` is the one place a block is
+built and added there: ``block_data``, ``BlockTable`` and the core
+reduction all go through it, so a block's psi, d and p memos are shared
+whichever path reaches it first.  Tables are not memoized; the blocks are.
 
 A block's one order table, ``_profiles``, holds each member's signed
 profile over the block's grid, built on first read and not at registration;
@@ -84,7 +89,8 @@ import itertools
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter, mul
+from math import prod
+from operator import itemgetter
 
 from .errors import (
     IntervalInfinite,
@@ -529,21 +535,34 @@ def _inverse_row(dx: dict[int, LaurentInt], x: int,
     return row
 
 
+def _choice_keys(interval: Interval, tnc: TypeNC) -> list[tuple[list[tuple[int, ...]], list[int]]]:
+    """Each row's ``row_choices``, with one packed key per choice.
+
+    The key of a choice packs its signed deviation counts: the count v_j at
+    column j is the digit of B^(j - lo), B = 2^(b + 1) with b the bit
+    length of the level.  Summed over the rows, |v_j| <= level < B/2, so
+    two weights' key sums are equal iff their ``column_counts`` are.
+    """
+    base, lo = 1 << (tnc.level.bit_length() + 1), interval.lo
+    return [(choices, [(-1 if ci else 1) * sum([base ** (j - lo) for j in row])
+                       for row in choices])
+            for choices, ci in zip(row_choices(interval, tnc), tnc.c)]
+
+
+def _key_sums(rows) -> list[int]:
+    """The key sum of each choice tuple of some rows of ``_choice_keys``, in enumeration order."""
+    sums = [0]
+    for _, keys in rows:
+        sums = [s + k for s in sums for k in keys]
+    return sums
+
+
 def _packed_keys(interval: Interval, tnc: TypeNC) -> list[int]:
     """Each weight's ``column_counts`` packed in one integer, in enumeration order.
 
-    The count v_j at column j is the digit of B^(j - lo), B = 2^(b + 1)
-    with b the bit length of the level: |v_j| <= level < B/2, so two keys
-    are equal iff the counts are.  A key is the sum of its rows' keys, and
-    each row's key is computed once per choice of ``row_choices``.
+    A weight's key is the sum of its rows' ``_choice_keys``.
     """
-    base, lo = 1 << (tnc.level.bit_length() + 1), interval.lo
-    keys = [0]
-    for choices, ci in zip(row_choices(interval, tnc), tnc.c):
-        sign = -1 if ci else 1
-        row_keys = [sign * sum([base ** (j - lo) for j in row]) for row in choices]
-        keys = [k + r for k in keys for r in row_keys]
-    return keys
+    return _key_sums(_choice_keys(interval, tnc))
 
 
 class BlockTable:
@@ -569,49 +588,30 @@ class BlockTable:
 
 
 def _block_members_direct(lam: Matrix01) -> list[Matrix01]:
-    """lam's block, unsorted: the weights of its context with its ``column_counts``.
+    """lam's block: the weights of its context whose packed key is lam's.
 
-    The block is generated row by row, with feasibility pruning, instead
-    of enumerating the whole module.
+    Meets in the middle on the ``_choice_keys``.  The rows are cut where
+    the two halves have the closest numbers of choice tuples.  The right
+    half's tuples are indexed by their key sums, and each left tuple, in
+    enumeration order, is joined to the right tuples that complete its sum
+    to lam's key.  So the members come out in enumeration order, which over
+    a finite interval is text order.
     """
-    interval = lam.interval
-    tnc = lam.tnc
-    target = column_counts(lam)
-    allowed = list(interval.cols())
-    # a row changes a column's count by at most 1, so after row i the count
-    # lies between -rem_minus[i + 1] and rem_plus[i + 1]
-    rem_plus = [0] * (tnc.level + 1)
-    rem_minus = [0] * (tnc.level + 1)
-    for i in range(tnc.level - 1, -1, -1):
-        moves = 1 if tnc.n[i] else 0
-        rem_plus[i] = rem_plus[i + 1] + (moves if tnc.c[i] == 0 else 0)
-        rem_minus[i] = rem_minus[i + 1] + (moves if tnc.c[i] == 1 else 0)
-    out = []
-
-    def rec(i, counts, rows):
-        if i == tnc.level:
-            if not counts:  # sorted picks of I_+, n_i per row: valid by construction
-                out.append(Matrix01._trusted(interval, tnc, tuple(rows)))
-            return
-        sign = 1 if tnc.c[i] == 0 else -1
-        for pick in itertools.combinations(allowed, tnc.n[i]):
-            nxt = dict(counts)
-            for j in pick:
-                v = nxt.get(j, 0) - sign
-                if v:
-                    nxt[j] = v
-                else:
-                    nxt.pop(j, None)
-            ok = True
-            for j, v in nxt.items():
-                if not (-rem_minus[i + 1] <= v <= rem_plus[i + 1]):
-                    ok = False
-                    break
-            if ok:
-                rec(i + 1, nxt, rows + [pick])
-
-    rec(0, dict(target), [])
-    return out
+    interval, tnc = lam.interval, lam.tnc
+    rows = _choice_keys(interval, tnc)
+    target = sum(keys[choices.index(row)] for (choices, keys), row in zip(rows, lam.devs))
+    sizes = [len(choices) for choices, _ in rows]
+    # on a tie the left half is the larger: its tuples are streamed, the right's are kept
+    cut = min(range(len(rows), -1, -1),
+              key=lambda s: abs(prod(sizes[:s]) - prod(sizes[s:])))
+    left, right = rows[:cut], rows[cut:]
+    completions: dict[int, list[tuple]] = {}
+    for pick, key in zip(itertools.product(*[c for c, _ in right]), _key_sums(right)):
+        completions.setdefault(key, []).append(pick)
+    # sorted picks of I_+, n_i per row: valid by construction
+    return [Matrix01._trusted(interval, tnc, head + pick)
+            for head, key in zip(itertools.product(*[c for c, _ in left]), _key_sums(left))
+            for pick in completions.get(target - key, ())]
 
 
 def block_data(lam: Matrix01) -> BlockData:
@@ -629,14 +629,26 @@ def _linear_extension(members: list[Matrix01]) -> list[Matrix01]:
     decreases upward in the order; ties are broken by text.  Row i (from 0)
     lies in l - i prefix rows and a deviation at j in the grid entries from
     index rank(j) on, so the sum is a block constant minus the key below.
+    Over a finite interval every row renders across all of I_+, so text
+    order is the order of the rows' bitstrings read one after another, as
+    in ``row_choices``: their concatenation, as an integer, is the low part
+    of the key, and no text is rendered.
     """
     rank = {j: r for r, j in enumerate(profile_grid(members))}
-    c = members[0].tnc.c
-    weights = [(len(c) - i) * (-1) ** ci for i, ci in enumerate(c)]
-    # the block's rows repeat across members: sum each distinct row's ranks once
-    table = {row: sum(map(rank.get, row)) for row in {row for m in members for row in m.devs}}
-    return sorted(members, key=lambda m: (
-        sum(map(mul, weights, map(table.__getitem__, m.devs))), m.text()))
+    cols, c = members[0].interval.cols(), members[0].tnc.c
+    width, level = len(cols), len(c)
+    # the block's rows repeat across members: each distinct row's rank sum and
+    # bitstring (1 at a deviation) once, then one table of key shares per row
+    # index, with the profile key above the level * width bits of the text
+    shares = {row: (sum(map(rank.get, row)), sum([1 << (cols[-1] - j) for j in row]))
+              for row in {row for m in members for row in m.devs}}
+    full = (1 << width) - 1
+    tables = []
+    for i, ci in enumerate(c):
+        weight, shift = (level - i) * (-1) ** ci, width * (level - 1 - i)
+        tables.append({row: (weight * r << width * level) + ((full ^ bits if ci else bits) << shift)
+                       for row, (r, bits) in shares.items()})
+    return sorted(members, key=lambda m: sum(map(dict.__getitem__, tables, m.devs)))
 
 
 def canonical_basis(lam: Matrix01) -> ModuleVec:

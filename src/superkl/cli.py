@@ -509,12 +509,22 @@ def _emit(args, payload, rows, dot=None) -> str:
 _SIGNED_FLAGS = frozenset(("--interval", "--coords", "--mu-coords", "--colors", "--word"))
 
 
+def _is_signed_flag(arg: str) -> bool:
+    """Whether arg names a signed flag as argparse resolves it: the option
+    spelled exactly, else the one option it is a prefix of."""
+    options = build_parser()._option_string_actions
+    if arg in options or not arg.startswith("--"):
+        return arg in _SIGNED_FLAGS
+    matches = [o for o in options if o.startswith(arg)]
+    return len(matches) == 1 and matches[0] in _SIGNED_FLAGS
+
+
 def _join_signed_values(argv) -> list[str]:
     """argv with ``FLAG VALUE`` written ``FLAG=VALUE`` for a signed flag and a
     value that starts with '-' and a digit, which argparse would read as a flag."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _SIGNED_FLAGS and arg[:1] == "-" and arg[1:2].isdigit():
+        if out and arg[:1] == "-" and arg[1:2].isdigit() and _is_signed_flag(out[-1]):
             out[-1] += "=" + arg
         else:
             out.append(arg)

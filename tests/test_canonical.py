@@ -49,7 +49,7 @@ from superkl.weights import (
     weight_count,
     weight_of,
 )
-from conftest import random_infinite_matrix
+from conftest import random_infinite_matrix, sweep_contexts
 
 I00 = Interval.finite(0, 0)
 I01 = Interval.finite(0, 1)
@@ -188,6 +188,41 @@ def test_linear_extension_is_the_profile_sum_order(interval, tnc, gaps):
     assert [list(b.members) for b in blocks] == [profile_sum_order(b.members) for b in blocks]
     raw = [list(b.members) == raw_column_order(b.members) for b in blocks]
     assert all(raw) != gaps
+
+
+def profile_key_then_text_order(members):
+    """The closed-form profile key over the block's grid ranks, then text."""
+    rank = {j: r for r, j in enumerate(profile_grid(members))}
+    c = members[0].tnc.c
+    weights = [(len(c) - i) * (-1 if ci else 1) for i, ci in enumerate(c)]
+    return sorted(members, key=lambda m: (
+        sum(w * sum(map(rank.get, row)) for w, row in zip(weights, m.devs)), m.text()))
+
+
+def test_point_query_blocks_and_cores_are_the_profile_key_then_text_order():
+    # blocks built from one weight, and their cores, against a key that renders text
+    for interval, tnc in [*sweep_contexts(max_dim=300),
+                          (Interval.finite(0, 2), TypeNC((2, 2, 2, 2), (0, 1, 0, 1))),
+                          (Interval.finite(0, 4), TypeNC((2, 2, 2), (0, 0, 0)))]:
+        clear_caches()
+        for lam in enumerate_weights(interval, tnc)[::3]:
+            block = canon.block_data(lam)
+            for b in (block, block.core()[0]):
+                assert list(b.members) == profile_key_then_text_order(b.members)
+
+
+@pytest.mark.parametrize("text,size,own_core", [("1100/1100/0011/0011", 90, True),
+                                                ("1100/1100/1010/1001", 12, False)])
+def test_a_cold_block_and_its_core_render_no_text(monkeypatch, text, size, own_core):
+    interval, tnc = Interval.finite(0, 2), TypeNC((2, 2, 2, 2), (0, 1, 0, 1))
+    lam = parse_matrix(text, interval, tnc)
+    rendered = []
+    monkeypatch.setattr(Matrix01, "text", lambda m: rendered.append(m) or "")
+    clear_caches()
+    block = canon.block_data(lam)
+    core = block.core()[0]
+    assert (block.size, core is block) == (size, own_core)
+    assert rendered == []
 
 
 @st.composite

@@ -373,6 +373,27 @@ def test_values_with_a_leading_minus_need_no_equals_sign(capsys, argv):
     assert json.loads(out)["command"] == argv[0]
 
 
+@pytest.mark.parametrize("abbreviated,full", [
+    (("klr-verify", "--col", "-1,0"), ("klr-verify", "--colors=-1,0")),
+    (("superweight", "--interval", "z", "--n", "1,1", "--c", "0,1", "--coord", "-1,1"),
+     ("superweight", "--interval", "z", "--n", "1,1", "--c", "0,1", "--coords=-1,1")),
+    (("poset", "--interval", "0:0", "--n", "1,1", "--c", "0,1"),
+     ("poset", "--interval=0:0", "--n=1,1", "--c=0,1")),
+], ids=["col", "coord", "c"])
+def test_abbreviated_signed_flags_resolve_as_argparse_does(capsys, abbreviated, full):
+    # an exact option first (--c is the polarity flag), else its unique prefix
+    code, out, err = run_cli(capsys, *abbreviated)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *full) == (0, out, "")
+
+
+def test_an_ambiguous_abbreviation_with_a_negative_value_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "klr-verify", "--co", "-1,0")
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "UsageError" and "ambiguous option: --co" in error["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ("bogus",), ("poset", "--bogus"), ("klr-verify", "--d", "x"),
     ("poset", "--format", "xml"), ("poset", "--interval"), ("poset", "--n", "-1,2"), (),

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superkl.errors import NotDivisible
 from superkl.laurent import LaurentInt, bar, div_exact, one, q, qfact, qint, render, zero
@@ -83,6 +85,32 @@ def test_div_inverts_mul():
         if b.is_zero():
             continue
         assert div_exact(a * b, b) == a
+
+
+laurent = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=5).map(LaurentInt)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(laurent, laurent, laurent)
+def test_ring_laws(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert a + zero == a and a - a == zero and -(-a) == a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * one == a and a * zero == zero
+    assert a * (b + c) == a * b + a * c
+    assert bar(a * b) == bar(a) * bar(b) and bar(a + b) == bar(a) + bar(b)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(laurent, laurent)
+def test_div_exact_inverts_mul(a, b):
+    if b:
+        assert div_exact(a * b, b) == a
+    else:
+        with pytest.raises(NotDivisible):
+            div_exact(a, b)
 
 
 def test_render():
