@@ -31,11 +31,13 @@ of the transition matrix and of its inverse at q -> -q.
 A block is keyed by its context and the ``column_counts`` its members
 share, which for one type decide the sl_I weight.  Both ways of building
 blocks read one integer per row choice, ``_choice_keys``: the choice's
-counts packed in a base larger than twice the level, so equal key sums
+counts packed in a base larger than four times the level, so equal key sums
 mean equal counts.  ``BlockTable`` groups a whole context by each weight's
 sum, ``_packed_keys``.  A single weight's block, ``_block_members_direct``,
-meets in the middle: the sums of one half of the rows are indexed, and
-each tuple of the other half looks up the sum that completes lam's key.
+meets in the middle: each half of the rows is enumerated row by row,
+dropping a choice tuple once some column's count can no longer reach
+lam's, the right half's tuples are indexed by key sum, and each left
+tuple looks up the sum that completes lam's key.
 Each block's registry key is still read off one member by ``_block_key``,
 and its members are sorted by ``_linear_extension``, from one table per
 row that holds each distinct row's share of the sort key, with no text
@@ -85,7 +87,6 @@ through T^-1.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -535,17 +536,27 @@ def _inverse_row(dx: dict[int, LaurentInt], x: int,
     return row
 
 
+def _key_base(level: int) -> int:
+    """B = 2^(b + 2), b the bit length of the level: the digit base of the packed keys.
+
+    Every count, and every residual count of ``_completable_picks``, lies
+    in [-level, level], and level < B/4: key sums are equal iff their counts
+    are, and a residual count moved by at most level and then by B/2 stays
+    in [0, B).
+    """
+    return 1 << (level.bit_length() + 2)
+
+
 def _choice_keys(interval: Interval, tnc: TypeNC) -> list[tuple[list[tuple[int, ...]], list[int]]]:
     """Each row's ``row_choices``, with one packed key per choice.
 
     The key of a choice packs its signed deviation counts: the count v_j at
-    column j is the digit of B^(j - lo), B = 2^(b + 1) with b the bit
-    length of the level.  Summed over the rows, |v_j| <= level < B/2, so
-    two weights' key sums are equal iff their ``column_counts`` are.
+    column j is the digit of B^(j - lo), B = ``_key_base(level)``, so two
+    weights' key sums are equal iff their ``column_counts`` are.
     """
-    base, lo = 1 << (tnc.level.bit_length() + 1), interval.lo
-    return [(choices, [(-1 if ci else 1) * sum([base ** (j - lo) for j in row])
-                       for row in choices])
+    base = _key_base(tnc.level)
+    digit = {j: base ** (j - interval.lo) for j in interval.cols()}
+    return [(choices, [(-1 if ci else 1) * sum(map(digit.__getitem__, row)) for row in choices])
             for choices, ci in zip(row_choices(interval, tnc), tnc.c)]
 
 
@@ -587,31 +598,60 @@ class BlockTable:
             key=lambda b: sorted(b.weight.items()))
 
 
+def _completable_picks(rows, tnc: TypeNC, cols: range, target: int,
+                       span: range) -> list[tuple[tuple, int]]:
+    """The choice tuples of ``rows[span]`` that lam's key sum target can still
+    complete, in enumeration order, each with its residual: target minus its key sum.
+
+    Row by row, with feasibility pruning: every row not yet chosen moves a
+    column's count by at most one, up for polarity 0 and down for 1, so with
+    p and m such rows left each residual count must lie in [-m, p].  All
+    columns are checked at once on the packed residual r: the digits of
+    r + (m + B/2)·ONES and of (p + B/2)·ONES - r lie in [0, B), and their
+    top bits are all set iff every residual count lies in [-m, p].
+    """
+    base = _key_base(tnc.level)
+    ones = sum([base ** (j - cols[0]) for j in cols])
+    top = base // 2 * ones
+    up = [bool(ni) and not ci for ni, ci in zip(tnc.n, tnc.c)]
+    down = [bool(ni) and bool(ci) for ni, ci in zip(tnc.n, tnc.c)]
+    p, m = sum(up), sum(down)
+    picks = [((), target)]
+    for i in span:
+        p, m = p - up[i], m - down[i]
+        low, high = m * ones + top, p * ones + top
+        choices, keys = rows[i]
+        picks = [(pick + (choice,), rest) for pick, r in picks for choice, key in zip(choices, keys)
+                 if ((rest := r - key) + low) & (high - rest) & top == top]
+    return picks
+
+
 def _block_members_direct(lam: Matrix01) -> list[Matrix01]:
     """lam's block: the weights of its context whose packed key is lam's.
 
     Meets in the middle on the ``_choice_keys``.  The rows are cut where
-    the two halves have the closest numbers of choice tuples.  The right
-    half's tuples are indexed by their key sums, and each left tuple, in
-    enumeration order, is joined to the right tuples that complete its sum
-    to lam's key.  So the members come out in enumeration order, which over
-    a finite interval is text order.
+    the two halves have the closest numbers of choice tuples, and each
+    half's tuples are pruned by ``_completable_picks``.  The right half's
+    tuples are indexed by their residuals, and each left tuple, in
+    enumeration order, is joined to the right tuples whose residual
+    completes its key sum to lam's.  So the members come out in enumeration
+    order, which over a finite interval is text order.
     """
     interval, tnc = lam.interval, lam.tnc
     rows = _choice_keys(interval, tnc)
     target = sum(keys[choices.index(row)] for (choices, keys), row in zip(rows, lam.devs))
     sizes = [len(choices) for choices, _ in rows]
-    # on a tie the left half is the larger: its tuples are streamed, the right's are kept
+    # on a tie the left half is the larger: its tuples are looked up, the right's indexed
     cut = min(range(len(rows), -1, -1),
               key=lambda s: abs(prod(sizes[:s]) - prod(sizes[s:])))
-    left, right = rows[:cut], rows[cut:]
     completions: dict[int, list[tuple]] = {}
-    for pick, key in zip(itertools.product(*[c for c, _ in right]), _key_sums(right)):
-        completions.setdefault(key, []).append(pick)
+    for pick, rest in _completable_picks(rows, tnc, interval.cols(), target,
+                                         range(cut, len(rows))):
+        completions.setdefault(rest, []).append(pick)
     # sorted picks of I_+, n_i per row: valid by construction
     return [Matrix01._trusted(interval, tnc, head + pick)
-            for head, key in zip(itertools.product(*[c for c, _ in left]), _key_sums(left))
-            for pick in completions.get(target - key, ())]
+            for head, rest in _completable_picks(rows, tnc, interval.cols(), target, range(cut))
+            for pick in completions.get(target - rest, ())]
 
 
 def block_data(lam: Matrix01) -> BlockData:

@@ -409,6 +409,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# every option of the parser, in help order: (flag, add_argument keywords)
+_OPTIONS = (
+    ("--interval", dict(default="0:1", help="a:b | z | geq:N | leq:N")),
+    ("--n", dict(default="", help="comma-separated exterior degrees")),
+    ("--c", dict(default="", help="comma-separated polarities (0/1)")),
+    ("--format", dict(default="json", choices=["json", "tsv", "dot", "text"])),
+    ("--matrix", dict(default="", help="weight, e.g. @0:110/101")),
+    ("--mu", dict(default="", help="second weight")),
+    ("--coords", dict(default="", help="superweight coordinates")),
+    ("--mu-coords", dict(default="", help="second superweight")),
+    ("--word", dict(default="", help="comma-separated colors")),
+    ("--colors", dict(default="", help="KLR colors")),
+    ("--d", dict(type=int, default=2, help="number of strands")),
+    ("--m", dict(type=int, default=2, help="nil-Hecke rank")),
+    ("--cap", dict(type=int, default=8, help="graded degree cap")),
+    ("--max-r", dict(type=int, default=4, dest="max_r",
+                     help="window budget for prinjective search")),
+    ("--max-block", dict(type=int, default=0, dest="max_block",
+                         help="refuse blocks larger than this (0 = unlimited)")),
+    ("--schedule", dict(default="default", help="tower growth: " + "|".join(crys.SCHEDULES))),
+    ("--threads", dict(type=int, default=1)),
+    ("--out", dict(default="", help="write output to FILE")),
+)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use; parsing leaves it unchanged."""
@@ -417,29 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact canonical-basis and crystal combinatorics "
                     "for tensor products of quantum exterior powers")
     parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--interval", default="0:1",
-                        help="a:b | z | geq:N | leq:N")
-    parser.add_argument("--n", default="", help="comma-separated exterior degrees")
-    parser.add_argument("--c", default="", help="comma-separated polarities (0/1)")
-    parser.add_argument("--format", default="json",
-                        choices=["json", "tsv", "dot", "text"])
-    parser.add_argument("--matrix", default="", help="weight, e.g. @0:110/101")
-    parser.add_argument("--mu", default="", help="second weight")
-    parser.add_argument("--coords", default="", help="superweight coordinates")
-    parser.add_argument("--mu-coords", default="", help="second superweight")
-    parser.add_argument("--word", default="", help="comma-separated colors")
-    parser.add_argument("--colors", default="", help="KLR colors")
-    parser.add_argument("--d", type=int, default=2, help="number of strands")
-    parser.add_argument("--m", type=int, default=2, help="nil-Hecke rank")
-    parser.add_argument("--cap", type=int, default=8, help="graded degree cap")
-    parser.add_argument("--max-r", type=int, default=4, dest="max_r",
-                        help="window budget for prinjective search")
-    parser.add_argument("--max-block", type=int, default=0, dest="max_block",
-                        help="refuse blocks larger than this (0 = unlimited)")
-    parser.add_argument("--schedule", default="default",
-                        help="tower growth: " + "|".join(crys.SCHEDULES))
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--out", default="", help="write output to FILE")
+    for flag, options in _OPTIONS:
+        parser.add_argument(flag, **options)
     return parser
 
 
@@ -510,12 +514,10 @@ _SIGNED_FLAGS = frozenset(("--interval", "--coords", "--mu-coords", "--colors", 
 
 
 def _is_signed_flag(arg: str) -> bool:
-    """Whether arg names a signed flag as argparse resolves it: the option
-    spelled exactly, else the one option it is a prefix of."""
-    options = build_parser()._option_string_actions
-    if arg in options or not arg.startswith("--"):
-        return arg in _SIGNED_FLAGS
-    matches = [o for o in options if o.startswith(arg)]
+    """Whether arg names a signed flag as argparse resolves it: the one
+    option it spells or abbreviates.  No signed flag is the prefix of
+    another option, so spelled in full it is its own unique match."""
+    matches = [flag for flag, _ in _OPTIONS if flag.startswith(arg)] if arg[:2] == "--" else []
     return len(matches) == 1 and matches[0] in _SIGNED_FLAGS
 
 

@@ -394,13 +394,13 @@ def row_choices(interval: Interval, tnc: TypeNC) -> list[list[tuple[int, ...]]]:
     """
     if not interval.is_finite():
         raise IntervalInfinite("enumeration requires a finite interval")
-    cols = interval.cols()
     per_row = []
     for ni, ci in zip(tnc.n, tnc.c):
-        def bitkey(dev, ci=ci):
-            return tuple((1 - ci) if j in dev else ci for j in cols)
-
-        per_row.append(sorted(itertools.combinations(cols, ni), key=bitkey))
+        # the first column where two choices' bitstrings differ is in the one
+        # that comes first as a sorted tuple: with 1 at a deviation (polarity
+        # 0) its bitstring is the larger, with 0 there (polarity 1) the smaller
+        choices = list(itertools.combinations(interval.cols(), ni))
+        per_row.append(choices if ci else choices[::-1])
     return per_row
 
 

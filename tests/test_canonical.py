@@ -190,16 +190,7 @@ def test_linear_extension_is_the_profile_sum_order(interval, tnc, gaps):
     assert all(raw) != gaps
 
 
-def profile_key_then_text_order(members):
-    """The closed-form profile key over the block's grid ranks, then text."""
-    rank = {j: r for r, j in enumerate(profile_grid(members))}
-    c = members[0].tnc.c
-    weights = [(len(c) - i) * (-1 if ci else 1) for i, ci in enumerate(c)]
-    return sorted(members, key=lambda m: (
-        sum(w * sum(map(rank.get, row)) for w, row in zip(weights, m.devs)), m.text()))
-
-
-def test_point_query_blocks_and_cores_are_the_profile_key_then_text_order():
+def test_point_query_blocks_and_cores_are_the_profile_sum_order():
     # blocks built from one weight, and their cores, against a key that renders text
     for interval, tnc in [*sweep_contexts(max_dim=300),
                           (Interval.finite(0, 2), TypeNC((2, 2, 2, 2), (0, 1, 0, 1))),
@@ -208,7 +199,7 @@ def test_point_query_blocks_and_cores_are_the_profile_key_then_text_order():
         for lam in enumerate_weights(interval, tnc)[::3]:
             block = canon.block_data(lam)
             for b in (block, block.core()[0]):
-                assert list(b.members) == profile_key_then_text_order(b.members)
+                assert list(b.members) == profile_sum_order(b.members)
 
 
 @pytest.mark.parametrize("text,size,own_core", [("1100/1100/0011/0011", 90, True),

@@ -377,21 +377,30 @@ def test_values_with_a_leading_minus_need_no_equals_sign(capsys, argv):
     (("klr-verify", "--col", "-1,0"), ("klr-verify", "--colors=-1,0")),
     (("superweight", "--interval", "z", "--n", "1,1", "--c", "0,1", "--coord", "-1,1"),
      ("superweight", "--interval", "z", "--n", "1,1", "--c", "0,1", "--coords=-1,1")),
-    (("poset", "--interval", "0:0", "--n", "1,1", "--c", "0,1"),
-     ("poset", "--interval=0:0", "--n=1,1", "--c=0,1")),
-], ids=["col", "coord", "c"])
+], ids=["col", "coord"])
 def test_abbreviated_signed_flags_resolve_as_argparse_does(capsys, abbreviated, full):
-    # an exact option first (--c is the polarity flag), else its unique prefix
     code, out, err = run_cli(capsys, *abbreviated)
     assert (code, err) == (0, "")
     assert run_cli(capsys, *full) == (0, out, "")
 
 
-def test_an_ambiguous_abbreviation_with_a_negative_value_is_a_usage_error(capsys):
-    code, out, err = run_cli(capsys, "klr-verify", "--co", "-1,0")
+@pytest.mark.parametrize("argv,message", [
+    (("klr-verify", "--co", "-1,0"), "ambiguous option: --co"),
+    (("poset", "--interval", "0:0", "--n", "1,1", "--c", "-1,0"), "argument --c: expected one argument"),
+], ids=["co", "c"])
+def test_a_negative_value_after_a_flag_that_is_not_signed_is_a_usage_error(capsys, argv, message):
+    # --co is ambiguous; --c is the polarity flag, not an abbreviation of --colors or --coords
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     error = json.loads(err)
-    assert error["error"] == "UsageError" and "ambiguous option: --co" in error["message"]
+    assert error["error"] == "UsageError" and message in error["message"]
+
+
+def test_no_signed_flag_is_the_prefix_of_another_option():
+    # so a signed flag spelled in full is its own unique prefix match
+    flags = [flag for flag, _ in cli._OPTIONS]
+    for signed in cli._SIGNED_FLAGS:
+        assert [flag for flag in flags if flag.startswith(signed)] == [signed]
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,9 +8,12 @@ against an inverse computed by the plain triple loop below.
 import gc
 import itertools
 import json
+import os
+import subprocess
 import sys
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -220,6 +223,34 @@ def test_random_direct_members_are_the_column_counts_filter(context, pick):
     lam = weights[pick % len(weights)]
     counts = column_counts(lam)
     assert canon._block_members_direct(lam) == [w for w in weights if column_counts(w) == counts]
+
+
+EXTREME_BLOCKS = """
+import resource, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from superkl import canonical
+from superkl.weights import Interval, TypeNC, kappa
+for level in (4, 6):
+    lam = kappa(Interval.finite(0, 10), TypeNC((5,) * level, (0,) * level))
+    tracemalloc.start()
+    members = canonical._block_members_direct(lam)
+    print(len(members), tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+"""
+
+
+def test_an_extreme_weight_of_a_wide_context_builds_in_little_memory():
+    # kappa of 0:10 with n_i = 5 is alone in its block; a build that held every
+    # choice tuple of half the rows would hold 792^2 (level 4) or 792^3 (level 6)
+    # of them, so it runs in a child capped at 1 GB of address space
+    src = str(Path(canon.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", EXTREME_BLOCKS], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    for line in done.stdout.splitlines():
+        size, peak = map(int, line.split())
+        assert size == 1 and peak < 2_000_000
 
 
 def test_whole_context_budget_names_the_first_weight_in_enumeration_order(capsys):
