@@ -12,15 +12,20 @@ color j and use
 to push the computation toward monomials whose last row is closer to the
 highest one.
 
-psi runs on row bitmasks: a monomial is a tuple of ints, and bit k of row i
-is its 01-entry at column lo + k.  There f_j is an XOR on bits k, k + 1,
-the last row of kappa is the mask (1 << ones) - 1 with ``ones`` the number
-of 1s in the row, and the smallest lowering color of a last row m is the
-lowest set bit of ~m & (m >> 1).  f_j and kappa read only the entries, so
-psi of a mask tuple depends only on (|I_+|, number of 1s per row): that is
-the key of its memo in ``_psi_cache``, shared by shifted intervals and by
-flipped types.  ``psi_monomial`` converts to ``Matrix01`` at its boundary;
-the block solve reads the masks directly.
+psi runs on packed integers.  A monomial of level l is one column-major
+int, ``_monomial``: bit k * l + i is row i's entry at column lo + k.  So
+f_j, j = lo + k, is one shift and mask to the 2l-bit pattern of columns
+k, k + 1 and a lookup of its moves, (xor, q-exponent) per row it lowers,
+in ``_f_moves``, which fills a pattern on first use.  A last row is
+kappa's when it shows 0, 1 at no columns k, k + 1, and otherwise the
+smallest lowering color is the first such k.  psi(lam) is a flat dict
+{(e << S) | x: coefficient}, S = l * |I_+|, so a q-shift is an integer
+add and coefficients stay exact ints; a Laurent polynomial is made only
+when a block's psi row is checked or ``psi_monomial`` returns.  f_j and
+kappa read only the entries, so a memo in ``_psi_cache`` is keyed by
+(|I_+|, level, depth of the recursion) and shared by shifted intervals
+and by flipped types.  The level is in the key because it is the stride:
+equal ints of two levels are different monomials.
 
 Canonical basis vectors are the unique psi-invariant elements
 b = v_lam + (qZ[q]-combination of higher monomials in the block); they are
@@ -37,7 +42,9 @@ sum, ``_packed_keys``.  A single weight's block, ``_block_members_direct``,
 meets in the middle: each half of the rows is enumerated row by row,
 dropping a choice tuple once some column's count can no longer reach
 lam's, the right half's tuples are indexed by key sum, and each left
-tuple looks up the sum that completes lam's key.
+tuple looks up the sum that completes lam's key.  ``block_size`` counts
+a block on the same two halves with no member built: ``--max-block``
+refuses a block before it is made.
 Each block's registry key is still read off one member by ``_block_key``,
 and its members are sorted by ``_linear_extension``, from one table per
 row that holds each distinct row's share of the sort key, with no text
@@ -47,9 +54,13 @@ built and added there: ``block_data``, ``BlockTable`` and the core
 reduction all go through it, so a block's psi, d and p memos are shared
 whichever path reaches it first.  Tables are not memoized; the blocks are.
 
-A block's one order table, ``_profiles``, holds each member's signed
-profile over the block's grid, built on first read and not at registration;
-``BlockData.leq``, the psi check and ``poset`` read it, the oracle does not.
+A block's one order table, ``_profiles``, holds one int per member: the
+signed prefix counts of rows 0..l-2 (``signed_profile``) as signed
+digits, summed from one share per distinct row (``_packed_profiles``).
+The last prefix row is the block's cumulative column counts, shared by
+every member.  ``BlockData.leq``, the psi check and ``poset`` test
+"every digit >=" with one subtraction and one mask; the table is built on
+first read, not at registration, and the oracle does not read it.
 
 A column is frozen in a block when every member has the same entries in
 it.  Deleting the frozen columns and renumbering the rest turns the
@@ -87,6 +98,7 @@ through T^-1.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -114,20 +126,19 @@ from .weights import (
     koszul_dual_inverse,
     order_leq,
     profile_grid,
-    profile_leq,
     row_choices,
-    signed_profile,
     stable_window,
     truncate,
     weight_of,
 )
 
-_psi_cache: dict[tuple, dict[tuple[int, ...], dict[tuple[int, ...], LaurentInt]]] = {}
+_psi_cache: dict[tuple[int, int, int], dict[int, dict[int, int]]] = {}
 _single_block_cache: dict[tuple, "BlockData"] = {}
 
 
 def clear_caches():
     _psi_cache.clear()
+    _f_moves.clear()
     _single_block_cache.clear()
 
 
@@ -150,121 +161,162 @@ def _registered(key: tuple, build) -> "BlockData":
     return block
 
 
-def _row_masks(lam: Matrix01) -> tuple[int, ...]:
-    """lam as row bitmasks: bit k of row i is the entry at column lo + k."""
-    lo = lam.interval.lo
-    full = (1 << lam.interval.n_cols()) - 1
-    masks = []
-    for row, ci in zip(lam.devs, lam.tnc.c):
-        m = 0
-        for j in row:
-            m |= 1 << (j - lo)
-        masks.append(full ^ m if ci else m)
-    return tuple(masks)
+def _column_ones(level: int, ncols: int) -> int:
+    """Bit k * level for each column k < ncols: row i of a monomial x is x & (this << i)."""
+    return ((1 << level * ncols) - 1) // ((1 << level) - 1) if level else 0
 
 
-def _from_masks(masks: tuple[int, ...], interval: Interval, tnc: TypeNC) -> Matrix01:
-    """The weight of a row-bitmask monomial in the context (interval, tnc).
+def _row_share(interval: Interval, tnc: TypeNC):
+    """share(i, row): the bits of row i, given by its deviations, in a ``_monomial``."""
+    lo, level = interval.lo, tnc.level
+    ones = _column_ones(level, interval.n_cols())
 
-    Row i's deviations are the columns where bit k differs from the
+    def share(i: int, row: tuple[int, ...]) -> int:
+        bits = sum([1 << (j - lo) * level for j in row])
+        return (ones ^ bits if tnc.c[i] else bits) << i
+    return share
+
+
+def _monomial(lam: Matrix01) -> int:
+    """lam packed column-major: bit k * l + i is row i's entry at column lo + k, l the level."""
+    return _summed_shares([lam], _row_share(lam.interval, lam.tnc))[0]
+
+
+def _summed_shares(members: Sequence[Matrix01], share) -> list[int]:
+    """Each member's sum of share(i, row) over its rows, one call per distinct (i, row).
+
+    The members of a block repeat their rows, so each is packed once.
+    """
+    tables = [{row: share(i, row) for row in {m.devs[i] for m in members}}
+              for i in range(len(members[0].devs))]
+    return [sum(map(dict.__getitem__, tables, m.devs)) for m in members]
+
+
+def _from_monomial(x: int, interval: Interval, tnc: TypeNC) -> Matrix01:
+    """The weight of a packed monomial in the context (interval, tnc).
+
+    Row i's deviations are the columns where its bit differs from the
     polarity, read in increasing order: sorted, distinct and inside I_+ by
     construction, so the weight is built without the checked constructor.
-    That each row has n_i deviations is the caller's: every mask here is a
-    block member, a psi term of one, or a core member, whose type is read
-    off its own rows.
+    That each row has n_i deviations is the caller's: every monomial here
+    is a block member, a psi term of one, or a core member, whose type is
+    read off its own rows.
     """
-    lo = interval.lo
+    lo, level = interval.lo, tnc.level
     ks = range(interval.n_cols())
     return Matrix01._trusted(interval, tnc, tuple(
-        tuple(lo + k for k in ks if (m >> k) & 1 != ci)
-        for m, ci in zip(masks, tnc.c)))
+        tuple(lo + k for k in ks if (x >> k * level + i) & 1 != ci)
+        for i, ci in enumerate(tnc.c)))
 
 
-def _f_terms(masks: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...], int]]:
-    """f_j on a monomial, j = lo + k: (image, q-exponent) for each row it lowers.
+class _Lowering(dict):
+    """f_j on two-column patterns, each filled on first use, never all 4^l up front.
 
-    Row i is lowered when it shows 1, 0 at bits k, k + 1; the exponent is
-    sum_{r > i} (bit k - bit k+1) over the rows below it.
+    Key p | 1 << 2l is a pattern p of level l: bit i is row i at column j,
+    bit l + i at j + 1.  Its moves are (xor, q-exponent) for each row that
+    shows 1, 0 there; the exponent is sum_{r > i} (entry at j - entry at
+    j + 1) over the rows below it.
     """
-    pair, low = 3 << k, 1 << k
-    out = []
-    e = 0
-    for i in range(len(masks) - 1, -1, -1):
-        bits = masks[i] & pair
-        if bits == low:
-            out.append((masks[:i] + (masks[i] ^ pair,) + masks[i + 1:], e))
-            e += 1
-        elif bits and bits != pair:
-            e -= 1
+
+    def __missing__(self, key: int) -> tuple[tuple[int, int], ...]:
+        level = (key.bit_length() - 1) // 2
+        moves, e = [], 0
+        for i in range(level - 1, -1, -1):
+            at, after = key >> i & 1, key >> level + i & 1
+            if at > after:
+                moves.append((1 << i | 1 << level + i, e))
+            e += at - after
+        self[key] = moves = tuple(moves)
+        return moves
+
+
+_f_moves = _Lowering()
+
+
+def _psi_kernel(ncols: int, level: int, lam: int) -> dict[int, int]:
+    """psi of a packed monomial over |I_+| = ncols columns, memoized, as a flat dict
+    {(e << level * ncols) | x: coefficient of q^e x}.
+
+    A monomial of depth d has rows 0..d-1 and zeros below.  Runs the
+    recursion of the module docstring as an explicit worklist: an entry is
+    computed once everything it reads is in the memo, and otherwise keeps
+    its step (k * level, lam', tail) and goes back behind what is missing.
+    """
+    shift = level * ncols
+    ones = _column_ones(level, ncols)
+    pair = (1 << 2 * level) - 1
+    marker = pair + 1  # the level's mark in a ``_Lowering`` key
+    memos = [_psi_cache.setdefault((ncols, level, depth), {}) for depth in range(level + 1)]
+    todo = [(lam, level, None)]
+    while todo:
+        x, depth, step = todo.pop()
+        memo = memos[depth]
+        if x in memo:
+            continue
+        if depth <= 1:
+            memo[x] = {x: 1}
+            continue
+        if step is None:
+            last = ones << depth - 1
+            w = x & last
+            # bit k * level + depth - 1 is set where the last row shows 0, 1 at columns k, k + 1
+            lowered = ~w & w >> level & last
+            if not lowered:  # the last row of kappa
+                inner = memos[depth - 1].get(x ^ w)
+                if inner is None:
+                    todo += [(x, depth, None), (x ^ w, depth - 1, None)]
+                else:
+                    memo[x] = {key | w: c for key, c in inner.items()}
+                continue
+            # w = f_j(w') for j = lo + k, k the first such column
+            kl = (lowered & -lowered).bit_length() - depth
+            x_prime = x ^ (1 | 1 << level) << kl + depth - 1
+            above = ((1 << depth - 1) - 1) * (1 | 1 << level)  # rows 0..depth-2, both columns
+            moves = _f_moves[x_prime >> kl & above | marker]
+            step = kl, x_prime, [(x_prime ^ xr << kl, e) for xr, e in moves]
+            missing = [(y, depth, None) for y in [x_prime] + [nu for nu, _ in step[2]]
+                       if y not in memo]
+            if missing:
+                todo += [(x, depth, step), *missing]
+                continue
+        kl, x_prime, tail = step
+        # psi(lam) = f_j psi(lam') - q^-1 sum_nu q^-e psi(nu (x) w')
+        acc: dict[int, int] = {}
+        shifted: dict[int, list[tuple[int, int]]] = {}
+        for key, c in memo[x_prime].items():
+            p = key >> kl & pair
+            moves = shifted.get(p)
+            if moves is None:
+                moves = shifted[p] = [(xr << kl, e << shift) for xr, e in _f_moves[p | marker]]
+            for xr, e in moves:
+                y = (key ^ xr) + e
+                acc[y] = acc.get(y, 0) + c
+        for nu, e in tail:
+            e = 1 + e << shift
+            for key, c in memo[nu].items():
+                acc[key - e] = acc.get(key - e, 0) - c
+        memo[x] = {key: c for key, c in acc.items() if c}
+    return memos[-1][lam]
+
+
+def _grouped(terms: dict[int, int], shift: int) -> dict[int, dict[int, int]]:
+    """A flat psi of ``_psi_kernel`` as monomial -> {exponent: coefficient}."""
+    full = (1 << shift) - 1
+    out: dict[int, dict[int, int]] = {}
+    for key, c in terms.items():
+        out.setdefault(key & full, {})[key >> shift] = c
     return out
 
 
-def _psi_kernel(ncols: int, masks: tuple[int, ...]) -> dict[tuple[int, ...], LaurentInt]:
-    """psi of a row-bitmask monomial over |I_+| = ncols columns, memoized.
-
-    Runs the recursion of the module docstring as an explicit worklist: an
-    entry is computed once everything it reads is in the memo, and is pushed
-    back behind whatever is missing.  A memo row is keyed by (ncols, number
-    of 1s per row) and shared by every context with that key.
-    """
-    ones = tuple(m.bit_count() for m in masks)
-    memos = [_psi_cache.setdefault((ncols, ones[:level]), {})
-             for level in range(len(masks) + 1)]
-    todo = [masks]
-    while todo:
-        lam = todo[-1]
-        level = len(lam)
-        memo = memos[level]
-        if lam in memo:
-            todo.pop()
-            continue
-        if level <= 1:
-            memo[lam] = {lam: one}
-            todo.pop()
-            continue
-        w = lam[-1]
-        if w == (1 << ones[level - 1]) - 1:  # the last row of kappa
-            inner = memos[level - 1].get(lam[:-1])
-            if inner is None:
-                todo.append(lam[:-1])
-                continue
-            memo[lam] = {mu + (w,): c for mu, c in inner.items()}
-            todo.pop()
-            continue
-        # w = f_j(w') for j = lo + k, the smallest k with w showing 0, 1 at bits k, k + 1
-        lowered = ~w & (w >> 1)
-        k = (lowered & -lowered).bit_length() - 1
-        w_prime = w ^ (3 << k)
-        lam_prime = lam[:-1] + (w_prime,)
-        tail = [(nu + (w_prime,), e) for nu, e in _f_terms(lam[:-1], k)]
-        missing = [x for x in [lam_prime] + [nu for nu, _ in tail] if x not in memo]
-        if missing:
-            todo.extend(missing)
-            continue
-        todo.pop()
-        # psi(lam) = f_j psi(lam') - q^-1 sum_nu q^-e psi(nu (x) w')
-        acc: dict[tuple[int, ...], dict[int, int]] = {}
-        for mu, c in memo[lam_prime].items():
-            for x, e in _f_terms(mu, k):
-                d = acc.setdefault(x, {})
-                for p, cf in c.coeffs.items():
-                    d[p + e] = d.get(p + e, 0) + cf
-        for nu, e in tail:
-            for x, c in memo[nu].items():
-                d = acc.setdefault(x, {})
-                for p, cf in c.coeffs.items():
-                    d[p - 1 - e] = d.get(p - 1 - e, 0) - cf
-        memo[lam] = {x: LaurentInt(d) for x, d in acc.items() if any(d.values())}
-    return memos[-1][masks]
-
-
 def psi_monomial(lam: Matrix01) -> ModuleVec:
-    """psi(v_lam), read off the memoized bitmask kernel."""
+    """psi(v_lam), read off the memoized packed kernel."""
     if not lam.interval.is_finite():
         raise IntervalInfinite("psi requires a finite interval; use the truncation driver")
-    terms = _psi_kernel(lam.interval.n_cols(), _row_masks(lam))
+    ncols, level = lam.interval.n_cols(), lam.tnc.level
+    terms = _grouped(_psi_kernel(ncols, level, _monomial(lam)), ncols * level)
     res = ModuleVec(lam.interval, lam.tnc)
-    res.terms = {_from_masks(x, lam.interval, lam.tnc): c for x, c in terms.items()}
+    res.terms = {_from_monomial(x, lam.interval, lam.tnc): LaurentInt(c)
+                 for x, c in terms.items()}
     return res
 
 
@@ -299,19 +351,20 @@ class BlockData:
         return self._pos[lam]
 
     @cached_property
-    def _mask_pos(self) -> dict[tuple[int, ...], int]:
-        """The row bitmasks of each member -> its position."""
-        return {_row_masks(m): b for b, m in enumerate(self.members)}
+    def _mask_pos(self) -> dict[int, int]:
+        """The packed ``_monomial`` of each member -> its position."""
+        share = _row_share(self.interval, self.tnc)
+        return dict(zip(_summed_shares(self.members, share), range(self.size)))
 
     @cached_property
-    def _profiles(self) -> list[list[tuple[int, ...]]]:
-        """The block's order table, on first read: each member's ``signed_profile``."""
-        grid = profile_grid(self.members)
-        return [signed_profile(m, grid) for m in self.members]
+    def _profiles(self) -> tuple[int, list[int]]:
+        """The block's order table, on first read: ``_packed_profiles`` of its members."""
+        return _packed_profiles(self.members)
 
     def leq(self, a: int, b: int) -> bool:
         """The (TP1) order on the members at positions a and b."""
-        return profile_leq(self._profiles[a], self._profiles[b])
+        top, packed = self._profiles
+        return (packed[a] - packed[b] + top) & top == top
 
     @cached_property
     def _psi_rows(self) -> "_Rows":
@@ -344,23 +397,22 @@ class BlockData:
         masks = list(self._mask_pos)
         moving = 0
         for x in masks[1:]:
-            for m, f in zip(x, masks[0]):
-                moving |= m ^ f
-        ncols = self.interval.n_cols()
-        if self.size == 1 or moving == (1 << ncols) - 1:
+            moving |= x ^ masks[0]
+        level, ncols = self.tnc.level, self.interval.n_cols()
+        column = (1 << level) - 1
+        kept = [k for k in range(ncols) if moving >> k * level & column]
+        if self.size == 1 or len(kept) == ncols:
             return ()
-        kept = [k for k in range(ncols) if (moving >> k) & 1]
         # a lone unfrozen column would be fixed by the row sums
         assert len(kept) >= 2, "a block of size >= 2 keeps at least two columns"
-        # the members share their rows: compact each distinct row mask once
-        compact = {m: sum(((m >> k) & 1) << i for i, k in enumerate(kept))
-                   for m in {m for x in masks for m in x}}
-        reduced = [tuple(map(compact.__getitem__, x)) for x in masks]
+        reduced = [sum([(x >> k * level & column) << i * level for i, k in enumerate(kept)])
+                   for x in masks]
         interval = Interval.finite(0, len(kept) - 2)
-        tnc = TypeNC(tuple(len(kept) - m.bit_count() if ci else m.bit_count()
-                           for m, ci in zip(reduced[0], self.tnc.c)), self.tnc.c)
-        core = _registered(_block_key(_from_masks(reduced[0], interval, tnc)),
-                           lambda: [_from_masks(x, interval, tnc) for x in reduced])
+        ones = _column_ones(level, len(kept))
+        tnc = TypeNC(tuple(len(kept) - m if ci else m for m, ci in zip(
+            [(reduced[0] & ones << i).bit_count() for i in range(level)], self.tnc.c)), self.tnc.c)
+        core = _registered(_block_key(_from_monomial(reduced[0], interval, tnc)),
+                           lambda: [_from_monomial(x, interval, tnc) for x in reduced])
         pos = tuple(map(core._mask_pos.get, reduced))
         if core.size != self.size or None in pos:
             raise SuperklError(f"block of {self.members[0].text()} and its core "
@@ -429,26 +481,28 @@ class _Rows(Sequence):
         return list(self) == list(other)
 
 
-def _checked_psi(members: tuple[Matrix01, ...], mask_pos: dict[tuple[int, ...], int],
-                 profiles: list) -> _Rows:
+def _checked_psi(members: tuple[Matrix01, ...], mask_pos: dict[int, int],
+                 profiles: tuple[int, list[int]]) -> _Rows:
     """psi on a block's members, one row per first read.
 
-    Reads the psi kernel through a row-bitmask -> position map, and checks
-    that psi(v_a) is supported on members b >= a in the order, read off the
-    block's order table ``profiles``, with coefficient 1 at a itself.
+    Reads the flat psi of the kernel through a monomial -> position map,
+    and checks that psi(v_a) is supported on members b >= a in the order,
+    read off the block's order table ``profiles``, with coefficient 1 at a
+    itself.  The row's Laurent polynomials are made here.
     """
     masks = list(mask_pos)
-    ncols = members[0].interval.n_cols()
+    interval, tnc = members[0].interval, members[0].tnc
+    ncols, level = interval.n_cols(), tnc.level
+    top, packed = profiles
 
     def fill(_, a):
         row: dict[int, LaurentInt] = {}
-        for x, c in _psi_kernel(ncols, masks[a]).items():
+        for x, coeffs in _grouped(_psi_kernel(ncols, level, masks[a]), ncols * level).items():
             b = mask_pos.get(x)
-            if b is None or not profile_leq(profiles[a], profiles[b]):
-                mu = _from_masks(x, members[0].interval, members[0].tnc)
-                raise NonTriangularBar(
-                    f"psi(v[{members[a].text()}]) has support at {mu.text()}")
-            row[b] = c
+            if b is None or (packed[a] - packed[b] + top) & top != top:
+                raise NonTriangularBar(f"psi(v[{members[a].text()}]) has support at "
+                                       f"{_from_monomial(x, interval, tnc).text()}")
+            row[b] = LaurentInt(coeffs)
         if row.get(a) != one:
             raise NonTriangularBar(
                 f"psi(v[{members[a].text()}]) diagonal coefficient is not 1")
@@ -560,20 +614,15 @@ def _choice_keys(interval: Interval, tnc: TypeNC) -> list[tuple[list[tuple[int, 
             for choices, ci in zip(row_choices(interval, tnc), tnc.c)]
 
 
-def _key_sums(rows) -> list[int]:
-    """The key sum of each choice tuple of some rows of ``_choice_keys``, in enumeration order."""
-    sums = [0]
-    for _, keys in rows:
-        sums = [s + k for s in sums for k in keys]
-    return sums
-
-
 def _packed_keys(interval: Interval, tnc: TypeNC) -> list[int]:
     """Each weight's ``column_counts`` packed in one integer, in enumeration order.
 
     A weight's key is the sum of its rows' ``_choice_keys``.
     """
-    return _key_sums(_choice_keys(interval, tnc))
+    sums = [0]
+    for _, keys in _choice_keys(interval, tnc):
+        sums = [s + k for s in sums for k in keys]
+    return sums
 
 
 class BlockTable:
@@ -626,40 +675,81 @@ def _completable_picks(rows, tnc: TypeNC, cols: range, target: int,
     return picks
 
 
-def _block_members_direct(lam: Matrix01) -> list[Matrix01]:
-    """lam's block: the weights of its context whose packed key is lam's.
+def _halves(lam: Matrix01) -> tuple[int, list, list]:
+    """lam's key sum and the pruned ``_completable_picks`` of the two halves of the rows.
 
-    Meets in the middle on the ``_choice_keys``.  The rows are cut where
-    the two halves have the closest numbers of choice tuples, and each
-    half's tuples are pruned by ``_completable_picks``.  The right half's
-    tuples are indexed by their residuals, and each left tuple, in
-    enumeration order, is joined to the right tuples whose residual
-    completes its key sum to lam's.  So the members come out in enumeration
-    order, which over a finite interval is text order.
+    The rows are cut where the halves have the closest numbers of choice
+    tuples; on a tie the left half is the larger.
     """
     interval, tnc = lam.interval, lam.tnc
+    if not interval.is_finite():
+        raise IntervalInfinite("blocks over infinite intervals can be infinite; "
+                               "truncate first")
     rows = _choice_keys(interval, tnc)
     target = sum(keys[choices.index(row)] for (choices, keys), row in zip(rows, lam.devs))
     sizes = [len(choices) for choices, _ in rows]
-    # on a tie the left half is the larger: its tuples are looked up, the right's indexed
     cut = min(range(len(rows), -1, -1),
               key=lambda s: abs(prod(sizes[:s]) - prod(sizes[s:])))
+    cols = interval.cols()
+    return (target, _completable_picks(rows, tnc, cols, target, range(cut)),
+            _completable_picks(rows, tnc, cols, target, range(cut, len(rows))))
+
+
+def _block_members_direct(lam: Matrix01) -> list[Matrix01]:
+    """lam's block: the weights of its context whose packed key is lam's.
+
+    Meets in the middle on the ``_choice_keys`` of the ``_halves``.  The
+    right half's tuples are indexed by their residuals, and each left
+    tuple, in enumeration order, is joined to the right tuples whose
+    residual completes its key sum to lam's.  So the members come out in
+    enumeration order, which over a finite interval is text order.
+    """
+    target, left, right = _halves(lam)
     completions: dict[int, list[tuple]] = {}
-    for pick, rest in _completable_picks(rows, tnc, interval.cols(), target,
-                                         range(cut, len(rows))):
+    for pick, rest in right:
         completions.setdefault(rest, []).append(pick)
     # sorted picks of I_+, n_i per row: valid by construction
-    return [Matrix01._trusted(interval, tnc, head + pick)
-            for head, rest in _completable_picks(rows, tnc, interval.cols(), target, range(cut))
+    return [Matrix01._trusted(lam.interval, lam.tnc, head + pick) for head, rest in left
             for pick in completions.get(target - rest, ())]
+
+
+def block_size(lam: Matrix01) -> int:
+    """The size of lam's block, counted on the ``_halves`` with no member built."""
+    target, left, right = _halves(lam)
+    counts = Counter(rest for _, rest in right)
+    return sum(counts[target - rest] for _, rest in left)
 
 
 def block_data(lam: Matrix01) -> BlockData:
     """The block of lam: the cached one, or built directly from lam."""
-    if not lam.interval.is_finite():
-        raise IntervalInfinite("blocks over infinite intervals can be infinite; "
-                               "truncate first")
     return _registered(_block_key(lam), lambda: _block_members_direct(lam))
+
+
+def _profile_bits(spread: int) -> int:
+    """Bits per digit of a packed profile whose digit differences lie in [-spread, spread]."""
+    return spread.bit_length() + 1
+
+
+def _packed_profiles(members: Sequence[Matrix01]) -> tuple[int, list[int]]:
+    """(top, each member's signed prefix counts of rows 0..l-2 packed in one int).
+
+    Digit k * T + t, base B = 2^``_profile_bits``, is entry [k][t] of the
+    ``signed_profile`` over the block's grid of T columns.  Row i counts
+    between 0 and its n_i deviations, so two members' digits differ by at
+    most the sum of n_i over rows 0..l-2, below B/2: with B/2 at each digit
+    of top, a - b + top has every digit in [0, B), and its top bits are all
+    set iff every digit of a is >= b's.
+    """
+    grid = profile_grid(members)
+    devs, c = members[0].devs, members[0].tnc.c
+    base = 1 << _profile_bits(sum(map(len, devs[:-1])))
+    digits = base ** len(grid)  # B^T, the weight of the next prefix row
+    # a deviation at grid[r] counts at digits r..T-1 of a prefix row
+    upto = {j: (digits - base ** r) // (base - 1) for r, j in enumerate(grid)}
+    factors = [(-1) ** ci * sum([digits ** k for k in range(i, len(c) - 1)])
+               for i, ci in enumerate(c)]
+    top = base // 2 * ((digits ** max(len(c) - 1, 0) - 1) // (base - 1))
+    return top, _summed_shares(members, lambda i, row: factors[i] * sum(map(upto.__getitem__, row)))
 
 
 def _linear_extension(members: list[Matrix01]) -> list[Matrix01]:
@@ -677,18 +767,15 @@ def _linear_extension(members: list[Matrix01]) -> list[Matrix01]:
     rank = {j: r for r, j in enumerate(profile_grid(members))}
     cols, c = members[0].interval.cols(), members[0].tnc.c
     width, level = len(cols), len(c)
-    # the block's rows repeat across members: each distinct row's rank sum and
-    # bitstring (1 at a deviation) once, then one table of key shares per row
-    # index, with the profile key above the level * width bits of the text
-    shares = {row: (sum(map(rank.get, row)), sum([1 << (cols[-1] - j) for j in row]))
-              for row in {row for m in members for row in m.devs}}
     full = (1 << width) - 1
-    tables = []
-    for i, ci in enumerate(c):
-        weight, shift = (level - i) * (-1) ** ci, width * (level - 1 - i)
-        tables.append({row: (weight * r << width * level) + ((full ^ bits if ci else bits) << shift)
-                       for row, (r, bits) in shares.items()})
-    return sorted(members, key=lambda m: sum(map(dict.__getitem__, tables, m.devs)))
+
+    def share(i, row):
+        # the profile key above the level * width bits of the text
+        bits = sum([1 << (cols[-1] - j) for j in row])
+        return (((level - i) * (-1) ** c[i] * sum(map(rank.get, row)) << width * level)
+                + ((full ^ bits if c[i] else bits) << width * (level - 1 - i)))
+    keys = _summed_shares(members, share)
+    return [members[a] for a in sorted(range(len(members)), key=keys.__getitem__)]
 
 
 def canonical_basis(lam: Matrix01) -> ModuleVec:

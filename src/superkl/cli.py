@@ -21,7 +21,6 @@ import argparse
 import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from json.encoder import encode_basestring_ascii
 
 from . import canonical as canon
@@ -158,6 +157,8 @@ class _Entry:
 
 def _map_blocks(fn, items, threads: int):
     if threads > 1:
+        # imported here: concurrent.futures pulls in logging, which no other path needs
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
@@ -196,8 +197,9 @@ def _over_budget(args, lam) -> BudgetExceeded:
 
 def _check_block_budget(args, lam, built=None):
     """Refuse lam when the block the command builds for it, the block of
-    ``built`` (of lam itself by default), exceeds --max-block."""
-    if args.max_block and canon.block_data(built or lam).size > args.max_block:
+    ``built`` (of lam itself by default), exceeds --max-block.  The block
+    is counted, not built, so a refused one is never made."""
+    if args.max_block and canon.block_size(built or lam) > args.max_block:
         raise _over_budget(args, lam)
 
 

@@ -517,8 +517,9 @@ def signed_profile(lam: Matrix01, grid) -> list[tuple[int, ...]]:
 
         sum_{i<=k} (-1)^{c_i} #{deviations of row i at columns <= grid[t]}.
 
-    This is the one place the count is made; the matrix order, a block's
-    order table and the truncation ideals all read it from here.
+    The matrix order and the truncation ideals read it from here.  A
+    block's order table, ``canonical._packed_profiles``, packs the same
+    counts into one int per member, and tests check it against this.
     """
     profile = []
     acc = [0] * len(grid)

@@ -106,17 +106,24 @@ def test_psi_matrix_rejects_support_outside_the_order(monkeypatch):
     bad_pairs = [(lam, mu) for lam in block.members for mu in block.members
                  if not order_leq(lam, mu)]
     assert len(bad_pairs) > block.size
-    for lam, mu in bad_pairs:
-        def skewed(ncols, masks, lam=canon._row_masks(lam), mu=canon._row_masks(mu)):
-            terms = real(ncols, masks)
-            if masks != lam:
+    # and support outside the block, and a diagonal coefficient of 2
+    lam = block.members[0]
+    outside = next(w for w in enumerate_weights(interval, tnc) if w not in block.members)
+    cases = [(lam, mu, f"has support at {mu.text()}") for lam, mu in bad_pairs]
+    cases += [(lam, outside, f"has support at {outside.text()}"),
+              (lam, lam, "diagonal coefficient is not 1")]
+    for lam, mu, message in cases:
+        # a packed monomial is its own flat key at q^0
+        def skewed(ncols, level, x, lam=canon._monomial(lam), mu=canon._monomial(mu)):
+            terms = real(ncols, level, x)
+            if x != lam:
                 return terms
-            return {**terms, mu: terms.get(mu, zero) + one}
+            return {**terms, mu: terms.get(mu, 0) + 1}
         monkeypatch.setattr(canon, "_psi_kernel", skewed)
         fresh = canon.BlockData(interval, tnc, block.weight, block.members)
         with pytest.raises(NonTriangularBar) as err:
             fresh.psi_matrix()
-        assert str(err.value) == f"psi(v[{lam.text()}]) has support at {mu.text()}"
+        assert str(err.value) == f"psi(v[{lam.text()}]) {message}"
 
 
 def _psi_of_every_weight(contexts):
@@ -125,25 +132,29 @@ def _psi_of_every_weight(contexts):
 
 
 def test_shared_psi_memo_never_changes_an_answer():
-    # the psi memo is keyed by |I_+| and the number of 1s per row, so a
-    # shifted interval and a flipped type read each other's entries; psi in
-    # each context must equal a cold computation in that context alone
+    # the psi memo is keyed by |I_+|, the level and the depth, so a shifted
+    # interval and a flipped type read each other's entries, and a level-2
+    # type whose rows start the level-3 one's (same |I_+| and 1s per row)
+    # reads none; psi in each context must equal a cold computation in that
+    # context alone
     tnc = TypeNC((2, 1, 2), (0, 1, 0))
     I02 = Interval.finite(0, 2)
     flipped = equivalent_type(tnc, I02, {0, 2})
-    for pair in (((I02, tnc), (Interval.finite(3, 5), tnc)),
-                 ((I02, tnc), (I02, flipped))):
+    for pair, shared in ((((I02, tnc), (I02, TypeNC((2, 1), (0, 1)))), False),
+                         (((I02, tnc), (Interval.finite(3, 5), tnc)), True),
+                         (((I02, tnc), (I02, flipped)), True)):
         cold, keys = [], []
         for context in pair:
             clear_caches()
             cold += _psi_of_every_weight([context])
             keys.append(set(canon._psi_cache))
-        assert keys[0] == keys[1]  # the two contexts share every memo row
+        # the two contexts share every memo row, or none
+        assert keys[0] == keys[1] if shared else keys[0].isdisjoint(keys[1])
         for order in (pair, pair[::-1]):
             clear_caches()
             warm = _psi_of_every_weight(order)
             assert warm == (cold if order == pair else cold[::-1])
-    # and the flipped type's psi is the original one, through convert_to_type
+    # and the flipped type's psi (the last pair) is the original one, through convert_to_type
     for lam, v in cold[0].items():
         w = cold[1][convert_to_type(lam, flipped)]
         assert w.terms == {convert_to_type(mu, flipped): c for mu, c in v.terms.items()}

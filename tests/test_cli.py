@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from importlib import resources
 
 import jsonschema
@@ -235,17 +236,21 @@ def test_budget_exit_code(capsys):
     assert json.loads(err)["error"] == "budget"
 
 
-def over_budget(capsys, argv, weight, budget):
+def over_budget(capsys, monkeypatch, argv, weight, budget):
     """Run argv with --max-block budget - 1 and budget: refused, then answered.
 
-    Returns the keys of the blocks the refused run registered.
+    The refused run registers no block.  Returns the weights whose blocks it
+    counted.
     """
     canonical.clear_caches()
+    counted, size = [], canonical.block_size
+    monkeypatch.setattr(canonical, "block_size", lambda lam: counted.append(lam) or size(lam))
     code, out, err = run_cli(capsys, *argv, "--max-block", str(budget - 1))
     assert code == 2 and out == ""
     assert err == ('{"error": "budget", "message": "block of '
                    f'{weight} exceeds --max-block {budget - 1}"}}\n')
-    built = set(canonical._single_block_cache)
+    assert not canonical._single_block_cache
+    built = counted.copy()
     canonical.clear_caches()
     unlimited = run_cli(capsys, *argv)
     canonical.clear_caches()
@@ -254,29 +259,40 @@ def over_budget(capsys, argv, weight, budget):
     return built
 
 
+def test_max_block_refuses_a_block_before_building_it(capsys):
+    # lam's block has 14,860 members: they are counted on the two pruned
+    # halves of the direct builder, and neither built nor registered
+    canonical.clear_caches()
+    code, out, err = run_cli(capsys, "canonical", "--interval", "0:3", "--n", "2,2,2,2,2,2",
+                             "--c", "0,1,0,1,0,1", "--matrix",
+                             "11000/00111/01100/10011/00110/11001", "--max-block", "1")
+    assert code == 2 and out == "" and json.loads(err)["error"] == "budget"
+    assert not canonical._single_block_cache
+
+
 CTX3 = ("--interval", "0:1", "--n", "1,1,1", "--c", "0,1,0")
 
 
-def test_dualbasis_budget_reads_the_dual_block(capsys):
+def test_dualbasis_budget_reads_the_dual_block(capsys, monkeypatch):
     lam = parse_matrix("001/011/100", Interval.finite(0, 1), TypeNC((1, 1, 1), (0, 1, 0)))
-    built = over_budget(capsys, ["dualbasis", *CTX3, "--matrix", "001/011/100"],
-                        lam.text(), 5)
-    assert built == {canonical._block_key(koszul_dual(lam))}
+    counted = over_budget(capsys, monkeypatch, ["dualbasis", *CTX3, "--matrix", "001/011/100"],
+                          lam.text(), 5)
+    assert counted == [koszul_dual(lam)]
 
 
-def test_twisted_budget_reads_the_row_reversed_block(capsys):
+def test_twisted_budget_reads_the_row_reversed_block(capsys, monkeypatch):
     lam = parse_matrix("001/011/100", Interval.finite(0, 1), TypeNC((1, 1, 1), (0, 1, 0)))
-    built = over_budget(capsys, ["twisted", *CTX3, "--matrix", "001/011/100"],
-                        lam.text(), 5)
-    assert built == {canonical._block_key(canonical._reverse_rows(lam))}
+    counted = over_budget(capsys, monkeypatch, ["twisted", *CTX3, "--matrix", "001/011/100"],
+                          lam.text(), 5)
+    assert counted == [canonical._reverse_rows(lam)]
 
 
-def test_klpoly_budget_bounds_every_window_of_an_infinite_interval(capsys):
+def test_klpoly_budget_bounds_every_window_of_an_infinite_interval(capsys, monkeypatch):
     # the block has 2 members in the base window 0:0 and 4 in -1:1
     argv = ["klpoly", "--interval", "z", "--n", "1,1", "--c", "0,1",
             "--matrix", "@0:100/011", "--mu", "@0:010/101"]
     lam = parse_matrix("@0:100/011", Interval.all_z(), TypeNC((1, 1), (0, 1)))
-    over_budget(capsys, argv, lam.text(), 4)
+    over_budget(capsys, monkeypatch, argv, lam.text(), 4)
     canonical.clear_caches()
     code, _, err = run_cli(capsys, *argv, "--max-block", "2")
     assert code == 2 and json.loads(err)["error"] == "budget"
@@ -618,6 +634,18 @@ def test_golden_output_bytes(capsys, spec, digest):
     code, out, _ = run_cli(capsys, *golden_argv(spec))
     assert code == GOLDEN_EXIT.get(spec, 0)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_golden_outputs_in_one_process_in_a_shuffled_order(capsys):
+    # no clear_caches between commands: whatever one command leaves in the
+    # block registry or the psi memo must not change another's bytes
+    specs = GOLDEN.copy()
+    random.Random(20).shuffle(specs)
+    canonical.clear_caches()
+    for spec, digest in specs:
+        code, out, _ = run_cli(capsys, *golden_argv(spec))
+        assert code == GOLDEN_EXIT.get(spec, 0), spec
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, spec
 
 
 def golden_payload(spec):

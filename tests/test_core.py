@@ -16,7 +16,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from conftest import sweep_contexts
@@ -34,6 +34,9 @@ from superkl.weights import (
     equivalent_type,
     order_leq,
     parse_matrix,
+    profile_grid,
+    profile_leq,
+    signed_profile,
     weight_count,
 )
 
@@ -222,7 +225,35 @@ def test_random_direct_members_are_the_column_counts_filter(context, pick):
     weights = enumerate_weights(*context)
     lam = weights[pick % len(weights)]
     counts = column_counts(lam)
-    assert canon._block_members_direct(lam) == [w for w in weights if column_counts(w) == counts]
+    members = canon._block_members_direct(lam)
+    assert members == [w for w in weights if column_counts(w) == counts]
+    assert canon.block_size(lam) == len(members)
+
+
+def packed_order_mismatches(context) -> int:
+    """Pairs of members of a block of context where ``BlockData.leq`` and
+    ``profile_leq`` on the ``signed_profile`` disagree, over every block."""
+    canon.clear_caches()
+    bad = 0
+    for block in canon.BlockTable(*context).blocks:
+        grid = profile_grid(block.members)
+        profiles = [signed_profile(m, grid) for m in block.members]
+        bad += sum(block.leq(a, b) != profile_leq(pa, pb) for a, pa in enumerate(profiles)
+                   for b, pb in enumerate(profiles))
+    return bad
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(random_context())
+def test_random_packed_order_is_the_profile_order(context):
+    assert packed_order_mismatches(context) == 0
+
+
+def test_packed_order_needs_its_whole_digit_base(monkeypatch):
+    # negative control: one bit less per digit and some digit difference wraps
+    monkeypatch.setattr(canon, "_profile_bits", lambda spread: max(1, spread.bit_length()))
+    find(random_context(), lambda context: packed_order_mismatches(context) > 0,
+         settings=settings(derandomize=True, database=None, max_examples=80))
 
 
 EXTREME_BLOCKS = """
@@ -251,6 +282,37 @@ def test_an_extreme_weight_of_a_wide_context_builds_in_little_memory():
     for line in done.stdout.splitlines():
         size, peak = map(int, line.split())
         assert size == 1 and peak < 2_000_000
+
+
+WIDE_PSI = """
+import resource, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from superkl import canonical
+from superkl.qmodule import ModuleVec
+from superkl.weights import Interval, TypeNC, koszul_dual, parse_matrix
+lam = parse_matrix("101010101010/010101010101", Interval.finite(0, 10), TypeNC((6, 6), (0, 0)))
+dual = koszul_dual(lam)
+tracemalloc.start()
+v = canonical.psi_monomial(dual)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(dual.tnc.level, len(v.terms), len(canonical._f_moves), peak,
+      canonical.bar_psi(v) == ModuleVec.monomial(dual))
+"""
+
+
+def test_psi_at_level_twelve_fills_few_lowering_patterns():
+    # the Koszul dual of a level-2 weight over 0:10 has level 12: a table of
+    # f_j on every two-column pattern would hold 4^12 entries, more than the
+    # child's 1 GB of address space, so patterns are filled on first use
+    src = str(Path(canon.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", WIDE_PSI], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    level, terms, patterns, peak, involution = done.stdout.split()
+    assert (level, involution) == ("12", "True") and int(terms) > 100
+    assert int(patterns) < 1000 and int(peak) < 4_000_000
 
 
 def test_whole_context_budget_names_the_first_weight_in_enumeration_order(capsys):
@@ -339,9 +401,9 @@ def test_one_kl_d_reads_only_the_psi_rows_of_its_d_support(monkeypatch):
     kernel = canon._psi_kernel
     read = []
 
-    def counting(ncols, masks):
-        read.append(masks)
-        return kernel(ncols, masks)
+    def counting(ncols, level, x):
+        read.append(x)
+        return kernel(ncols, level, x)
 
     monkeypatch.setattr(canon, "_psi_kernel", counting)
     narrower = 0
@@ -368,9 +430,9 @@ def test_one_kl_p_reads_only_its_interval_and_fills_no_view(monkeypatch):
     kernel = canon._psi_kernel
     read = []
 
-    def counting(ncols, masks):
-        read.append(masks)
-        return kernel(ncols, masks)
+    def counting(ncols, level, x):
+        read.append(x)
+        return kernel(ncols, level, x)
 
     monkeypatch.setattr(canon, "_psi_kernel", counting)
     canon.clear_caches()
@@ -427,12 +489,12 @@ def test_a_bad_psi_row_that_kl_d_reads_is_refused(monkeypatch):
     mu = block.members[max(block.d_matrix()[a])]
     b = pos[block.position(mu)]
     below = next(x for x in range(b) if not order_leq(core.members[b], core.members[x]))
-    bad, extra = canon._row_masks(core.members[b]), canon._row_masks(core.members[below])
+    bad, extra = canon._monomial(core.members[b]), canon._monomial(core.members[below])
     kernel = canon._psi_kernel
 
-    def skewed(ncols, masks):
-        terms = kernel(ncols, masks)
-        return {**terms, extra: terms.get(extra, zero) + one} if masks == bad else terms
+    def skewed(ncols, level, x):  # a packed monomial is its own flat key at q^0
+        terms = kernel(ncols, level, x)
+        return {**terms, extra: terms.get(extra, 0) + 1} if x == bad else terms
 
     monkeypatch.setattr(canon, "_psi_kernel", skewed)
     fresh = canon.BlockData(core.interval, core.tnc, core.weight, core.members)
