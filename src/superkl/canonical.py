@@ -20,12 +20,13 @@ in ``_f_moves``, which fills a pattern on first use.  A last row is
 kappa's when it shows 0, 1 at no columns k, k + 1, and otherwise the
 smallest lowering color is the first such k.  psi(lam) is a flat dict
 {(e << S) | x: coefficient}, S = l * |I_+|, so a q-shift is an integer
-add and coefficients stay exact ints; a Laurent polynomial is made only
-when a block's psi row is checked or ``psi_monomial`` returns.  f_j and
-kappa read only the entries, so a memo in ``_psi_cache`` is keyed by
-(|I_+|, level, depth of the recursion) and shared by shifted intervals
-and by flipped types.  The level is in the key because it is the stride:
-equal ints of two levels are different monomials.
+add and coefficients stay exact ints.  f_j and kappa read only the
+entries, so a memo in ``_psi_cache`` is keyed by (|I_+|, level, depth of
+the recursion) and shared by shifted intervals and by flipped types.  The
+level is in the key because it is the stride: equal ints of two levels
+are different monomials.  A block's psi rows keep each entry as an
+{exponent: coefficient} map, which the d solve reads as it is; only
+``psi_matrix`` and ``psi_monomial`` make Laurent polynomials of psi.
 
 Canonical basis vectors are the unique psi-invariant elements
 b = v_lam + (qZ[q]-combination of higher monomials in the block); they are
@@ -76,7 +77,8 @@ reads: it checks every row.
 read.  b_lam involves only members mu >= lam, so row a of d reads the psi
 rows b with d[a][b] != 0 and no others; each psi row is checked for
 triangularity and diagonal 1 when a solve first reads it.  ``p_matrix``
-inverts the whole d-matrix at once, for the readers that want every row.
+holds every row of the inverse: column m is solved by ``_p_column`` over
+the d rows 0..m, and the columns are written into the rows in order.
 
 One entry at (lam, mu) depends only on the interval [pos(lam), pos(mu)]
 of lam's core: column b of a d row reads only the columns before it, and
@@ -368,13 +370,13 @@ class BlockData:
 
     @cached_property
     def _psi_rows(self) -> "_Rows":
-        """Row a -> sparse map b -> coefficient of member b in psi(v_a), on first read."""
+        """Row a -> sparse map b -> {exponent: coefficient} of member b in psi(v_a)."""
         return _checked_psi(self.members, self._mask_pos, self._profiles)
 
     def psi_matrix(self) -> list[dict[int, LaurentInt]]:
         """Every row of psi, each checked for triangularity and diagonal 1."""
         if self._rmat is None:
-            self._rmat = list(self._psi_rows)
+            self._rmat = [{b: LaurentInt(c) for b, c in row.items()} for row in self._psi_rows]
         return self._rmat
 
     def core(self) -> tuple["BlockData", tuple[int, ...]]:
@@ -433,23 +435,30 @@ class BlockData:
     def _solve_d(self) -> "_Rows":
         """The d-matrix from this block's own psi rows, each row on first read."""
         r = self._psi_rows
-        return _Rows(self.size, lambda _, a: _d_row(r, a))
+        return _Rows(self.size, lambda a: _d_row(r, a))
 
     def p_matrix(self) -> Sequence[dict[int, LaurentInt]]:
         """Inverse of the d-matrix (entries are p(-q) before substitution).
 
-        Inverted whole, on the core only; any other block translates the
-        core's rows.
+        Solved on the core only, one ``_p_column`` per column, each over
+        the d rows up to it; any other block translates the core's rows.
         """
         if self._pinv is None:
             core, pos = self.core()
-            self._pinv = (_invert_unitriangular(self.d_matrix()) if core is self
-                          else _translate(core.p_matrix(), pos))
+            if core is self:
+                d, rows = self.d_matrix(), {}
+                self._pinv = [{} for _ in range(self.size)]
+                for m in range(self.size):
+                    rows[m] = d[m]
+                    for x, c in _p_column(rows, m).items():
+                        self._pinv[x][m] = c
+            else:
+                self._pinv = _translate(core.p_matrix(), pos)
         return self._pinv
 
 
 class _Rows(Sequence):
-    """A matrix as a list of sparse rows, row a computed by fill(self, a) on first read.
+    """A matrix as a list of sparse rows, row a computed by fill(a) on first read.
 
     ``rows[a]`` is None until row a is read.  A fill function must not hold
     the block it belongs to: a view lives on its block, and a reference back
@@ -459,17 +468,17 @@ class _Rows(Sequence):
     __slots__ = ("rows", "fill")
 
     def __init__(self, size: int, fill):
-        self.rows: list[dict[int, LaurentInt] | None] = [None] * size
+        self.rows: list[dict | None] = [None] * size
         self.fill = fill
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, a: int) -> dict[int, LaurentInt]:
+    def __getitem__(self, a: int) -> dict:
         row = self.rows[a]
         if row is None:
             a %= len(self.rows)
-            row = self.rows[a] = self.fill(self, a)
+            row = self.rows[a] = self.fill(a)
         return row
 
     def __iter__(self):
@@ -488,22 +497,22 @@ def _checked_psi(members: tuple[Matrix01, ...], mask_pos: dict[int, int],
     Reads the flat psi of the kernel through a monomial -> position map,
     and checks that psi(v_a) is supported on members b >= a in the order,
     read off the block's order table ``profiles``, with coefficient 1 at a
-    itself.  The row's Laurent polynomials are made here.
+    itself.  Row a maps b to the {exponent: coefficient} map of its entry.
     """
     masks = list(mask_pos)
     interval, tnc = members[0].interval, members[0].tnc
     ncols, level = interval.n_cols(), tnc.level
     top, packed = profiles
 
-    def fill(_, a):
-        row: dict[int, LaurentInt] = {}
+    def fill(a):
+        row: dict[int, dict[int, int]] = {}
         for x, coeffs in _grouped(_psi_kernel(ncols, level, masks[a]), ncols * level).items():
             b = mask_pos.get(x)
             if b is None or (packed[a] - packed[b] + top) & top != top:
                 raise NonTriangularBar(f"psi(v[{members[a].text()}]) has support at "
                                        f"{_from_monomial(x, interval, tnc).text()}")
-            row[b] = LaurentInt(coeffs)
-        if row.get(a) != one:
+            row[b] = coeffs
+        if row.get(a) != {0: 1}:
             raise NonTriangularBar(
                 f"psi(v[{members[a].text()}]) diagonal coefficient is not 1")
         return row
@@ -537,7 +546,7 @@ def _d_row(r: _Rows, a: int, stop: int | None = None) -> dict[int, LaurentInt]:
             if b < x <= stop:
                 acc = defects.setdefault(x, {})
                 for e1, c1 in db.coeffs.items():
-                    for e2, c2 in rx.coeffs.items():
+                    for e2, c2 in rx.items():
                         acc[e2 - e1] = acc.get(e2 - e1, 0) + c1 * c2
     return d
 
@@ -550,44 +559,9 @@ def _translate(rows: Sequence[dict[int, LaurentInt]], pos: tuple[int, ...]) -> _
     """
     back = {x: a for a, x in enumerate(pos)}
     if all(x < y for x, y in zip(pos, pos[1:])):
-        return _Rows(len(pos), lambda _, a: {back[y]: c for y, c in rows[pos[a]].items()})
-    return _Rows(len(pos), lambda _, a: dict(sorted(
+        return _Rows(len(pos), lambda a: {back[y]: c for y, c in rows[pos[a]].items()})
+    return _Rows(len(pos), lambda a: dict(sorted(
         ((back[y], c) for y, c in rows[pos[a]].items()), key=itemgetter(0))))
-
-
-def _invert_unitriangular(d: Sequence[dict[int, LaurentInt]]) -> list[dict[int, LaurentInt]]:
-    """The inverse of an upper unitriangular matrix, filled from the bottom row up.
-
-    Row a of the inverse is e_a - sum_{k > a} d[a][k] (row k of the
-    inverse), so every row it reads is already filled.
-    """
-    rows: list[dict[int, LaurentInt] | None] = [None] * len(d)
-    for x in range(len(d) - 1, -1, -1):
-        rows[x] = _inverse_row(d[x], x, rows)
-    return rows
-
-
-def _inverse_row(dx: dict[int, LaurentInt], x: int,
-                 rows: list[dict[int, LaurentInt] | None]) -> dict[int, LaurentInt]:
-    """Row x of the inverse from row x of d and the inverse's rows below it.
-
-    The products are scattered into one exponent map per column.
-    """
-    acc: dict[int, dict[int, int]] = {}
-    for k, dk in dx.items():
-        if k == x:
-            continue
-        for b, ik in rows[k].items():
-            m = acc.setdefault(b, {})
-            for e1, c1 in dk.coeffs.items():
-                for e2, c2 in ik.coeffs.items():
-                    m[e1 + e2] = m.get(e1 + e2, 0) - c1 * c2
-    row = {x: one}
-    for b in sorted(acc):
-        entry = LaurentInt(acc[b])
-        if entry:
-            row[b] = entry
-    return row
 
 
 def _key_base(level: int) -> int:
@@ -826,7 +800,8 @@ def _p_column(rows: dict[int, dict[int, LaurentInt]], m: int) -> dict[int, Laure
     """Column m of the inverse of d at the positions of rows, from the bottom up.
 
     p[x][m] = delta_{xm} - sum_{x < k <= m} d[x][k] p[k][m]; rows holds the
-    rows of d at every position such a sum reaches, cut at m.
+    rows of d at every position such a sum reaches, and their entries past
+    column m add nothing.
     """
     col: dict[int, LaurentInt] = {m: one}
     for x in sorted(rows, reverse=True):
@@ -982,18 +957,6 @@ def kl_d_stable(lam: Matrix01, mu: Matrix01) -> LaurentInt:
 def kl_p_stable(lam: Matrix01, mu: Matrix01) -> LaurentInt:
     """p_{lam,mu} over any interval, window-stable over an infinite one."""
     return _stable(kl_p, lam, mu)
-
-
-def bar_invariant_completion(c: LaurentInt) -> LaurentInt:
-    """The unique bar-invariant polynomial congruent to c modulo qZ[q]."""
-    out: dict[int, int] = {}
-    if c[0]:
-        out[0] = c[0]
-    for e, cf in c.coeffs.items():
-        if e < 0:
-            out[e] = cf
-            out[-e] = cf
-    return LaurentInt(out)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from superkl.canonical import (
     BlockTable,
-    bar_invariant_completion,
     bar_psi,
     canonical_basis,
     canonical_basis_direct,
@@ -428,16 +427,6 @@ def test_young_word_self_duality_sample():
     assert not norm.is_zero()
     assert norm.is_bar_symmetric()
     assert norm.coefficients_nonnegative()
-
-
-def test_bar_invariant_completion():
-    c = LaurentInt({-2: 3, 0: 1, 1: 5})
-    pi = bar_invariant_completion(c)
-    assert pi.is_bar_symmetric()
-    assert (c - pi).in_qZq()
-    # uniqueness: any other bar-invariant representative differs by 0
-    c2 = LaurentInt({3: 2, -3: 2})
-    assert bar_invariant_completion(c2) == c2
 
 
 def test_kl_d_stable():

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import random
 from importlib import resources
@@ -484,6 +486,92 @@ def test_keyboard_interrupt_is_a_json_error(monkeypatch, capsys):
         pytest.fail("KeyboardInterrupt escaped cli.main")
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "KeyboardInterrupt", "message": "interrupted"}
+
+
+def _ints(lo, hi, length):
+    return st.lists(st.integers(lo, hi), min_size=length, max_size=length).map(
+        lambda xs: ",".join(map(str, xs)))
+
+
+_MALFORMED = st.sampled_from(["", "x", "-", "1,", ",", "0:", "@", "1.5", "/", "@x:1"])
+
+
+@st.composite
+def _argv(draw):
+    """A command and its options over a context with |I_+| <= 3 and level <= 3.
+
+    Each option is set or left at its default; a set one fits the context,
+    so the commands run.  Then up to two options are set again, argparse
+    keeping the last, to a value out of range or malformed.  The budgets
+    --max-block and --max-r are always set, and neither --help nor --out is.
+    """
+    ncols = draw(st.integers(2, 3))
+    lo = draw(st.integers(0, 1))
+    interval = draw(st.sampled_from([f"{lo}:{lo + ncols - 2}", "z", "geq:0", "leq:1"]))
+    # a window of a weight over an infinite interval may lie anywhere in it
+    starts = [f"@{lo}:", ""] if interval[0].isdigit() else ["@0:", "@40:"]
+    level = draw(st.integers(0, 3))
+    n = draw(st.lists(st.integers(0, ncols), min_size=level, max_size=level))
+    c = draw(st.lists(st.integers(0, 1), min_size=level, max_size=level))
+
+    @st.composite
+    def matrix(draw):
+        # row i deviates from its polarity c_i at n_i of the columns
+        rows = []
+        for ni, ci in zip(n, c):
+            devs = draw(st.permutations(range(ncols)))[:ni]
+            rows.append("".join(str(ci ^ (k in devs)) for k in range(ncols)))
+        return draw(st.sampled_from(starts)) + "/".join(rows)
+
+    ragged = st.integers(0, 4).flatmap(lambda k: _ints(-1, 3, k))
+    colors = st.integers(0, 3).flatmap(lambda k: _ints(-1, ncols, k))
+    # flag: (fitting values, values out of range)
+    options = {
+        "--interval": (st.just(interval), st.sampled_from(["1:0", "geq:x", "z:1"])),
+        "--n": (st.just(",".join(map(str, n))), ragged),
+        "--c": (st.just(",".join(map(str, c))), ragged),
+        "--format": (st.sampled_from(["json", "tsv", "dot", "text"]), st.just("xml")),
+        "--matrix": (matrix(), st.just("1/1/1")),
+        "--mu": (matrix(), st.just("1/1/1")),
+        "--coords": (_ints(-3, 3, sum(n)), ragged),
+        "--mu-coords": (_ints(-3, 3, sum(n)), ragged),
+        "--word": (colors, st.just("9")),
+        "--colors": (colors, st.just("-1,0,1,2,3")),
+        "--d": (st.integers(1, 3).map(str), st.sampled_from(["0", "-1", "5"])),
+        "--m": (st.integers(1, 3).map(str), st.sampled_from(["0", "-1"])),
+        "--cap": (st.integers(2, 8).map(str), st.sampled_from(["0", "-1"])),
+        "--max-r": (st.integers(1, 2).map(str), st.sampled_from(["0", "-1"])),
+        "--schedule": (st.sampled_from(["default", "left", "alternate_rl"]), st.just("bogus")),
+        "--threads": (st.sampled_from(["1", "2"]), st.just("0")),
+        "--max-block": (st.integers(0, 6).map(str), st.just("-1")),
+    }
+    argv = [draw(st.sampled_from(sorted(cli.COMMANDS)))]
+    for flag, (values, _) in options.items():
+        if flag in ("--max-block", "--max-r") or draw(st.integers(0, 9)):  # else a default
+            argv += [flag, draw(values)]
+    for _ in range(draw(st.integers(0, 2))):
+        flag = draw(st.sampled_from(sorted(options)))
+        argv += [flag, draw(options[flag][1] | _MALFORMED)]
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(_argv())
+def test_every_argv_keeps_the_cli_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    if code == 1 or (code == 2 and not out):  # an error or a spent budget
+        assert out == "" and err.endswith("\n") and err.count("\n") == 1, argv
+        report = json.loads(err)
+        assert type(report) is dict and set(report) == {"error", "message"}, argv
+        assert (report["error"] == "budget") == (code == 2), argv
+    else:
+        assert err == "", argv
+    if code == 2 and out:  # undecided: the payload is JSON on stdout
+        assert type(json.loads(out)) is dict, argv
 
 
 def test_full_width_rows_need_no_recursion(capsys):
