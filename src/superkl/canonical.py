@@ -181,7 +181,7 @@ def _row_share(interval: Interval, tnc: TypeNC):
 
 def _monomial(lam: Matrix01) -> int:
     """lam packed column-major: bit k * l + i is row i's entry at column lo + k, l the level."""
-    return _summed_shares([lam], _row_share(lam.interval, lam.tnc))[0]
+    return sum(map(_row_share(lam.interval, lam.tnc), range(len(lam.devs)), lam.devs))
 
 
 def _summed_shares(members: Sequence[Matrix01], share) -> list[int]:
@@ -339,7 +339,6 @@ class BlockData:
         self.tnc = tnc
         self.weight = weight
         self.members = members  # ascending: position grows with the order
-        self._pos = {m: i for i, m in enumerate(members)}
         self._rmat = None
         self._dmat = None
         self._pinv = None
@@ -350,7 +349,14 @@ class BlockData:
         return len(self.members)
 
     def position(self, lam: Matrix01) -> int:
-        return self._pos[lam]
+        """lam's position; KeyError for a weight outside the block.
+
+        ``_monomial`` packs entries, so a weight of another context (a
+        polarity-flipped type, say) can pack to a member's int.
+        """
+        if (lam.interval, lam.tnc) != (self.interval, self.tnc):
+            raise KeyError(lam)
+        return self._mask_pos[_monomial(lam)]
 
     @cached_property
     def _mask_pos(self) -> dict[int, int]:
@@ -772,11 +778,11 @@ def _check_same_context(lam: Matrix01, mu: Matrix01) -> None:
 def _core_interval(lam: Matrix01, mu: Matrix01) -> tuple[_Rows, int, int] | None:
     """(psi rows of the core, pos(lam), pos(mu)) in lam's core; None if the entry is 0.
 
-    An entry at (lam, mu) is 0 unless mu is a member of lam's block and
-    lam comes no later than mu in its linear extension.
+    An entry at (lam, mu), mu of lam's context, is 0 unless mu is a member
+    of lam's block and lam comes no later than mu in its linear extension.
     """
     block = block_data(lam)
-    b = block._pos.get(mu)
+    b = block._mask_pos.get(_monomial(mu))
     if b is None:
         return None
     core, pos = block.core()

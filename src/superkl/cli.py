@@ -52,10 +52,13 @@ class Unknown(Exception):
         self.payload = payload
 
 
+def _coords(text) -> tuple[int, ...]:
+    """A comma-separated int list; the empty string is ()."""
+    return tuple(int(x) for x in text.split(",")) if text else ()
+
+
 def _parse_type(args) -> TypeNC:
-    n = tuple(int(x) for x in args.n.split(",")) if args.n else ()
-    c = tuple(int(x) for x in args.c.split(",")) if args.c else ()
-    return TypeNC(n, c)
+    return TypeNC(_coords(args.n), _coords(args.c))
 
 
 def _context(args):
@@ -309,10 +312,6 @@ def cmd_defect(args):
     payload = {"matrix": lam.to_json(), "defect": defect_in_window(lam, window),
                "window": window.text()}
     return payload, [(lam.text(), str(payload["defect"]))]
-
-
-def _coords(text) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
 
 
 def cmd_superweight(args):

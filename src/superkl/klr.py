@@ -17,9 +17,9 @@ Every rewrite strictly reduces (#crossings, #dots-right-of-a-crossing,
 distance-to-canonical), so the process terminates; associativity and the
 defining relations are exercised by the test suite rather than assumed.
 
-A ``KLRElem`` is immutable by contract: every operation returns a new
-element, and ``.terms`` is written only on a fresh element before it is
-returned.  That lets the uncut generators ``xi(ctx, k)`` and
+``KLRElem`` and ``AHAElem`` take +, -, scaling and equality from
+``laurent.Combination`` and are immutable by its contract: every operation
+returns a new element.  That lets the uncut generators ``xi(ctx, k)`` and
 ``tau(ctx, j)`` be built once per (ctx, index) and shared, and lets each
 element cache two indexes of its terms on first use: by right word (with
 the crossing word precomputed) and by left word (with the right word
@@ -38,6 +38,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .errors import BudgetExceeded, ContextMismatch, SuperklError
+from .laurent import Combination
 
 # ---------------------------------------------------------------------------
 # permutations (0-based one-line tuples)
@@ -357,19 +358,19 @@ class KLRContext:
         return iproduct(self.colors, repeat=self.d)
 
 
-class KLRElem:
+class KLRElem(Combination):
     """An integer combination of normal-form basis words; immutable by contract."""
 
-    __slots__ = ("ctx", "terms", "_by_right", "_by_left")
+    __slots__ = ("_by_right", "_by_left")
+    _mismatch = "elements live in different algebras"
 
     def __init__(self, ctx: KLRContext, terms=None):
-        self.ctx = ctx
-        self.terms: dict[tuple, int] = {}
+        self.space = (ctx,)
+        self.terms: dict[tuple, int] = (
+            {key: c for key, c in terms.items() if c} if terms else {})
         self._by_right = self._by_left = None
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    self.terms[key] = c
+
+    ctx = property(lambda x: x.space[0])
 
     def _right_index(self) -> dict:
         """{right word: [(crossing symbols, a, coeff)]}, built on first use."""
@@ -390,39 +391,6 @@ class KLRElem:
                 index.setdefault(i, []).append((symbols, right_word(i, w), c))
             self._by_left = index
         return self._by_left
-
-    def __eq__(self, other):
-        return (isinstance(other, KLRElem) and self.ctx == other.ctx
-                and self.terms == other.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if self.ctx != other.ctx:
-            raise ContextMismatch("elements live in different algebras")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            n = out.get(key, 0) + c
-            if n:
-                out[key] = n
-            else:
-                del out[key]
-        res = KLRElem(self.ctx)
-        res.terms = out
-        return res
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c: int):
-        res = KLRElem(self.ctx)
-        if c:
-            res.terms = {key: c * v for key, v in self.terms.items()}
-        return res
 
     def __mul__(self, other):
         return klr_mul(self, other)
@@ -509,10 +477,10 @@ def right_word(iword, w):
 
 def klr_mul(x: KLRElem, y: KLRElem) -> KLRElem:
     """x * y, rewriting only the pairs of terms whose idempotents match."""
-    if x.ctx != y.ctx:
-        raise ContextMismatch("elements live in different algebras")
+    if x.space != y.space:
+        raise ContextMismatch(x._mismatch)
     rights, lefts = x._right_index(), y._left_index()
-    out = KLRElem(x.ctx)
+    out = KLRElem(*x.space)
     terms = out.terms
     for mid in (rights if len(rights) <= len(lefts) else lefts):
         xs, ys = rights.get(mid), lefts.get(mid)
@@ -843,50 +811,20 @@ def nilhecke_graded_rank_check(m: int, degree_cap: int) -> dict:
 # ---------------------------------------------------------------------------
 # degenerate affine Hecke algebra
 
-class AHAElem:
+class AHAElem(Combination):
     """An element of AH_d in the basis {x^a w}."""
 
-    __slots__ = ("d", "terms")
+    __slots__ = ()
+    _mismatch = "different numbers of strands"
 
     def __init__(self, d: int, terms=None):
         if d > MAX_D:
             raise BudgetExceeded(f"budget is d <= {MAX_D}")
-        self.d = d
-        self.terms: dict[tuple, int] = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    self.terms[key] = c
+        self.space = (d,)
+        self.terms: dict[tuple, int] = (
+            {key: c for key, c in terms.items() if c} if terms else {})
 
-    def __eq__(self, other):
-        return (isinstance(other, AHAElem) and self.d == other.d
-                and self.terms == other.terms)
-
-    def __add__(self, other):
-        if self.d != other.d:
-            raise ContextMismatch("different numbers of strands")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            n = out.get(key, 0) + c
-            if n:
-                out[key] = n
-            else:
-                del out[key]
-        res = AHAElem(self.d)
-        res.terms = out
-        return res
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c: int):
-        res = AHAElem(self.d)
-        if c:
-            res.terms = {key: c * v for key, v in self.terms.items()}
-        return res
-
-    def is_zero(self):
-        return not self.terms
+    d = property(lambda x: x.space[0])
 
 
 def aha_one(d: int) -> AHAElem:
@@ -940,8 +878,8 @@ def _w_times_x(w, k: int):
 
 def aha_mul(x: AHAElem, y: AHAElem) -> AHAElem:
     """Multiply in AH_d by straightening dots through crossings."""
-    if x.d != y.d:
-        raise ContextMismatch("different numbers of strands")
+    if x.space != y.space:
+        raise ContextMismatch(x._mismatch)
     d = x.d
     out = AHAElem(d)
     for (a1, w1), c1 in x.terms.items():

@@ -1,14 +1,20 @@
-"""Exact arithmetic in Z[q, q^-1].
+"""Exact arithmetic: Z[q, q^-1], and finite combinations over one space.
 
 A Laurent polynomial is stored as a dict {exponent: coefficient} with no
 zero coefficients (canonical form), so equality is structural.  Coefficients
 are Python ints, hence arbitrary precision.  Values are immutable: every
 operation returns a fresh object.
+
+``Combination`` is the same idea one level up: a dict {basis key:
+coefficient} with no zero, tied to the space it lives in.  Module vectors
+(``qmodule.ModuleVec``, Laurent coefficients) and quiver Hecke and affine
+Hecke elements (``klr.KLRElem``, ``klr.AHAElem``, int coefficients) share
+its +, -, scaling, equality and zero test.
 """
 
 from __future__ import annotations
 
-from .errors import NotDivisible
+from .errors import ContextMismatch, NotDivisible
 
 
 class LaurentInt:
@@ -240,3 +246,56 @@ def render(p: LaurentInt) -> str:
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return text
+
+
+class Combination:
+    """A finite combination of basis keys with coefficients in one ring.
+
+    ``terms`` maps each key to its coefficient and never holds a zero, so
+    equality is structural and the empty dict is zero.  ``space`` is the
+    tuple of a subclass's leading constructor arguments, so ``type(x)(*x.space)``
+    is the zero of x's space; elements of different spaces never mix.  A
+    subclass sets ``_zero``, its ring's zero, and ``_mismatch``, the message
+    of the ``ContextMismatch`` that mixing raises.  Elements are immutable by
+    contract: every operation returns a fresh element, and ``terms`` is
+    written only on a fresh element before it is returned.  They are
+    unhashable.
+    """
+
+    __slots__ = ("space", "terms")
+    _zero = 0
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.space == other.space
+                and self.terms == other.terms)
+
+    def __add__(self, other):
+        if self.space != other.space:
+            raise ContextMismatch(self._mismatch)
+        out = dict(self.terms)
+        zero = self._zero
+        for key, c in other.terms.items():
+            n = out.get(key, zero) + c
+            if n:
+                out[key] = n
+            else:
+                del out[key]
+        res = type(self)(*self.space)
+        res.terms = out
+        return res
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        """Every coefficient times c, an int or a ring element."""
+        res = type(self)(*self.space)
+        if c:
+            res.terms = {key: v * c for key, v in self.terms.items()}
+        return res

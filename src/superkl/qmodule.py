@@ -1,75 +1,42 @@
 """The U_q(sl_I)-module of tensor products of quantum exterior powers.
 
-Vectors are finitely supported maps from 01-matrix weights to Laurent
-polynomials.  The Chevalley actions come straight from the tensor-product
-formulas: f_j flips a (1,0)-pattern in columns (j, j+1) of some row i and
-contributes q to the power of the pairing of the lower rows with the
-simple root, sum_{r>i} (lam_{rj} - lam_{r,j+1}); e_j is the mirror image
-with exponent -sum_{r<i}.  All arithmetic is exact.
+Vectors are ``laurent.Combination``s: finitely supported maps from
+01-matrix weights to Laurent polynomials.  The Chevalley actions come
+straight from the tensor-product formulas: f_j flips a (1,0)-pattern in
+columns (j, j+1) of some row i and contributes q to the power of the
+pairing of the lower rows with the simple root, sum_{r>i} (lam_{rj} -
+lam_{r,j+1}); e_j is the mirror image with exponent -sum_{r<i}.  One
+function runs both.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from .errors import ColorOutsideInterval, ContextMismatch, NotDivisible
-from .laurent import LaurentInt, div_exact, one, qfact, zero
+from .laurent import Combination, LaurentInt, div_exact, one, qfact, zero
 from .weights import Interval, Matrix01, TypeNC
 
 
-class ModuleVec:
-    """A vector in the monomial basis; immutable by convention."""
+class ModuleVec(Combination):
+    """A vector in the monomial basis of the module over (interval, tnc)."""
 
-    __slots__ = ("interval", "tnc", "terms")
+    __slots__ = ()
+    _zero = zero
+    _mismatch = "vectors live in different modules"
 
     def __init__(self, interval: Interval, tnc: TypeNC, terms=None):
-        self.interval = interval
-        self.tnc = tnc
-        self.terms: dict[Matrix01, LaurentInt] = {}
-        if terms:
-            for lam, c in terms.items():
-                if c:
-                    self.terms[lam] = c
+        self.space = (interval, tnc)
+        self.terms: dict[Matrix01, LaurentInt] = (
+            {lam: c for lam, c in terms.items() if c} if terms else {})
+
+    interval = property(lambda v: v.space[0])
+    tnc = property(lambda v: v.space[1])
 
     @classmethod
     def monomial(cls, lam: Matrix01, coeff: LaurentInt = one) -> "ModuleVec":
         return cls(lam.interval, lam.tnc, {lam: coeff})
 
     def context(self):
-        return (self.interval, self.tnc)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, ModuleVec)
-                and self.context() == other.context()
-                and self.terms == other.terms)
-
-    def __add__(self, other: "ModuleVec") -> "ModuleVec":
-        if self.context() != other.context():
-            raise ContextMismatch("vectors live in different modules")
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            n = out.get(lam, zero) + c
-            if n:
-                out[lam] = n
-            else:
-                out.pop(lam, None)
-        res = ModuleVec(self.interval, self.tnc)
-        res.terms = out
-        return res
-
-    def __sub__(self, other: "ModuleVec") -> "ModuleVec":
-        return self + other.scale(LaurentInt.const(-1))
-
-    def scale(self, p: LaurentInt) -> "ModuleVec":
-        if not p:
-            return ModuleVec(self.interval, self.tnc)
-        res = ModuleVec(self.interval, self.tnc)
-        res.terms = {lam: c * p for lam, c in self.terms.items()}
-        return res
+        return self.space
 
     def coeff(self, lam: Matrix01) -> LaurentInt:
         return self.terms.get(lam, zero)
@@ -96,48 +63,38 @@ def _col_pair(lam: Matrix01, i: int, j: int) -> tuple[int, int]:
 
 def act_f(j: int, v: ModuleVec) -> ModuleVec:
     """Chevalley lowering operator f_j."""
-    _check_color(j, v.interval)
-    out: dict[Matrix01, LaurentInt] = {}
-    level = v.tnc.level
-    for lam, c in v.terms.items():
-        for i in range(level):
-            if _col_pair(lam, i, j) != (1, 0):
-                continue
-            e = 0
-            for r in range(i + 1, level):
-                e += lam.entry(r, j) - lam.entry(r, j + 1)
-            target = lam.flip(i, j)
-            add = c.shift(e)
-            n = out.get(target, zero) + add
-            if n:
-                out[target] = n
-            else:
-                out.pop(target, None)
-    res = ModuleVec(v.interval, v.tnc)
-    res.terms = out
-    return res
+    return _chevalley(j, v, (1, 0))
 
 
 def act_e(j: int, v: ModuleVec) -> ModuleVec:
     """Chevalley raising operator e_j."""
+    return _chevalley(j, v, (0, 1))
+
+
+def _chevalley(j: int, v: ModuleVec, pattern: tuple[int, int]) -> ModuleVec:
+    """f_j for pattern (1,0), e_j for (0,1), flipped in columns (j, j+1) of a row i.
+
+    f_j pays q to the pairing of the rows below i with a_j, e_j pays q^-1
+    to that of the rows above i.
+    """
     _check_color(j, v.interval)
     out: dict[Matrix01, LaurentInt] = {}
     level = v.tnc.level
+    lowering = pattern == (1, 0)
     for lam, c in v.terms.items():
         for i in range(level):
-            if _col_pair(lam, i, j) != (0, 1):
+            if _col_pair(lam, i, j) != pattern:
                 continue
             e = 0
-            for r in range(i):
-                e -= lam.entry(r, j) - lam.entry(r, j + 1)
+            for r in (range(i + 1, level) if lowering else range(i)):
+                e += lam.entry(r, j) - lam.entry(r, j + 1)
             target = lam.flip(i, j)
-            add = c.shift(e)
-            n = out.get(target, zero) + add
+            n = out.get(target, zero) + c.shift(e if lowering else -e)
             if n:
                 out[target] = n
             else:
-                out.pop(target, None)
-    res = ModuleVec(v.interval, v.tnc)
+                del out[target]
+    res = ModuleVec(*v.space)
     res.terms = out
     return res
 

@@ -159,6 +159,23 @@ def test_shared_psi_memo_never_changes_an_answer():
         assert w.terms == {convert_to_type(mu, flipped): c for mu, c in v.terms.items()}
 
 
+def test_position_rejects_a_weight_of_another_context_with_a_members_packed_int():
+    # a flipped type and a shifted interval hold the same 01-matrices, so
+    # canon._monomial packs them to the members' ints
+    tnc = TypeNC((2, 1, 2), (0, 1, 0))
+    I02 = Interval.finite(0, 2)
+    flipped = equivalent_type(tnc, I02, {0, 2})
+    for lam in enumerate_weights(I02, tnc):
+        block = canon.block_data(lam)
+        assert block.members[block.position(lam)] == lam
+        for other in (convert_to_type(lam, flipped),
+                      Matrix01(Interval.finite(3, 5), tnc,
+                               tuple(tuple(j + 3 for j in row) for row in lam.devs))):
+            assert canon._monomial(other) == canon._monomial(lam) and other != lam
+            with pytest.raises(KeyError):
+                block.position(other)
+
+
 def test_block_members_are_a_linear_extension():
     for interval, tnc in ((Interval.finite(0, 2), TypeNC((2, 1, 2), (1, 0, 1))),
                           (I01, TypeNC((1, 1, 1, 1), (0, 1, 0, 1))),

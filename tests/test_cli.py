@@ -205,6 +205,20 @@ def test_linkage(capsys):
     assert payload["up"] == [[0, 0]]
 
 
+@pytest.mark.parametrize("argv", [
+    ("superweight", "--n", "0", "--c", "0", "--coords", ""),
+    ("linkage", "--n", "0,0", "--c", "0,1", "--coords", ""),
+    ("bruhat", "--n", "0", "--c", "1", "--coords", "", "--mu-coords", ""),
+], ids=["superweight", "linkage", "bruhat"])
+def test_empty_coords_are_the_weight_of_no_coordinates(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    validate(argv[0], payload)
+    weights = [payload[k] for k in ("weight", "lhs", "rhs") if k in payload]
+    assert weights and all(w["coords"] == [] for w in weights)
+
+
 def test_youngdim(capsys):
     code, out, _ = run_cli(capsys, "youngdim", "--interval", "0:0",
                            "--n", "1,1", "--c", "0,0",

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superkl.errors import NotDivisible
+from superkl.errors import ContextMismatch, NotDivisible
+from superkl.klr import AHAElem, KLRContext, KLRElem, perm_identity
 from superkl.laurent import LaurentInt, bar, div_exact, one, q, qfact, qint, render, zero
+from superkl.qmodule import ModuleVec
+from superkl.weights import Interval, Matrix01, TypeNC, enumerate_weights
 
 
 def L(**kw):
@@ -124,3 +127,55 @@ def test_subs_neg_q():
     p = LaurentInt({2: 1, 1: 1, 0: 1, -1: 2})
     assert p.subs_neg_q() == LaurentInt({2: 1, 1: -1, 0: 1, -1: -2})
     assert p.subs_neg_q().subs_neg_q() == p
+
+
+# Combination: the arithmetic that module vectors and Hecke-algebra elements share
+
+_I01 = Interval.finite(0, 1)
+_SPACES = {
+    # kind: (two spaces, the constructor, up to 4 basis keys of a space, a coefficient)
+    "module": (((_I01, TypeNC((1, 1), (0, 0))), (_I01, TypeNC((1, 1), (0, 1)))), ModuleVec,
+               lambda space: sorted(enumerate_weights(*space), key=Matrix01.text),
+               st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), max_size=2).map(LaurentInt)),
+    "klr": (((KLRContext((0, 1), 2),), (KLRContext((0, 1), 3),)), KLRElem,
+            lambda space: [(w, (0,) * space[0].d, perm_identity(space[0].d))
+                           for w in space[0].words()][:4],
+            st.integers(-2, 2)),
+    "aha": (((2,), (3,)), AHAElem,
+            lambda space: [((k,) + (0,) * (space[0] - 1), perm_identity(space[0]))
+                           for k in range(4)],
+            st.integers(-2, 2)),
+}
+
+
+@st.composite
+def _combinations(draw):
+    """(x, y, z, a, b): x and y of one space, z of another, a and b scalars."""
+    spaces, cls, keys, coeff = _SPACES[draw(st.sampled_from(sorted(_SPACES)))]
+    first, second = draw(st.permutations(spaces))
+
+    def element(space):
+        return cls(*space, draw(st.dictionaries(st.sampled_from(keys(space)), coeff, max_size=4)))
+
+    return element(first), element(first), element(second), draw(coeff), draw(coeff)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_combinations())
+def test_combination_arithmetic_is_zero_free_and_checks_its_space(case):
+    x, y, z, a, b = case
+    total, diff = x + y, x - y
+    assert total - y == x and diff + y == x
+    assert not x - x and (x - x).is_zero()
+    assert x.scale(0).is_zero() and x.scale(0).space == x.space
+    assert x.scale(a) + x.scale(b) == x.scale(a + b)
+    for v in (total, diff, x.scale(a), x.scale(b), x.scale(a) + x.scale(b)):
+        assert all(v.terms.values()) and type(v) is type(x) and v.space == x.space
+    assert bool(x) == bool(x.terms) == (not x.is_zero())
+    with pytest.raises(ContextMismatch):
+        x + z
+    with pytest.raises(ContextMismatch):
+        x - z
+    assert x != z and not x == z and x != x.terms
+    with pytest.raises(TypeError):
+        hash(x)
