@@ -35,33 +35,41 @@ resulting unitriangular congruences.  d- and p-polynomials are the entries
 of the transition matrix and of its inverse at q -> -q.
 
 A block is keyed by its context and the ``column_counts`` its members
-share, which for one type decide the sl_I weight.  Both ways of building
-blocks read one integer per row choice, ``_choice_keys``: the choice's
-counts packed in a base larger than four times the level, so equal key sums
-mean equal counts.  ``BlockTable`` groups a whole context by each weight's
-sum, ``_packed_keys``.  A single weight's block, ``_block_members_direct``,
-meets in the middle: each half of the rows is enumerated row by row,
-dropping a choice tuple once some column's count can no longer reach
-lam's, the right half's tuples are indexed by key sum, and each left
-tuple looks up the sum that completes lam's key.  ``block_size`` counts
-a block on the same two halves with no member built: ``--max-block``
-refuses a block before it is made.
-Each block's registry key is still read off one member by ``_block_key``,
-and its members are sorted by ``_linear_extension``, from one table per
-row that holds each distinct row's share of the sort key, with no text
-rendered.  A process holds at most one ``BlockData`` per key, in
-``_single_block_cache``, and ``_registered`` is the one place a block is
-built and added there: ``block_data``, ``BlockTable`` and the core
-reduction all go through it, so a block's psi, d and p memos are shared
-whichever path reaches it first.  Tables are not memoized; the blocks are.
+share, which for one type decide the sl_I weight.  From the moment it is
+built, a block holds its members as one tuple of ``_monomial`` ints in a
+linear extension; ``members``, the same weights as ``Matrix01``, is made
+on first read.  The registry key (``_packed_block_key``) and the position
+map ``_mask_pos`` are read off the ints.  Every other per-member quantity
+is a sum or a join over rows, read from ``_RowTable``s: one table per row,
+keyed by the row's bits x & ones << i, whose entry is made from the row's
+deviations the first time the table meets that row.  ``_text_tables``
+hold each row's text, which ``texts`` and ``to_json`` join per weight;
+``_grid_shares`` hold each row's share of the ``_linear_extension`` sort
+key and of the order table of a block whose members deviate at the
+columns grid.
+
+Both ways of building blocks read two integers per row choice,
+``_choice_keys``: the choice's bits, and its counts packed in a base
+larger than four times the level, so equal key sums mean equal counts.
+``BlockTable`` sums both row by row over a whole context and groups the
+weights by key sum.  A single weight's block, ``_block_members_direct``,
+meets in the middle: each half of the rows is enumerated depth first,
+dropping a pick once some column's count can no longer reach lam's, the
+right half's picks are indexed by key sum, and each left pick looks up
+the sum that completes lam's key.  ``block_size`` counts with the same
+test and stops one past a cap: ``--max-block`` refuses a block before it
+is made, in memory linear in the rows' choices.  A process holds at most
+one ``BlockData`` per key, in ``_single_block_cache``, and ``_registered``
+is the one place a block is built and added there: ``block_data``,
+``BlockTable`` and the core reduction all go through it, so a block's
+psi, d and p memos are shared whichever path reaches it first.
 
 A block's one order table, ``_profiles``, holds one int per member: the
 signed prefix counts of rows 0..l-2 (``signed_profile``) as signed
-digits, summed from one share per distinct row (``_packed_profiles``).
-The last prefix row is the block's cumulative column counts, shared by
-every member.  ``BlockData.leq``, the psi check and ``poset`` test
-"every digit >=" with one subtraction and one mask; the table is built on
-first read, not at registration, and the oracle does not read it.
+digits.  The last prefix row is the block's cumulative column counts,
+shared by every member.  ``BlockData.leq``, the psi check and ``poset``
+test "every digit >=" with one subtraction and one mask; the table is
+built on first read, not at registration, and the oracle does not read it.
 
 A column is frozen in a block when every member has the same entries in
 it.  Deleting the frozen columns and renumbering the rest turns the
@@ -100,12 +108,14 @@ through T^-1.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache, reduce
+from itertools import combinations
 from math import prod
-from operator import itemgetter
+from operator import add, and_, itemgetter, or_
 
 from .errors import (
     IntervalInfinite,
@@ -121,17 +131,15 @@ from .weights import (
     Matrix01,
     TypeNC,
     WeightPI,
-    column_counts,
+    _row_text,
+    counts_weight,
     enumerate_weights,
     kappa,
     koszul_dual,
     koszul_dual_inverse,
     order_leq,
-    profile_grid,
-    row_choices,
     stable_window,
     truncate,
-    weight_of,
 )
 
 _psi_cache: dict[tuple[int, int, int], dict[int, dict[int, int]]] = {}
@@ -142,24 +150,30 @@ def clear_caches():
     _psi_cache.clear()
     _f_moves.clear()
     _single_block_cache.clear()
+    for memo in (_text_tables, _grid_shares):
+        memo.cache_clear()
 
 
-def _block_key(lam: Matrix01) -> tuple:
-    """The registry key of lam's block: its context and its sorted ``column_counts``."""
-    return (lam.interval, lam.tnc, tuple(sorted(column_counts(lam).items())))
+def _packed_block_key(interval: Interval, tnc: TypeNC, x: int) -> tuple:
+    """The registry key of the block of the packed weight x: its context and its
+    sorted ``column_counts``, a column's count its ones less the c_i = 1 rows."""
+    level, c1 = tnc.level, sum(tnc.c)
+    return interval, tnc, tuple((interval.lo + k, v) for k in range(interval.n_cols())
+                                if (v := (x >> k * level & (1 << level) - 1).bit_count() - c1))
 
 
 def _registered(key: tuple, build) -> "BlockData":
-    """The block under key in the registry; on a miss, one of build()'s weights, added.
+    """The block under key in the registry; on a miss, build()'s packed weights, added.
 
     This is the one place a block is made.  Its members are put in a linear
-    extension here, and its sl_I weight is read off one of them.
+    extension here, and its sl_I weight is read off the key's counts.
     """
     block = _single_block_cache.get(key)
     if block is None:
-        members = tuple(_linear_extension(build()))
-        block = _single_block_cache[key] = BlockData(key[0], key[1], weight_of(members[0]),
-                                                     members)
+        interval, tnc, counts = key
+        block = _single_block_cache[key] = BlockData(
+            interval, tnc, counts_weight(dict(counts), interval),
+            tuple(_linear_extension(interval, tnc, build())))
     return block
 
 
@@ -184,16 +198,6 @@ def _monomial(lam: Matrix01) -> int:
     return sum(map(_row_share(lam.interval, lam.tnc), range(len(lam.devs)), lam.devs))
 
 
-def _summed_shares(members: Sequence[Matrix01], share) -> list[int]:
-    """Each member's sum of share(i, row) over its rows, one call per distinct (i, row).
-
-    The members of a block repeat their rows, so each is packed once.
-    """
-    tables = [{row: share(i, row) for row in {m.devs[i] for m in members}}
-              for i in range(len(members[0].devs))]
-    return [sum(map(dict.__getitem__, tables, m.devs)) for m in members]
-
-
 def _from_monomial(x: int, interval: Interval, tnc: TypeNC) -> Matrix01:
     """The weight of a packed monomial in the context (interval, tnc).
 
@@ -209,6 +213,137 @@ def _from_monomial(x: int, interval: Interval, tnc: TypeNC) -> Matrix01:
     return Matrix01._trusted(interval, tnc, tuple(
         tuple(lo + k for k in ks if (x >> k * level + i) & 1 != ci)
         for i, ci in enumerate(tnc.c)))
+
+
+class _RowTable(dict):
+    """A quantity of row i of a context's weights, keyed by the row's bits
+    x & ones << i and made from its deviations on first read, once per distinct row."""
+
+    __slots__ = ("make", "i", "ci", "bits")
+
+    def __init__(self, interval: Interval, tnc: TypeNC, i: int, make):
+        super().__init__()
+        self.make, self.i, self.ci = make, i, tnc.c[i]
+        self.bits = [(j, 1 << (j - interval.lo) * tnc.level + i) for j in interval.cols()]
+
+    def __missing__(self, r: int):
+        ci = self.ci  # a deviation is an entry other than c_i
+        self[r] = value = self.make(self.i, ci, tuple([j for j, b in self.bits
+                                                       if (not r & b) == ci]))
+        return value
+
+
+# The per-row tables are pure functions of their arguments, so their bounded
+# memos can only hand back what those give; callers only read them.
+
+@lru_cache(maxsize=16)
+def _text_tables(interval: Interval, tnc: TypeNC) -> list[_RowTable]:
+    """Per row: its bits -> its ``_row_text``, the row's part of a weight's text."""
+    lo, hi = interval.lo, interval.hi + 1
+    return [_RowTable(interval, tnc, i, lambda i, ci, row: _row_text(lo, hi, ci, row))
+            for i in range(tnc.level)]
+
+
+@lru_cache(maxsize=64)
+def _grid_shares(interval: Interval, tnc: TypeNC, grid: tuple[int, ...]) -> tuple:
+    """(sort, top, order): per row, its share of the ``_linear_extension`` key
+    and of the order table ``BlockData._profiles`` of a block whose grid is grid.
+
+    The sum of a weight's ``signed_profile`` over the grid strictly
+    decreases upward in the order; ties are broken by text.  Row i (from 0)
+    lies in l - i prefix rows and a deviation at j in the grid entries from
+    index rank(j) on, so the sum is a block constant minus the key's high
+    part.  Over a finite interval every row renders across all of I_+, so
+    text order is the order of the rows' bitstrings read one after another,
+    as in ``row_choices``: their concatenation, as an integer, is the low
+    part of the key, and no text is rendered.
+
+    Order digit k * T + t, base B = 2^``_profile_bits``, is entry [k][t] of
+    the ``signed_profile`` over the T grid columns.  Row i counts between 0
+    and its n_i deviations, so two members' digits differ by at most the sum
+    of n_i over rows 0..l-2, below B/2: with B/2 at each digit of top,
+    a - b + top has every digit in [0, B), and its top bits are all set iff
+    every digit of a is >= b's.
+    """
+    level, width = tnc.level, interval.n_cols()
+    last, full = interval.lo + width - 1, (1 << width) - 1
+    base = 1 << _profile_bits(sum(tnc.n[:-1]))
+    digits = base ** len(grid)  # B^T, the weight of the next prefix row
+    rank = {j: bisect_left(grid, j) for j in interval.cols()}  # no member deviates off the grid
+    # a deviation at grid[r] counts at digits r..T-1 of a prefix row
+    upto = {j: (digits - base ** r) // (base - 1) for j, r in rank.items()}
+    factors = [(-1) ** ci * sum([digits ** k for k in range(i, level - 1)])
+               for i, ci in enumerate(tnc.c)]
+
+    def sort(i, ci, row):  # the profile key above the level * width bits of the text
+        bits = sum([1 << last - j for j in row])
+        return (((level - i) * (-1) ** ci * sum(map(rank.__getitem__, row)) << width * level)
+                + ((full ^ bits if ci else bits) << width * (level - 1 - i)))
+
+    def order(i, ci, row):
+        return factors[i] * sum(map(upto.__getitem__, row))
+    top = base // 2 * ((digits ** max(level - 1, 0) - 1) // (base - 1))
+    return ([_RowTable(interval, tnc, i, sort) for i in range(level)], top,
+            [_RowTable(interval, tnc, i, order) for i in range(level)])
+
+
+def _row_bits(interval: Interval, tnc: TypeNC, monomials: Sequence[int]) -> list[list[int]]:
+    """Per row i: each weight's bits of row i, x & ones << i, its key in every per-row table."""
+    ones = _column_ones(tnc.level, interval.n_cols())
+    return [[x & mask for x in monomials] for mask in [ones << i for i in range(tnc.level)]]
+
+
+def _summed(interval: Interval, tnc: TypeNC, monomials: Sequence[int],
+            tables: list[dict]) -> list[int]:
+    """Each weight's sum of its rows' entries in the per-row tables."""
+    acc = [0] * len(monomials)
+    for table, bits in zip(tables, _row_bits(interval, tnc, monomials)):
+        acc = list(map(add, acc, map(table.__getitem__, bits)))
+    return acc
+
+
+def _grid(interval: Interval, tnc: TypeNC, monomials: Sequence[int]) -> tuple[int, ...]:
+    """``profile_grid`` of packed weights: the columns where some weight has a
+    deviation, a 1 in a row of polarity 0 or a 0 in a row of polarity 1."""
+    level = tnc.level
+    polar = sum(_column_ones(level, interval.n_cols()) << i for i, ci in enumerate(tnc.c) if ci)
+    dev = reduce(or_, monomials) & ~polar | ~reduce(and_, monomials) & polar
+    return tuple(interval.lo + k for k in range(interval.n_cols())
+                 if dev >> k * level & (1 << level) - 1)
+
+
+def _linear_extension(interval: Interval, tnc: TypeNC, monomials: Sequence[int]) -> list[int]:
+    """A block's packed members sorted by their ``_grid_shares`` keys, no two equal:
+    lam < mu puts lam first."""
+    keys = _summed(interval, tnc, monomials, _grid_shares(interval, tnc, _grid(
+        interval, tnc, monomials))[0])
+    member = dict(zip(keys, monomials))
+    return [member[key] for key in sorted(keys)]
+
+
+class _PackedWeights:
+    """Weights of one finite context held as ``_monomial`` ints, rendered
+    from the ``_text_tables``: no text is made per weight."""
+
+    interval: Interval
+    tnc: TypeNC
+    monomials: Sequence[int]
+
+    def _rows(self):
+        """Each weight's ``Matrix01.row_strings``, as a tuple."""
+        rows = [list(map(texts.__getitem__, bits)) for texts, bits in zip(
+            _text_tables(self.interval, self.tnc),
+            _row_bits(self.interval, self.tnc, self.monomials))]
+        return zip(*rows) if rows else [()] * len(self.monomials)
+
+    def texts(self) -> list[str]:
+        """Each weight's ``Matrix01.text``."""
+        head = f"@{self.interval.lo}:"
+        return [head + "/".join(rows) for rows in self._rows()]
+
+    def to_json(self) -> list[dict]:
+        """Each weight's ``Matrix01.to_json``."""
+        return [{"window_start": self.interval.lo, "rows": list(rows)} for rows in self._rows()]
 
 
 class _Lowering(dict):
@@ -330,15 +465,16 @@ def bar_psi(v: ModuleVec) -> ModuleVec:
     return out
 
 
-class BlockData:
-    """One block: members sharing an sl_I weight, with psi/D/P matrices."""
+class BlockData(_PackedWeights):
+    """One block: members sharing an sl_I weight, with psi/D/P matrices.
+    ``monomials`` ascend in the order; ``members`` are made on first read."""
 
     def __init__(self, interval: Interval, tnc: TypeNC, weight: WeightPI,
-                 members: tuple[Matrix01, ...]):
+                 monomials: tuple[int, ...]):
         self.interval = interval
         self.tnc = tnc
         self.weight = weight
-        self.members = members  # ascending: position grows with the order
+        self.monomials = monomials
         self._rmat = None
         self._dmat = None
         self._pinv = None
@@ -346,7 +482,14 @@ class BlockData:
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.monomials)
+
+    def member(self, a: int) -> Matrix01:
+        return _from_monomial(self.monomials[a], self.interval, self.tnc)
+
+    @cached_property
+    def members(self) -> tuple[Matrix01, ...]:
+        return tuple(map(self.member, range(self.size)))
 
     def position(self, lam: Matrix01) -> int:
         """lam's position; KeyError for a weight outside the block.
@@ -361,13 +504,15 @@ class BlockData:
     @cached_property
     def _mask_pos(self) -> dict[int, int]:
         """The packed ``_monomial`` of each member -> its position."""
-        share = _row_share(self.interval, self.tnc)
-        return dict(zip(_summed_shares(self.members, share), range(self.size)))
+        return dict(zip(self.monomials, range(self.size)))
 
     @cached_property
     def _profiles(self) -> tuple[int, list[int]]:
-        """The block's order table, on first read: ``_packed_profiles`` of its members."""
-        return _packed_profiles(self.members)
+        """The block's order table, on first read: top, and each member's signed
+        prefix counts of rows 0..l-2 packed in one int, as ``_grid_shares`` says."""
+        _, top, order = _grid_shares(self.interval, self.tnc, _grid(
+            self.interval, self.tnc, self.monomials))
+        return top, _summed(self.interval, self.tnc, self.monomials, order)
 
     def leq(self, a: int, b: int) -> bool:
         """The (TP1) order on the members at positions a and b."""
@@ -377,7 +522,7 @@ class BlockData:
     @cached_property
     def _psi_rows(self) -> "_Rows":
         """Row a -> sparse map b -> {exponent: coefficient} of member b in psi(v_a)."""
-        return _checked_psi(self.members, self._mask_pos, self._profiles)
+        return _checked_psi(self.interval, self.tnc, self._mask_pos, self._profiles)
 
     def psi_matrix(self) -> list[dict[int, LaurentInt]]:
         """Every row of psi, each checked for triangularity and diagonal 1."""
@@ -402,10 +547,8 @@ class BlockData:
         its polarity and the deviations left in it.  A block of size 1 or
         with no frozen column is its own core.
         """
-        masks = list(self._mask_pos)
-        moving = 0
-        for x in masks[1:]:
-            moving |= x ^ masks[0]
+        monomials = self.monomials
+        moving = reduce(or_, monomials) ^ reduce(and_, monomials)
         level, ncols = self.tnc.level, self.interval.n_cols()
         column = (1 << level) - 1
         kept = [k for k in range(ncols) if moving >> k * level & column]
@@ -414,16 +557,15 @@ class BlockData:
         # a lone unfrozen column would be fixed by the row sums
         assert len(kept) >= 2, "a block of size >= 2 keeps at least two columns"
         reduced = [sum([(x >> k * level & column) << i * level for i, k in enumerate(kept)])
-                   for x in masks]
+                   for x in monomials]
         interval = Interval.finite(0, len(kept) - 2)
         ones = _column_ones(level, len(kept))
         tnc = TypeNC(tuple(len(kept) - m if ci else m for m, ci in zip(
             [(reduced[0] & ones << i).bit_count() for i in range(level)], self.tnc.c)), self.tnc.c)
-        core = _registered(_block_key(_from_monomial(reduced[0], interval, tnc)),
-                           lambda: [_from_monomial(x, interval, tnc) for x in reduced])
+        core = _registered(_packed_block_key(interval, tnc, reduced[0]), reduced.copy)
         pos = tuple(map(core._mask_pos.get, reduced))
         if core.size != self.size or None in pos:
-            raise SuperklError(f"block of {self.members[0].text()} and its core "
+            raise SuperklError(f"block of {self.member(0).text()} and its core "
                                f"differ in members")
         return core, pos
 
@@ -496,7 +638,7 @@ class _Rows(Sequence):
         return list(self) == list(other)
 
 
-def _checked_psi(members: tuple[Matrix01, ...], mask_pos: dict[int, int],
+def _checked_psi(interval: Interval, tnc: TypeNC, mask_pos: dict[int, int],
                  profiles: tuple[int, list[int]]) -> _Rows:
     """psi on a block's members, one row per first read.
 
@@ -505,24 +647,24 @@ def _checked_psi(members: tuple[Matrix01, ...], mask_pos: dict[int, int],
     read off the block's order table ``profiles``, with coefficient 1 at a
     itself.  Row a maps b to the {exponent: coefficient} map of its entry.
     """
-    masks = list(mask_pos)
-    interval, tnc = members[0].interval, members[0].tnc
+    monomials = list(mask_pos)
     ncols, level = interval.n_cols(), tnc.level
     top, packed = profiles
 
+    def text(x: int) -> str:
+        return _from_monomial(x, interval, tnc).text()
+
     def fill(a):
         row: dict[int, dict[int, int]] = {}
-        for x, coeffs in _grouped(_psi_kernel(ncols, level, masks[a]), ncols * level).items():
+        for x, coeffs in _grouped(_psi_kernel(ncols, level, monomials[a]), ncols * level).items():
             b = mask_pos.get(x)
             if b is None or (packed[a] - packed[b] + top) & top != top:
-                raise NonTriangularBar(f"psi(v[{members[a].text()}]) has support at "
-                                       f"{_from_monomial(x, interval, tnc).text()}")
+                raise NonTriangularBar(f"psi(v[{text(monomials[a])}]) has support at {text(x)}")
             row[b] = coeffs
         if row.get(a) != {0: 1}:
-            raise NonTriangularBar(
-                f"psi(v[{members[a].text()}]) diagonal coefficient is not 1")
+            raise NonTriangularBar(f"psi(v[{text(monomials[a])}]) diagonal coefficient is not 1")
         return row
-    return _Rows(len(members), fill)
+    return _Rows(len(monomials), fill)
 
 
 def _d_row(r: _Rows, a: int, stop: int | None = None) -> dict[int, LaurentInt]:
@@ -581,181 +723,163 @@ def _key_base(level: int) -> int:
     return 1 << (level.bit_length() + 2)
 
 
-def _choice_keys(interval: Interval, tnc: TypeNC) -> list[tuple[list[tuple[int, ...]], list[int]]]:
-    """Each row's ``row_choices``, with one packed key per choice.
+def _keyed(lam: Matrix01) -> tuple[int, list[tuple[list[int], list[int]]]]:
+    """lam's key sum and the ``_choice_keys`` of its context."""
+    interval, tnc = lam.interval, lam.tnc
+    if not interval.is_finite():
+        raise IntervalInfinite("blocks over infinite intervals can be infinite; truncate first")
+    base = _key_base(tnc.level)
+    return (sum([(-1 if ci else 1) * base ** (j - interval.lo)
+                 for ci, row in zip(tnc.c, lam.devs) for j in row]),
+            _choice_keys(interval, tnc))
+
+
+def _choice_keys(interval: Interval, tnc: TypeNC) -> list[tuple[list[int], list[int]]]:
+    """Each row's ``row_choices``, in order, as two lists: the choices' bits in a
+    ``_monomial`` and one packed key per choice.
 
     The key of a choice packs its signed deviation counts: the count v_j at
     column j is the digit of B^(j - lo), B = ``_key_base(level)``, so two
-    weights' key sums are equal iff their ``column_counts`` are.
+    weights' key sums are equal iff their ``column_counts`` are.  A row's
+    choices are the ``combinations`` of its columns, reversed for polarity 0,
+    so bits and keys are sums over combinations of per-column values.
     """
-    base = _key_base(tnc.level)
-    digit = {j: base ** (j - interval.lo) for j in interval.cols()}
-    return [(choices, [(-1 if ci else 1) * sum(map(digit.__getitem__, row)) for row in choices])
-            for choices, ci in zip(row_choices(interval, tnc), tnc.c)]
+    level, ncols, base = tnc.level, interval.n_cols(), _key_base(tnc.level)
+    ones, digits = _column_ones(level, ncols), [base ** k for k in range(ncols)]
+    rows = []
+    for i, (ni, ci) in enumerate(zip(tnc.n, tnc.c)):
+        bits = list(map(sum, combinations([1 << k * level + i for k in range(ncols)], ni)))
+        keys = list(map(sum, combinations(digits, ni)))
+        rows.append(([ones << i ^ b for b in bits], [-k for k in keys]) if ci
+                    else (bits[::-1], keys[::-1]))
+    return rows
 
 
-def _packed_keys(interval: Interval, tnc: TypeNC) -> list[int]:
-    """Each weight's ``column_counts`` packed in one integer, in enumeration order.
+def _packed_keys(interval: Interval, tnc: TypeNC) -> tuple[list[int], list[int]]:
+    """Each weight's key sum and ``_monomial``, in enumeration order: the
+    sums, row by row, of its rows' ``_choice_keys``."""
+    keys, monomials = [0], [0]
+    for bits, row_keys in _choice_keys(interval, tnc):
+        keys = [s + k for s in keys for k in row_keys]
+        monomials = [x + b for x in monomials for b in bits]
+    return keys, monomials
 
-    A weight's key is the sum of its rows' ``_choice_keys``.
-    """
-    sums = [0]
-    for _, keys in _choice_keys(interval, tnc):
-        sums = [s + k for s in sums for k in keys]
-    return sums
 
+class BlockTable(_PackedWeights):
+    """All blocks of one finite context, from one pass over its row choices.
 
-class BlockTable:
-    """All blocks of one finite context, from one enumeration.
-
-    ``weights`` is the enumeration, in ``enumerate_weights`` order.  The
+    ``monomials`` is every weight, packed, in ``enumerate_weights`` order;
+    ``weights``, the same as ``Matrix01``, is made on first read.  The
     weights are grouped by their ``_packed_keys``, and each group is looked
-    up in or added to the registry under the ``_block_key`` of its first
-    member, so ``blocks`` are shared with ``block_data``; they are sorted by
-    their sl_I weight.
+    up in or added to the registry under the ``_packed_block_key`` of its
+    first member, so ``blocks`` are shared with ``block_data``; they are
+    sorted by their sl_I weight.
     """
 
     def __init__(self, interval: Interval, tnc: TypeNC):
         self.interval = interval
         self.tnc = tnc
-        self.weights = enumerate_weights(interval, tnc)
-        groups: dict[int, list[Matrix01]] = {}
-        for key, lam in zip(_packed_keys(interval, tnc), self.weights):
-            groups.setdefault(key, []).append(lam)
+        keys, self.monomials = _packed_keys(interval, tnc)
+        groups: dict[int, list[int]] = {}
+        for key, x in zip(keys, self.monomials):
+            groups.setdefault(key, []).append(x)
         self.blocks: list[BlockData] = sorted(
-            (_registered(_block_key(group[0]), group.copy) for group in groups.values()),
+            (_registered(_packed_block_key(interval, tnc, group[0]), group.copy)
+             for group in groups.values()),
             key=lambda b: sorted(b.weight.items()))
 
+    @cached_property
+    def weights(self) -> list[Matrix01]:
+        return enumerate_weights(self.interval, self.tnc)
 
-def _completable_picks(rows, tnc: TypeNC, cols: range, target: int,
-                       span: range) -> list[tuple[tuple, int]]:
-    """The choice tuples of ``rows[span]`` that lam's key sum target can still
-    complete, in enumeration order, each with its residual: target minus its key sum.
 
-    Row by row, with feasibility pruning: every row not yet chosen moves a
+def _completable_picks(rows, tnc: TypeNC, cols: range, target: int, span: range):
+    """The picks of ``rows[span]`` that lam's key sum target can still complete,
+    in enumeration order, each as its summed bits and its residual: target
+    minus its key sum.
+
+    Depth first, with feasibility pruning: every row not yet chosen moves a
     column's count by at most one, up for polarity 0 and down for 1, so with
     p and m such rows left each residual count must lie in [-m, p].  All
     columns are checked at once on the packed residual r: the digits of
     r + (m + B/2)·ONES and of (p + B/2)·ONES - r lie in [0, B), and their
-    top bits are all set iff every residual count lies in [-m, p].
+    top bits are all set iff every residual count lies in [-m, p].  The
+    stack holds at most every row's choices once, so a caller that stops
+    early has used memory linear in the rows' choices, not in the picks.
     """
     base = _key_base(tnc.level)
     ones = sum([base ** (j - cols[0]) for j in cols])
     top = base // 2 * ones
     up = [bool(ni) and not ci for ni, ci in zip(tnc.n, tnc.c)]
     down = [bool(ni) and bool(ci) for ni, ci in zip(tnc.n, tnc.c)]
-    p, m = sum(up), sum(down)
-    picks = [((), target)]
+    p, m, bounds = sum(up), sum(down), []
     for i in span:
         p, m = p - up[i], m - down[i]
-        low, high = m * ones + top, p * ones + top
-        choices, keys = rows[i]
-        picks = [(pick + (choice,), rest) for pick, r in picks for choice, key in zip(choices, keys)
+        bounds.append((m * ones + top, p * ones + top, *rows[i]))
+    if not span:
+        yield 0, target
+    todo = [(0, 0, target)]
+    while todo and span:
+        d, pick, r = todo.pop()
+        low, high, bits, keys = bounds[d]
+        picks = [(pick + b, rest) for b, key in zip(bits, keys)
                  if ((rest := r - key) + low) & (high - rest) & top == top]
-    return picks
+        if d + 1 == len(span):
+            yield from picks
+        else:
+            todo += [(d + 1, *pick) for pick in reversed(picks)]
 
 
-def _halves(lam: Matrix01) -> tuple[int, list, list]:
-    """lam's key sum and the pruned ``_completable_picks`` of the two halves of the rows.
+def _block_members_direct(lam: Matrix01) -> list[int]:
+    """lam's block, packed: the weights of its context whose key sum is lam's.
 
-    The rows are cut where the halves have the closest numbers of choice
-    tuples; on a tie the left half is the larger.
+    Meets in the middle on ``_completable_picks`` of two halves of the rows,
+    cut where the halves have the closest numbers of choice tuples (on a
+    tie the left half is the larger).  The right half's picks are indexed by
+    their residuals, and each left pick, in enumeration order, is joined to
+    the right picks whose residual completes its key sum to lam's.  So the
+    members come out in enumeration order.
     """
     interval, tnc = lam.interval, lam.tnc
-    if not interval.is_finite():
-        raise IntervalInfinite("blocks over infinite intervals can be infinite; "
-                               "truncate first")
-    rows = _choice_keys(interval, tnc)
-    target = sum(keys[choices.index(row)] for (choices, keys), row in zip(rows, lam.devs))
-    sizes = [len(choices) for choices, _ in rows]
-    cut = min(range(len(rows), -1, -1),
-              key=lambda s: abs(prod(sizes[:s]) - prod(sizes[s:])))
-    cols = interval.cols()
-    return (target, _completable_picks(rows, tnc, cols, target, range(cut)),
-            _completable_picks(rows, tnc, cols, target, range(cut, len(rows))))
-
-
-def _block_members_direct(lam: Matrix01) -> list[Matrix01]:
-    """lam's block: the weights of its context whose packed key is lam's.
-
-    Meets in the middle on the ``_choice_keys`` of the ``_halves``.  The
-    right half's tuples are indexed by their residuals, and each left
-    tuple, in enumeration order, is joined to the right tuples whose
-    residual completes its key sum to lam's.  So the members come out in
-    enumeration order, which over a finite interval is text order.
-    """
-    target, left, right = _halves(lam)
-    completions: dict[int, list[tuple]] = {}
-    for pick, rest in right:
+    target, rows = _keyed(lam)
+    sizes = [len(bits) for bits, _ in rows]
+    cut = min(range(len(rows), -1, -1), key=lambda s: abs(prod(sizes[:s]) - prod(sizes[s:])))
+    completions: dict[int, list[int]] = {}
+    for pick, rest in _completable_picks(rows, tnc, interval.cols(), target,
+                                         range(cut, len(rows))):
         completions.setdefault(rest, []).append(pick)
-    # sorted picks of I_+, n_i per row: valid by construction
-    return [Matrix01._trusted(lam.interval, lam.tnc, head + pick) for head, rest in left
+    return [head + pick for head, rest in _completable_picks(rows, tnc, interval.cols(), target,
+                                                             range(cut))
             for pick in completions.get(target - rest, ())]
 
 
-def block_size(lam: Matrix01) -> int:
-    """The size of lam's block, counted on the ``_halves`` with no member built."""
-    target, left, right = _halves(lam)
-    counts = Counter(rest for _, rest in right)
-    return sum(counts[target - rest] for _, rest in left)
+def block_size(lam: Matrix01, cap: int) -> int:
+    """min(the size of lam's block, cap + 1), with no member built.
+
+    Each of the ``_completable_picks`` of all rows but the last adds the
+    number of the last row's choices whose key is its residual; the count
+    stops as soon as it passes cap, so it takes memory linear in the rows'
+    choices however large the block is.
+    """
+    target, rows = _keyed(lam)
+    finals, count = Counter(rows[-1][1] if rows else [0]), 0
+    for _, rest in _completable_picks(rows, lam.tnc, lam.interval.cols(), target,
+                                      range(len(rows) - 1)):
+        count += finals.get(rest, 0)
+        if count > cap:
+            return cap + 1
+    return count
 
 
 def block_data(lam: Matrix01) -> BlockData:
     """The block of lam: the cached one, or built directly from lam."""
-    return _registered(_block_key(lam), lambda: _block_members_direct(lam))
+    return _registered(_packed_block_key(lam.interval, lam.tnc, _monomial(lam)),
+                       lambda: _block_members_direct(lam))
 
 
 def _profile_bits(spread: int) -> int:
     """Bits per digit of a packed profile whose digit differences lie in [-spread, spread]."""
     return spread.bit_length() + 1
-
-
-def _packed_profiles(members: Sequence[Matrix01]) -> tuple[int, list[int]]:
-    """(top, each member's signed prefix counts of rows 0..l-2 packed in one int).
-
-    Digit k * T + t, base B = 2^``_profile_bits``, is entry [k][t] of the
-    ``signed_profile`` over the block's grid of T columns.  Row i counts
-    between 0 and its n_i deviations, so two members' digits differ by at
-    most the sum of n_i over rows 0..l-2, below B/2: with B/2 at each digit
-    of top, a - b + top has every digit in [0, B), and its top bits are all
-    set iff every digit of a is >= b's.
-    """
-    grid = profile_grid(members)
-    devs, c = members[0].devs, members[0].tnc.c
-    base = 1 << _profile_bits(sum(map(len, devs[:-1])))
-    digits = base ** len(grid)  # B^T, the weight of the next prefix row
-    # a deviation at grid[r] counts at digits r..T-1 of a prefix row
-    upto = {j: (digits - base ** r) // (base - 1) for r, j in enumerate(grid)}
-    factors = [(-1) ** ci * sum([digits ** k for k in range(i, len(c) - 1)])
-               for i, ci in enumerate(c)]
-    top = base // 2 * ((digits ** max(len(c) - 1, 0) - 1) // (base - 1))
-    return top, _summed_shares(members, lambda i, row: factors[i] * sum(map(upto.__getitem__, row)))
-
-
-def _linear_extension(members: list[Matrix01]) -> list[Matrix01]:
-    """Sort a block so that lam < mu implies lam comes first.
-
-    The sum of a weight's ``signed_profile`` over the block's grid strictly
-    decreases upward in the order; ties are broken by text.  Row i (from 0)
-    lies in l - i prefix rows and a deviation at j in the grid entries from
-    index rank(j) on, so the sum is a block constant minus the key below.
-    Over a finite interval every row renders across all of I_+, so text
-    order is the order of the rows' bitstrings read one after another, as
-    in ``row_choices``: their concatenation, as an integer, is the low part
-    of the key, and no text is rendered.
-    """
-    rank = {j: r for r, j in enumerate(profile_grid(members))}
-    cols, c = members[0].interval.cols(), members[0].tnc.c
-    width, level = len(cols), len(c)
-    full = (1 << width) - 1
-
-    def share(i, row):
-        # the profile key above the level * width bits of the text
-        bits = sum([1 << (cols[-1] - j) for j in row])
-        return (((level - i) * (-1) ** c[i] * sum(map(rank.get, row)) << width * level)
-                + ((full ^ bits if c[i] else bits) << width * (level - 1 - i)))
-    keys = _summed_shares(members, share)
-    return [members[a] for a in sorted(range(len(members)), key=keys.__getitem__)]
 
 
 def canonical_basis(lam: Matrix01) -> ModuleVec:
@@ -766,7 +890,7 @@ def canonical_basis(lam: Matrix01) -> ModuleVec:
     d = block.d_matrix()
     a = block.position(lam)
     out = ModuleVec(lam.interval, lam.tnc)
-    out.terms = {block.members[b]: c for b, c in d[a].items()}
+    out.terms = {block.member(b): c for b, c in d[a].items()}
     return out
 
 
@@ -880,7 +1004,7 @@ def dual_canonical(mu: Matrix01) -> ModuleVec:
     dual = koszul_dual(mu)
     block = block_data(dual)
     row = block.d_matrix()[block.position(dual)]
-    out.terms = {koszul_dual_inverse(block.members[b], mu.interval, mu.tnc): c.subs_neg_q()
+    out.terms = {koszul_dual_inverse(block.member(b), mu.interval, mu.tnc): c.subs_neg_q()
                  for b, c in row.items()}
     return out
 
@@ -898,7 +1022,7 @@ def twisted_canonical(lam: Matrix01) -> ModuleVec:
     d = block.d_matrix()
     a = block.position(rlam)
     out = ModuleVec(lam.interval, lam.tnc)
-    out.terms = {_reverse_rows(block.members[b]): c.bar()
+    out.terms = {_reverse_rows(block.member(b)): c.bar()
                  for b, c in d[a].items()}
     return out
 

@@ -73,24 +73,26 @@ def _vec_json(v: ModuleVec) -> list:
 class _BlockBasis:
     """The basis entries of one block of a whole-context ``canonical``, as pieces.
 
-    It holds the block's members, its d rows (read here, so ``_map_blocks``
-    runs the solve) and each member's rank in text order, the order of the
-    terms of a row as in ``_vec_json``.  ``coeffs`` is the command's memo
-    of ``render`` texts, keyed by the id of a d entry: the rows held here
-    keep every entry alive for as long as the memo, so no id is reused.
-    ``_map_blocks`` may build the pieces in threads; the memo is filled
-    only when entries are rendered, by the writer or the tsv/text rows in
-    one thread.  No per-term object is built.
+    It holds each member's JSON data form, read off the block's per-row
+    tables, its d rows (read here, so ``_map_blocks`` runs the solve) and
+    each member's rank in text order, the order of the terms of a row as in
+    ``_vec_json``.  ``coeffs`` is the command's memo of ``render`` texts,
+    keyed by the id of a d entry: the rows held here keep every entry alive
+    for as long as the memo, so no id is reused.  ``_map_blocks`` may build
+    the pieces in threads; the memo is filled only when entries are
+    rendered, by the writer or the tsv/text rows in one thread.  No per-term
+    object is built.
     """
 
     __slots__ = ("members", "rows", "rank", "coeffs", "fragments", "indent", "heads",
                  "compact")
 
     def __init__(self, block, coeffs: dict[int, str]):
-        self.members = members = block.members
+        self.members = members = block.to_json()
         self.rows = list(block.d_matrix())
         self.rank = [0] * len(members)
-        for r, b in enumerate(sorted(range(len(members)), key=lambda b: members[b].text())):
+        # text order: every member's rows have the same lengths
+        for r, b in enumerate(sorted(range(len(members)), key=lambda b: members[b]["rows"])):
             self.rank[b] = r
         self.coeffs = coeffs
         self.fragments = None  # each member's JSON text at depth 0, on first render
@@ -120,7 +122,7 @@ class _BlockBasis:
         """
         inner, item, field = indent + "  ", indent + "    ", indent + "      "
         if self.fragments is None:
-            self.fragments = [_json_text(m.to_json()) for m in self.members]
+            self.fragments = list(map(_json_text, self.members))
         if self.indent != indent:
             deeper = "\n" + field
             head, tail = f'{{{deeper}"basis": ', f',{deeper}"coeff": '
@@ -137,7 +139,7 @@ class _BlockBasis:
     def row_texts(self, a: int) -> tuple[str, str]:
         """Member a's tsv/text row: its ``json.dumps`` text and its terms."""
         if self.compact is None:
-            self.compact = [json.dumps(m.to_json()) for m in self.members]
+            self.compact = list(map(json.dumps, self.members))
         compact, coeff, row = self.compact, self.coeff, self.rows[a]
         return compact[a], " + ".join([f"({coeff(row[b])}) {compact[b]}"
                                        for b in self.terms(a)])
@@ -173,12 +175,12 @@ def cmd_poset(args):
     covers = []
     for block in table.blocks:  # the order never relates two blocks
         # members is a linear extension, so only a later member can lie above
-        size, text = block.size, [m.text() for m in block.members]
+        size, text = block.size, block.texts()
         above = [{b for b in range(a + 1, size) if block.leq(a, b)} for a in range(size)]
         covers += [(text[a], text[b]) for a, ups in enumerate(above)
                    for b in ups.difference(*(above[c] for c in ups))]
     covers.sort()
-    payload = {"weights": [w.to_json() for w in table.weights], "count": len(table.weights),
+    payload = {"weights": table.to_json(), "count": len(table.monomials),
                "covers": [{"lower": a, "upper": b} for a, b in covers]}
     return payload, covers
 
@@ -187,7 +189,7 @@ def cmd_blocks(args):
     interval, tnc = _context(args)
     table = canon.BlockTable(interval, tnc)
     blocks = [{"weight": b.weight.to_json(),
-               "members": [m.text() for m in b.members]}
+               "members": b.texts()}
               for b in table.blocks]
     payload = {"blocks": blocks, "count": len(blocks)}
     rows = ((json.dumps(b["weight"]), " ".join(b["members"])) for b in blocks)
@@ -201,8 +203,8 @@ def _over_budget(args, lam) -> BudgetExceeded:
 def _check_block_budget(args, lam, built=None):
     """Refuse lam when the block the command builds for it, the block of
     ``built`` (of lam itself by default), exceeds --max-block.  The block
-    is counted, not built, so a refused one is never made."""
-    if args.max_block and canon.block_size(built or lam) > args.max_block:
+    is counted up to one past the budget, so a refused one is never made."""
+    if args.max_block and canon.block_size(built or lam, args.max_block) > args.max_block:
         raise _over_budget(args, lam)
 
 
@@ -216,17 +218,17 @@ def cmd_canonical(args):
             f"({t['coeff']}) {json.dumps(t['basis'])}" for t in e["terms"])) for e in basis)
     table = canon.BlockTable(interval, tnc)
     if args.max_block:  # name the first weight, in enumeration order, over budget
-        over = {lam for block in table.blocks if block.size > args.max_block
-                for lam in block.members}
-        for lam in table.weights:
-            if lam in over:
-                raise _over_budget(args, lam)
+        over = {x for block in table.blocks if block.size > args.max_block
+                for x in block.monomials}
+        for x in table.monomials:
+            if x in over:
+                raise _over_budget(args, canon._from_monomial(x, interval, tnc))
     coeffs: dict[int, str] = {}  # this command's coefficient texts, see _BlockBasis
     blocks = _map_blocks(lambda block: _BlockBasis(block, coeffs), table.blocks, args.threads)
-    entries = {lam: _Entry(block, a) for block in blocks
-               for a, lam in enumerate(block.members)}
+    entries = {x: _Entry(pieces, a) for block, pieces in zip(table.blocks, blocks)
+               for a, x in enumerate(block.monomials)}
     # enumeration order is the sorted order of the lambda JSON
-    basis = [entries[lam] for lam in table.weights]
+    basis = [entries[x] for x in table.monomials]
     return {"basis": basis}, (e.block.row_texts(e.a) for e in basis)
 
 

@@ -246,18 +246,17 @@ class Matrix01:
         """
         text = self.__dict__.get("_text")
         if text is None:
-            lo, hi = self.window()
-            text = self.__dict__["_text"] = f"@{lo}:" + "/".join(
-                [_row_text(lo, hi, ci, row) for ci, row in zip(self.tnc.c, self.devs)])
+            data = self.to_json()
+            text = self.__dict__["_text"] = f"@{data['window_start']}:" + "/".join(data["rows"])
         return text
 
     def row_strings(self) -> list[str]:
-        return self.text().partition(":")[2].split("/") if self.devs else []
+        return self.to_json()["rows"]
 
     def to_json(self) -> dict:
-        text = self.text()
-        return {"window_start": int(text[1:text.index(":")]),
-                "rows": self.row_strings()}
+        lo, hi = self.window()
+        return {"window_start": lo,
+                "rows": [_row_text(lo, hi, ci, row) for ci, row in zip(self.tnc.c, self.devs)]}
 
     def __str__(self):
         return self.text()
@@ -468,14 +467,18 @@ def weight_of(lam: Matrix01) -> WeightPI:
     Rows of baseline 1 are handled through their deviations: the all-ones
     row has weight zero in every interval, so such a row contributes
     -eps_j for each deviation column j, so the weight is sum_j v_j eps_j
-    over the ``column_counts`` v.
+    over the ``column_counts`` v, ``counts_weight``.
     """
+    return counts_weight(column_counts(lam), lam.interval)
+
+
+def counts_weight(counts: dict[int, int], interval: Interval) -> WeightPI:
+    """sum_j v_j eps_j over the column counts v, eps_j = w_j - w_(j-1) inside I."""
     out = WeightPI()
-    iv = lam.interval
-    for j, v in column_counts(lam).items():
-        if j in iv:
+    for j, v in counts.items():
+        if j in interval:
             out.add_into(j, v)
-        if j - 1 in iv:
+        if j - 1 in interval:
             out.add_into(j - 1, -v)
     return out
 

@@ -62,6 +62,11 @@ def random_infinite_matrix(rng, interval, tnc, span=6):
     return Matrix01(interval, tnc, devs)
 
 
+def block_key(lam: Matrix01) -> tuple:
+    """The registry key of lam's block, ``_packed_block_key`` of its ``_monomial``."""
+    return canon._packed_block_key(lam.interval, lam.tnc, canon._monomial(lam))
+
+
 def p_column(mu: Matrix01) -> dict:
     """b*_mu read as the column of p at mu, the reading ``dual_canonical`` replaced."""
     block = canon.block_data(mu)

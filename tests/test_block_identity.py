@@ -8,7 +8,7 @@ part every context exactly as ``column_counts`` does.
 
 from collections import defaultdict
 
-from conftest import sweep_contexts
+from conftest import block_key, sweep_contexts
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -95,7 +95,12 @@ def test_block_key_and_weight_of_match_the_reference_weight(weights):
     for lam in weights:
         assert dict(weight_of(lam)) == refs[lam]
         assert same_block(weights[0], lam) == (refs[weights[0]] == refs[lam])
-    assert partition(weights, canon._block_key) == partition(
+    # blocks, and with them the registry key, exist over finite intervals only;
+    # there the key is the context and the sorted column counts
+    counts = {lam: tuple(sorted(column_counts(lam).items())) for lam in weights}
+    if weights[0].interval.is_finite():
+        assert all(block_key(lam) == (lam.interval, lam.tnc, counts[lam]) for lam in weights)
+    assert partition(weights, counts.__getitem__) == partition(
         weights, lambda lam: tuple(sorted(refs[lam].items())))
 
 
@@ -107,7 +112,8 @@ def test_direct_members_are_the_table_block(context, pick):
         return
     lam = table.weights[pick % len(table.weights)]
     (block,) = [b for b in table.blocks if lam in b.members]
-    assert set(canon._block_members_direct(lam)) == set(block.members)
+    assert set(canon._block_members_direct(lam)) == set(block.monomials)
+    assert set(block.monomials) == set(map(canon._monomial, block.members))
 
 
 def counts_partition(weights) -> set[frozenset]:
@@ -117,8 +123,10 @@ def counts_partition(weights) -> set[frozenset]:
 def test_packed_keys_are_the_column_counts_on_the_acceptance_contexts():
     for interval, tnc in sweep_contexts():
         weights = enumerate_weights(interval, tnc)
-        keys = dict(zip(weights, canon._packed_keys(interval, tnc), strict=True))
+        packed, monomials = canon._packed_keys(interval, tnc)
+        keys = dict(zip(weights, packed, strict=True))
         assert partition(weights, keys.__getitem__) == counts_partition(weights)
+        assert monomials == list(map(canon._monomial, weights))
 
 
 @st.composite
@@ -138,8 +146,10 @@ def wide_context(draw):
 @given(wide_context())
 def test_packed_keys_are_the_column_counts(context):
     weights = enumerate_weights(*context)
-    keys = dict(zip(weights, canon._packed_keys(*context), strict=True))
+    packed, monomials = canon._packed_keys(*context)
+    keys = dict(zip(weights, packed, strict=True))
     assert partition(weights, keys.__getitem__) == counts_partition(weights)
+    assert monomials == list(map(canon._monomial, weights))
 
 
 def test_block_table_blocks_and_registry_keys_are_the_column_count_groups():
@@ -149,10 +159,10 @@ def test_block_table_blocks_and_registry_keys_are_the_column_count_groups():
         canon.clear_caches()
         groups = defaultdict(set)
         for lam in enumerate_weights(interval, tnc):
-            groups[canon._block_key(lam)].add(lam)
+            groups[block_key(lam)].add(lam)
         table = canon.BlockTable(interval, tnc)
-        assert {canon._block_key(b.members[0]): set(b.members) for b in table.blocks} == groups
-        assert all(canon._single_block_cache[canon._block_key(b.members[0])] is b
+        assert {block_key(b.members[0]): set(b.members) for b in table.blocks} == groups
+        assert all(canon._single_block_cache[block_key(b.members[0])] is b
                    for b in table.blocks)
         weights = [sorted(b.weight.items()) for b in table.blocks]
         assert weights == sorted(weights)
@@ -160,20 +170,25 @@ def test_block_table_blocks_and_registry_keys_are_the_column_count_groups():
 
 
 def test_block_table_reads_column_counts_per_block_not_per_weight(monkeypatch):
-    calls = 0
+    # a block's registry key is the column counts of its first packed member
+    calls = {"column_counts": 0, "_packed_block_key": 0}
 
-    def counted(lam):
-        nonlocal calls
-        calls += 1
-        return column_counts(lam)
-    monkeypatch.setattr(canon, "column_counts", counted)
-    monkeypatch.setattr(weights_module, "column_counts", counted)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(canon, "_packed_block_key",
+                        counted("_packed_block_key", canon._packed_block_key))
+    monkeypatch.setattr(weights_module, "column_counts", counted("column_counts", column_counts))
     context = Interval.finite(0, 3), TypeNC((2, 2, 2, 2), (0, 1, 0, 1))
     canon.clear_caches()
     table = canon.BlockTable(*context)
-    # one registry key and one sl_I weight per block built
-    assert calls <= 2 * len(table.blocks) < len(table.weights) // 10
-    calls = 0
+    # one registry key per block built, which also gives its sl_I weight
+    assert calls == {"column_counts": 0, "_packed_block_key": len(table.blocks)}
+    assert len(table.blocks) < len(table.monomials) // 10
+    calls.update(dict.fromkeys(calls, 0))
     assert canon.BlockTable(*context).blocks == table.blocks
-    assert calls == len(table.blocks)  # warm: one registry key per block
+    # warm: one registry key per block
+    assert calls == {"column_counts": 0, "_packed_block_key": len(table.blocks)}
     canon.clear_caches()

@@ -119,7 +119,7 @@ def test_psi_matrix_rejects_support_outside_the_order(monkeypatch):
                 return terms
             return {**terms, mu: terms.get(mu, 0) + 1}
         monkeypatch.setattr(canon, "_psi_kernel", skewed)
-        fresh = canon.BlockData(interval, tnc, block.weight, block.members)
+        fresh = canon.BlockData(interval, tnc, block.weight, block.monomials)
         with pytest.raises(NonTriangularBar) as err:
             fresh.psi_matrix()
         assert str(err.value) == f"psi(v[{lam.text()}]) {message}"

@@ -260,7 +260,8 @@ def over_budget(capsys, monkeypatch, argv, weight, budget):
     """
     canonical.clear_caches()
     counted, size = [], canonical.block_size
-    monkeypatch.setattr(canonical, "block_size", lambda lam: counted.append(lam) or size(lam))
+    monkeypatch.setattr(canonical, "block_size",
+                        lambda lam, cap: counted.append(lam) or size(lam, cap))
     code, out, err = run_cli(capsys, *argv, "--max-block", str(budget - 1))
     assert code == 2 and out == ""
     assert err == ('{"error": "budget", "message": "block of '
@@ -922,7 +923,8 @@ def test_a_swapped_term_or_a_shifted_indent_is_caught(monkeypatch, capsys):
 
 
 def test_members_and_coefficients_are_rendered_once(monkeypatch, capsys):
-    # each member's fragment once per block, each d entry once per command
+    # each member's data once per block, its fragment (json) or compact text
+    # (tsv) once per member, each d entry once per command
     interval, tnc = CONTEXT_A
     canonical.clear_caches()
     table = canonical.BlockTable(interval, tnc)
@@ -930,23 +932,33 @@ def test_members_and_coefficients_are_rendered_once(monkeypatch, capsys):
                for c in row.values()}
     terms = sum(len(row) for block in table.blocks for row in block.d_matrix())
     assert terms > len(entries)
-    for fmt in ("json", "tsv"):
-        calls = {"to_json": 0, "render": 0}
-        to_json, render = Matrix01.to_json, cli.render
+    for fmt, text_of in (("json", (cli, "_json_text")), ("tsv", (cli.json, "dumps"))):
+        calls = {"to_json": 0, "member_text": 0, "render": 0}
+        to_json, render, text = canonical.BlockData.to_json, cli.render, getattr(*text_of)
+        members = {}  # id -> member dict, held so that no id is reused
 
-        def counted_to_json(lam):
-            calls["to_json"] += 1
-            return to_json(lam)
+        def counted_to_json(block):  # the members' JSON, read off the block's per-row tables
+            out = to_json(block)
+            calls["to_json"] += len(out)
+            members.update((id(m), m) for m in out)
+            return out
+
+        def counted_text(obj, *args, **kwargs):
+            calls["member_text"] += id(obj) in members
+            return text(obj, *args, **kwargs)
 
         def counted_render(c):
             calls["render"] += 1
             return render(c)
-        monkeypatch.setattr(Matrix01, "to_json", counted_to_json)
+        monkeypatch.setattr(canonical.BlockData, "to_json", counted_to_json)
+        monkeypatch.setattr(Matrix01, "to_json", None)  # no member is a Matrix01
+        monkeypatch.setattr(*text_of, counted_text)
         monkeypatch.setattr(cli, "render", counted_render)
         code, _, _ = run_cli(capsys, *context_argv(interval, tnc, fmt))
         monkeypatch.undo()
         assert code == 0
-        assert calls == {"to_json": len(table.weights), "render": len(entries)}
+        assert calls == {"to_json": len(table.weights), "member_text": len(table.weights),
+                         "render": len(entries)}
 
 
 _scalars = st.none() | st.booleans() | st.integers() | st.text(max_size=4)

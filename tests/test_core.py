@@ -19,7 +19,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from conftest import sweep_contexts
+from conftest import block_key, sweep_contexts
 
 import superkl.canonical as canon
 from superkl import cli
@@ -81,7 +81,7 @@ def check_core(block):
         reduced = reduced_members(block)
         assert len(reduced) == block.size
         assert [core.members[x] for x in pos] == reduced, block.members[0].text()
-        assert set(canon._block_members_direct(reduced[0])) == set(reduced)
+        assert set(canon._block_members_direct(reduced[0])) == set(map(canon._monomial, reduced))
     d = block._solve_d()
     assert block.d_matrix() == d, block.members[0].text()
     p = reference_inverse(d)
@@ -121,7 +121,7 @@ def test_cores_are_shared_through_the_registry(monkeypatch, tmp_path):
     cores = [b.core()[0] for b in blocks]
     by_key = {}
     for block, core in zip(blocks, cores):
-        by_key.setdefault(canon._block_key(core.members[0]), []).append(core)
+        by_key.setdefault(block_key(core.members[0]), []).append(core)
     # two blocks with equal cores share one core object
     shared = next(group for group in by_key.values() if len(group) > 1)
     assert all(core is shared[0] for core in shared)
@@ -130,7 +130,7 @@ def test_cores_are_shared_through_the_registry(monkeypatch, tmp_path):
     for block, core in zip(blocks, cores):
         # block_data on a core member returns the registered core object
         assert canon.block_data(core.members[-1]) is core
-        assert canon._single_block_cache[canon._block_key(core.members[0])] is core
+        assert canon._single_block_cache[block_key(core.members[0])] is core
 
     # whole-context canonical solves one block per core: 31 of 336
     solved = []
@@ -178,11 +178,11 @@ def test_a_registered_core_with_other_members_is_refused():
     canon.clear_caches()
     blocks = canon.BlockTable(interval, tnc).blocks
     block, core = next((b, b.core()[0]) for b in blocks if b.size > 2 and b.core()[0] is not b)
-    key = canon._block_key(core.members[0])
+    key = block_key(core.members[0])
     canon.clear_caches()
     canon._single_block_cache[key] = canon.BlockData(core.interval, core.tnc, core.weight,
-                                                     core.members[:-1])
-    fresh = canon.BlockData(block.interval, block.tnc, block.weight, block.members)
+                                                     core.monomials[:-1])
+    fresh = canon.BlockData(block.interval, block.tnc, block.weight, block.monomials)
     with pytest.raises(SuperklError, match="and its core differ in members"):
         fresh.d_matrix()
 
@@ -212,7 +212,7 @@ def test_random_block_core_matches_the_unreduced_solve(context, pick_block):
     blocks = [b for b in blocks if b.size > 1] or blocks
     block = blocks[pick_block % len(blocks)]
     core = check_core(block)
-    assert set(canon._block_members_direct(core.members[0])) == set(core.members)
+    assert set(canon._block_members_direct(core.members[0])) == set(core.monomials)
     for member in block.members:  # psi is an involution
         assert canon.bar_psi(canon.psi_monomial(member)) == ModuleVec.monomial(member)
 
@@ -225,8 +225,8 @@ def test_random_direct_members_are_the_column_counts_filter(context, pick):
     lam = weights[pick % len(weights)]
     counts = column_counts(lam)
     members = canon._block_members_direct(lam)
-    assert members == [w for w in weights if column_counts(w) == counts]
-    assert canon.block_size(lam) == len(members)
+    assert members == [canon._monomial(w) for w in weights if column_counts(w) == counts]
+    assert canon.block_size(lam, len(weights)) == len(members)
 
 
 def packed_order_mismatches(context) -> int:
@@ -383,7 +383,7 @@ def test_rows_read_in_any_order_match_the_eager_solve(context, pick_block, reads
     blocks = [b for b in blocks if b.size > 1] or blocks
     block = blocks[pick_block % len(blocks)]
     # an unregistered copy of the block gives the eager reference
-    copy = canon.BlockData(block.interval, block.tnc, block.weight, block.members)
+    copy = canon.BlockData(block.interval, block.tnc, block.weight, block.monomials)
     want = {"d": eager_d(copy.psi_matrix())}
     want["p"] = reference_inverse(want["d"])
     canon.clear_caches()
@@ -496,7 +496,7 @@ def test_a_bad_psi_row_that_kl_d_reads_is_refused(monkeypatch):
         return {**terms, extra: terms.get(extra, 0) + 1} if x == bad else terms
 
     monkeypatch.setattr(canon, "_psi_kernel", skewed)
-    fresh = canon.BlockData(core.interval, core.tnc, core.weight, core.members)
+    fresh = canon.BlockData(core.interval, core.tnc, core.weight, core.monomials)
     with pytest.raises(NonTriangularBar) as eager:
         fresh.psi_matrix()
     canon.clear_caches()

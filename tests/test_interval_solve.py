@@ -13,7 +13,7 @@ control is a column solve that drops the k = mu term of its sum.
 
 import random
 
-from conftest import sweep_contexts
+from conftest import block_key, sweep_contexts
 
 import superkl.canonical as canon
 from superkl.laurent import zero
@@ -54,7 +54,7 @@ def test_every_pair_of_the_acceptance_contexts():
         canon.clear_caches()
         for block in canon.BlockTable(interval, tnc).blocks:
             core, pos = block.core()
-            key = (canon._block_key(core.members[0]), pos)
+            key = (block_key(core.members[0]), pos)
             if key in seen:
                 continue
             seen.add(key)

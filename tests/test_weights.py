@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superkl.canonical import (
-    _block_key,
     _block_members_direct,
     _registered,
     clear_caches,
@@ -42,7 +41,7 @@ from superkl.weights import (
     truncate,
     weight_of,
 )
-from conftest import random_infinite_matrix, sweep_contexts
+from conftest import block_key, random_infinite_matrix, sweep_contexts
 
 
 I00 = Interval.finite(0, 0)
@@ -364,11 +363,11 @@ def test_parse_matrix_rows_span_the_finite_interval():
 
 
 def test_unchecked_weights_pass_the_checked_constructor():
-    # enumerate_weights, flip (so the crystal operators), the direct block
-    # generator and the row-bitmask reader (so every core's members and the
-    # psi terms) build their results without validation; the public
-    # constructor re-checks them all (tests/test_koszul_dual.py does the
-    # same for koszul_dual and its inverse)
+    # enumerate_weights, flip (so the crystal operators) and the row-bitmask
+    # reader (so every block's and core's members, built from the direct
+    # generator's packed ints, and the psi terms) build their results
+    # without validation; the public constructor re-checks them all
+    # (tests/test_koszul_dual.py does the same for koszul_dual and its inverse)
     def assert_valid(lam):
         assert Matrix01(lam.interval, lam.tnc, lam.devs) == lam
 
@@ -379,14 +378,13 @@ def test_unchecked_weights_pass_the_checked_constructor():
         keys = set()
         for lam in enumerate_weights(interval, tnc):
             assert_valid(lam)
-            key = _block_key(lam)
+            key = block_key(lam)
             if key not in keys:
                 keys.add(key)
-                members = _block_members_direct(lam)
-                for member in members:
+                block = _registered(key, lambda: _block_members_direct(lam))
+                for member in block.members:
                     assert_valid(member)
                     built += 1
-                block = _registered(key, lambda: members)
                 core = block.core()[0]
                 for member in core.members:
                     assert_valid(member)
