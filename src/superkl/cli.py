@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -288,16 +289,17 @@ def cmd_prinjective(args):
         return payload, ((m,) for m in members)
     if args.max_r < 1:
         raise SuperklError(f"--max-r must be at least 1, got {args.max_r}")
-    tower = crys.WindowTower(interval, tnc, schedule=args.schedule)
+    tower = crys.WindowTower(interval, tnc)
     lam = parse_matrix(args.matrix, interval, tnc)
     r = crys.is_prinjective(lam, tower, args.max_r)
     windows = [{"r": k, "interval": tower.window(k).text(),
                 "kappa": tower.kappa_r(k).text()}
                for k in range(1, args.max_r + 1)]
-    shifts = [{"r": k, "word": list(tower.shift(k).word),
-               "sigma": str(tower.shift(k).sigma),
-               "Sigma": str(tower.sigma_total(k + 1))}
-              for k in range(1, args.max_r)]
+    steps = [tower.shift(k) for k in range(1, args.max_r)]
+    # Sigma_{k+1} = sigma_1 + ... + sigma_k, one shift per step
+    totals = itertools.accumulate(step.sigma for step in steps)
+    shifts = [{"r": k, "word": list(step.word), "sigma": str(step.sigma), "Sigma": str(total)}
+              for k, (step, total) in enumerate(zip(steps, totals), 1)]
     payload = {"matrix": lam.to_json(),
                "prinjective": True if r is not None else "unknown",
                "r": r, "windows": windows, "shifts": shifts,
@@ -431,7 +433,6 @@ _OPTIONS = (
                      help="window budget for prinjective search")),
     ("--max-block", dict(type=int, default=0, dest="max_block",
                          help="refuse blocks larger than this (0 = unlimited)")),
-    ("--schedule", dict(default="default", help="tower growth: " + "|".join(crys.SCHEDULES))),
     ("--threads", dict(type=int, default=1)),
     ("--out", dict(default="", help="write output to FILE")),
 )
@@ -551,8 +552,8 @@ def main(argv=None) -> int:
             dot = result[2] if len(result) > 2 else None
             meta = {"command": args.command, "interval": args.interval}
             if args.n:
-                meta["type"] = {"n": [int(x) for x in args.n.split(",")],
-                                "c": [int(x) for x in args.c.split(",")]}
+                tnc = _parse_type(args)
+                meta["type"] = {"n": list(tnc.n), "c": list(tnc.c)}
             if isinstance(payload, dict):
                 payload = {**meta, **payload}
             text, code = _emit(args, payload, rows, dot), 0

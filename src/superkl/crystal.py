@@ -14,18 +14,24 @@ choice, the label and the index step to the weight with that row flipped;
 a weight's scan is then a loop over its rows with a '+' counter, and the
 f-target is the enumerated weight at the index plus the step.
 ``crystal_f`` and ``crystal_e`` stay the per-weight rule, which
-``_component`` follows and the tests compare the table with.
+``_component`` and ``is_prinjective`` follow and the tests compare the
+table with.
 
 For infinite intervals the prinjective set is the nested union of the
-components of the highest weights of a tower of finite windows growing
-toward the unbounded side(s); the tower also carries the word and shift
+components Lambda^o_r of the highest weights kappa^r of a tower of finite
+windows I_1 c I_2 c ...  A half line grows one column per step toward its
+open end, and Z grows alternately, left first, so each window is a closed
+form in r.  Each component of a window's crystal has exactly one highest
+weight (Kashiwara), which every weight of it reaches by e-edges and from
+which f-edges reach the whole component: Lambda^o_r is the f-closure of
+kappa^r, and a weight lies in it iff raising it by e-edges of the colors
+of I_r ends at kappa^r.  The tower also carries the word and shift
 bookkeeping attached to each enlargement step.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -90,17 +96,32 @@ def same_block(lam: Matrix01, mu: Matrix01) -> bool:
 
 
 def _component(start: Matrix01, colors) -> set[Matrix01]:
+    """The weights f-edges of the colors reach from start, start included.
+
+    For a highest weight this is its whole component.
+    """
     seen = {start}
-    queue = deque([start])
-    while queue:
-        lam = queue.popleft()
+    stack = [start]
+    while stack:
+        lam = stack.pop()
         for i in colors:
-            for step in (crystal_f, crystal_e):
-                nxt = step(lam, i)
-                if nxt is not None and nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
+            nxt = crystal_f(lam, i)
+            if nxt is not None and nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
     return seen
+
+
+def _top(lam: Matrix01, colors) -> Matrix01:
+    """The highest weight of lam's component: e-edges of the colors until none applies."""
+    raised = True
+    while raised:
+        raised = False
+        for i in colors:
+            nxt = crystal_e(lam, i)
+            if nxt is not None:
+                lam, raised = nxt, True
+    return lam
 
 
 def lambda_circ(interval: Interval, tnc: TypeNC) -> set[Matrix01]:
@@ -108,7 +129,7 @@ def lambda_circ(interval: Interval, tnc: TypeNC) -> set[Matrix01]:
     if not interval.is_finite():
         raise IntervalInfinite("use a WindowTower over infinite intervals")
     kap = kappa(interval, tnc)
-    return _component(kap, list(interval.colors()))
+    return _component(kap, interval.colors())
 
 
 @dataclass(frozen=True)
@@ -124,80 +145,35 @@ class ShiftData:
     sigma: Fraction                # (1/2)(p_1 + ... + p_a), kept exact
 
 
-SCHEDULES = ("default", "left", "right", "alternate_lr", "alternate_rl")
-
-
 class WindowTower:
     """Nested finite windows I_1 c I_2 c ... inside an infinite interval.
 
-    I_1 is the minimal window of the interval (``minimal_window`` with no
-    deviations: |I_1+| >= 2 max(n), pinned at the closed end of a half
-    line, starting at 0 over Z), and each step adds one column toward an
-    unbounded side.  The growth schedule, one of ``SCHEDULES``, is a run
-    parameter; the default alternates (starting leftward) over the whole
-    line, and a half-infinite interval always grows toward its open end.
+    I_1 = [a, b] is the minimal window of the interval (``minimal_window``
+    with no deviations: |I_1+| >= 2 max(n), pinned at the closed end of a
+    half line, starting at 0 over Z), and each step adds one column toward
+    an unbounded side: a half line grows toward its open end, and Z grows
+    alternately, left first.  So I_r = [a - floor(r/2), b + floor((r-1)/2)]
+    over Z, [a, b + r - 1] over geq and [a - r + 1, b] over leq.  The tower
+    holds no growth state: every window and shift is read off r, r >= 1.
     """
 
-    def __init__(self, interval: Interval, tnc: TypeNC, schedule: str = "default"):
+    def __init__(self, interval: Interval, tnc: TypeNC):
         if interval.is_finite():
             raise IntervalInfinite("a tower needs an infinite interval")
-        if schedule not in SCHEDULES:
-            raise ValueError(f"unknown schedule {schedule!r}")
         self.interval = interval
         self.tnc = tnc
-        if interval.lo is not None:
-            self._dirs = "right"
-        elif interval.hi is not None:
-            self._dirs = "left"
-        else:
-            self._dirs = "alternate_lr" if schedule == "default" else schedule
-        self._windows = [minimal_window(interval, tnc, [])]
-        self._shifts: list[ShiftData] = []
-
-    def _direction(self, r: int) -> str:
-        if self._dirs == "alternate_lr":
-            return "left" if r % 2 == 1 else "right"
-        if self._dirs == "alternate_rl":
-            return "right" if r % 2 == 1 else "left"
-        return self._dirs
-
-    def _grow(self):
-        r = len(self._windows)
-        prev = self._windows[-1]
-        direction = self._direction(r)
-        if direction == "left":
-            nxt = Interval.finite(prev.lo - 1, prev.hi)
-        else:
-            nxt = Interval.finite(prev.lo, prev.hi + 1)
-        if not nxt.issubset(self.interval):
-            raise ValueError("window escaped the ambient interval")
-        self._windows.append(nxt)
-        self._shifts.append(self._shift_data(prev, nxt, direction))
-
-    def _shift_data(self, prev: Interval, nxt: Interval, direction: str) -> ShiftData:
-        if direction == "left":
-            # max(I_r) = max(I_{r+1}): rows of polarity 0 shift rightward
-            pol = 0
-            s = nxt.lo - 1
-            eps = 1
-        else:
-            pol = 1
-            s = nxt.hi + 1
-            eps = -1
-        ns = [n for n, c in zip(self.tnc.n, self.tnc.c) if c == pol]
-        a = max(ns, default=0)
-        p = tuple(sum(1 for n in ns if n >= j) for j in range(1, a + 1))
-        word = []
-        for k in range(a, 0, -1):
-            word.extend([s + eps * k] * p[k - 1])
-        sigma = Fraction(sum(p), 2)
-        return ShiftData(direction, p, a, s, eps, tuple(word), sigma)
+        self._first = minimal_window(interval, tnc, [])
 
     def window(self, r: int) -> Interval:
         """The r-th window I_r (1-based)."""
-        while len(self._windows) < r:
-            self._grow()
-        return self._windows[r - 1]
+        if r < 1:
+            raise ValueError(f"tower windows are numbered from 1, got {r}")
+        a, b = self._first.lo, self._first.hi
+        if self.interval.lo is not None:
+            return Interval.finite(a, b + r - 1)
+        if self.interval.hi is not None:
+            return Interval.finite(a - r + 1, b)
+        return Interval.finite(a - r // 2, b + (r - 1) // 2)
 
     def kappa_r(self, r: int) -> Matrix01:
         """kappa^r: the weight restricting to the highest weight of I_r."""
@@ -205,8 +181,20 @@ class WindowTower:
 
     def shift(self, r: int) -> ShiftData:
         """Shift data of the step I_r -> I_{r+1}."""
-        self.window(r + 1)
-        return self._shifts[r - 1]
+        prev, nxt = self.window(r), self.window(r + 1)
+        if nxt.lo < prev.lo:
+            # max(I_r) = max(I_{r+1}): rows of polarity 0 shift rightward
+            grew, pol, s, eps = "left", 0, nxt.lo - 1, 1
+        else:
+            grew, pol, s, eps = "right", 1, nxt.hi + 1, -1
+        ns = [n for n, c in zip(self.tnc.n, self.tnc.c) if c == pol]
+        a = max(ns, default=0)
+        p = tuple(sum(1 for n in ns if n >= j) for j in range(1, a + 1))
+        word = []
+        for k in range(a, 0, -1):
+            word.extend([s + eps * k] * p[k - 1])
+        sigma = Fraction(sum(p), 2)
+        return ShiftData(grew, p, a, s, eps, tuple(word), sigma)
 
     def sigma_total(self, r: int) -> Fraction:
         """Sigma_r = sigma_1 + ... + sigma_{r-1}."""
@@ -214,8 +202,7 @@ class WindowTower:
 
     def component_r(self, r: int) -> set[Matrix01]:
         """Lambda^o_r: the crystal component of kappa^r under colors of I_r."""
-        window = self.window(r)
-        return _component(self.kappa_r(r), list(window.colors()))
+        return _component(self.kappa_r(r), self.window(r).colors())
 
     def bandon_chain(self, r: int) -> ModuleVec:
         """Apply the divided-power chain of step r to v_{kappa^{r+1}}.
@@ -234,17 +221,22 @@ def is_prinjective(lam: Matrix01, tower: WindowTower, r_max: int):
 
     Returns the first r with lam in Lambda^o_r, or None when undecided
     within the budget (the nested union only grows, so no finite stage can
-    rule membership out).
+    rule membership out).  lam lies in Lambda^o_r iff its top under the
+    colors of I_r is kappa^r; no component is built.
     """
     if lam.interval != tower.interval or lam.tnc != tower.tnc:
         raise ContextMismatch("weight does not match the tower")
     if r_max < 1:
         raise SuperklError(f"r_max must be at least 1, got {r_max}")
+    top = lam
     for r in range(1, r_max + 1):
-        if not in_Lambda_J(lam, tower.window(r)):
-            continue
-        if lam in tower.component_r(r):
-            return r
+        window = tower.window(r)
+        if in_Lambda_J(lam, window):
+            # e-edges from lam stay in its component of every larger window,
+            # so the top of the last window raises on to the top of this one
+            top = _top(top, window.colors())
+            if top == tower.kappa_r(r):
+                return r
     return None
 
 

@@ -3,7 +3,10 @@ import hashlib
 import io
 import json
 import random
+import shlex
+import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -179,6 +182,20 @@ def test_undecided_result_honours_out(tmp_path, capsys):
     code, out, err = run_cli(capsys, *argv, "--out", str(target))
     assert (code, out, err) == (2, "", "")
     assert target.read_text() == stdout
+
+
+@pytest.mark.parametrize("interval", ["z", "geq:0", "leq:1"])
+def test_prinjective_search_over_many_windows_is_quick(capsys, interval):
+    # each window is decided by raising the weight to its top, not by
+    # building the window's component, which grows about fourfold per window
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "prinjective", "--interval", interval, "--n", "1,3,3",
+                             "--c", "1,0,1", "--matrix", "@0:101/111/000", "--max-r", "16")
+    elapsed = time.perf_counter() - start
+    assert code == 2 and err == ""
+    payload = json.loads(out)
+    assert payload["prinjective"] == "unknown" and len(payload["windows"]) == 16
+    assert elapsed < 2, elapsed
 
 
 def test_superweight_and_bruhat(capsys):
@@ -373,18 +390,35 @@ def test_error_payload_on_stderr(capsys):
               "--matrix", "10000/010", "--mu", "1/010"), "ValueError"),
             (("klpoly", "--interval", "0:1", "--n", "1,1", "--c", "0,0",
               "--matrix", "10/010", "--mu", "100/010"), "ValueError"),
-            # the tower refuses a schedule it would never read
+            # --schedule is not an option: the tower has one growth rule
             (("prinjective", "--interval", "z", "--n", "1,1", "--c", "0,0",
-              "--matrix", "@0:10/01", "--max-r", "1", "--schedule", "bogus"), "ValueError"),
+              "--matrix", "@0:10/01", "--max-r", "1", "--schedule", "bogus"), "UsageError"),
             (("prinjective", "--interval", "geq:0", "--n", "1,1", "--c", "0,0",
-              "--matrix", "@0:10/01", "--max-r", "1", "--schedule", "bogus"), "ValueError"),
+              "--matrix", "@0:10/01", "--max-r", "1", "--schedule", "bogus"), "UsageError"),
             (("prinjective", "--interval", "leq:0", "--n", "1,1", "--c", "0,0",
-              "--matrix", "@0:10/01", "--max-r", "1", "--schedule", "bogus"), "ValueError")):
+              "--matrix", "@0:10/01", "--max-r", "1", "--schedule", "bogus"), "UsageError")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == error
         if "--schedule" in argv:
-            assert json.loads(err)["message"] == "unknown schedule 'bogus'"
+            assert json.loads(err)["message"] == "unrecognized arguments: --schedule bogus"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("klr-verify", "--interval", "0:1", "--n", "1,2", "--c", "0", "--d", "1"),
+     "n and c must have equal length"),
+    (("nilhecke-rank", "--n", "1,2", "--c", "0,5"), "c entries must be 0 or 1"),
+    (("nilhecke-rank", "--n=-1,2", "--c", "0,1"), "n entries must be nonnegative"),
+    (("klr-verify", "--n", "1", "--c", "x"), "invalid literal for int() with base 10: 'x'"),
+], ids=["ragged", "polarity", "negative-n", "malformed"])
+def test_the_echoed_type_is_validated(capsys, argv, message):
+    # commands that never read the type still refuse an invalid one
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+    # a valid type is echoed as the command read it
+    code, out, err = run_cli(capsys, argv[0], "--n", "1,2", "--c", "0,1")
+    assert code == 0 and err == "" and json.loads(out)["type"] == {"n": [1, 2], "c": [0, 1]}
 
 
 @pytest.mark.parametrize("argv", [
@@ -555,8 +589,7 @@ def _argv(draw):
         "--d": (st.integers(1, 3).map(str), st.sampled_from(["0", "-1", "5"])),
         "--m": (st.integers(1, 3).map(str), st.sampled_from(["0", "-1"])),
         "--cap": (st.integers(2, 8).map(str), st.sampled_from(["0", "-1"])),
-        "--max-r": (st.integers(1, 2).map(str), st.sampled_from(["0", "-1"])),
-        "--schedule": (st.sampled_from(["default", "left", "alternate_rl"]), st.just("bogus")),
+        "--max-r": (st.integers(1, 6).map(str), st.sampled_from(["0", "-1"])),
         "--threads": (st.sampled_from(["1", "2"]), st.just("0")),
         "--max-block": (st.integers(0, 6).map(str), st.just("-1")),
     }
@@ -991,3 +1024,22 @@ def test_json_writer_matches_json_dumps_with_entry_nodes(tree):
     payload = fill(tree, nodes)
     assert cli._json_text(payload) == expected
     assert cli._json_text(payload) == expected
+
+
+def readme_commands():
+    """The ``superkl ...`` lines of README's "Command line" block, as argv lists."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("superkl ")]
+
+
+def test_readme_command_block_runs(capsys):
+    commands = readme_commands()
+    assert len(commands) == 13 and {argv[0] for argv in commands} >= {"prinjective", "crystal"}
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "", argv
+        if "dot" in argv:
+            assert out.startswith("digraph crystal {\n") and out.endswith("}\n"), argv
+        else:
+            validate(argv[0].replace("-", "_"), json.loads(out))

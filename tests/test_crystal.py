@@ -25,9 +25,10 @@ from superkl.weights import (
     kappa,
     parse_matrix,
     row_choices,
+    weight_count,
     weight_of,
 )
-from conftest import iter_types, random_infinite_matrix, sweep_contexts
+from conftest import iter_intervals, iter_types, random_infinite_matrix, sweep_contexts
 
 I00 = Interval.finite(0, 0)
 I01 = Interval.finite(0, 1)
@@ -130,6 +131,39 @@ def test_tower_windows_and_kappas():
     assert down.window(1).hi == 0 and down.window(4).hi == 0
 
 
+def test_each_window_adds_the_column_its_shift_names():
+    for tnc in (TypeNC((1, 1), (0, 0)), TypeNC((2, 1), (0, 1)), TypeNC((1, 3, 3), (1, 0, 1))):
+        for interval in (Interval.all_z(), Interval.half_up(-1), Interval.half_down(2)):
+            tower = WindowTower(interval, tnc)
+            grew = []
+            for r in range(1, 9):
+                prev, nxt, shift = tower.window(r), tower.window(r + 1), tower.shift(r)
+                assert nxt.issubset(interval)
+                step = (prev.lo - 1, prev.hi) if shift.grew == "left" else (prev.lo, prev.hi + 1)
+                assert (nxt.lo, nxt.hi) == step, (interval, tnc, r)
+                assert shift.s == (nxt.lo - 1 if shift.grew == "left" else nxt.hi + 1)
+                grew.append(shift.grew)
+            expected = {"z": ["left", "right"] * 4, "geq:-1": ["right"] * 8,
+                        "leq:2": ["left"] * 8}[interval.text()]
+            assert grew == expected
+
+
+def test_tower_windows_below_one_are_refused_in_either_order():
+    t = TypeNC((1, 1), (0, 0))
+    for warm_first in (False, True):
+        tower = WindowTower(Interval.all_z(), t)
+        if warm_first:
+            assert tower.window(3).text() == "-1:1" and tower.shift(2).grew == "right"
+        for r in (0, -1):
+            with pytest.raises(ValueError, match=f"numbered from 1, got {r}"):
+                tower.window(r)
+            with pytest.raises(ValueError, match=f"numbered from 1, got {r}"):
+                tower.shift(r)
+        # a refusal leaves the tower as it was
+        assert tower.window(1).text() == "0:0" and tower.window(3).text() == "-1:1"
+        assert tower.shift(1).grew == "left"
+
+
 def _width_rule_base_window(interval, tnc):
     """The first tower window as the width formula once placed it."""
     width = max(1, 2 * tnc.max_n() - 1)  # |I_1|, so |I_1+| >= 2 max(n)
@@ -156,21 +190,21 @@ def test_tower_base_window_is_the_width_rule():
 
 def test_tower_component_nesting():
     t = TypeNC((1, 1), (0, 0))
-    for schedule in ("alternate_lr", "alternate_rl", "left", "right"):
-        tower = WindowTower(Interval.all_z(), t, schedule=schedule)
+    for interval in (Interval.all_z(), Interval.half_up(0), Interval.half_down(1)):
+        tower = WindowTower(interval, t)
         c1, c2, c3 = (tower.component_r(r) for r in (1, 2, 3))
         assert c1 <= c2 <= c3
 
 
 def test_bandon_chain_both_directions():
-    # growth to the left moves polarity-0 rows, to the right polarity-1 rows
+    # growth to the left moves polarity-0 rows, to the right polarity-1 rows;
+    # over Z the tower grows left at r = 1 and right at r = 2
     for t in (TypeNC((1, 1), (0, 0)), TypeNC((2, 1), (0, 1)),
               TypeNC((1, 2), (1, 1)), TypeNC((2, 2), (0, 1))):
-        for schedule in ("alternate_lr", "alternate_rl"):
-            tower = WindowTower(Interval.all_z(), t, schedule=schedule)
-            for r in (1, 2):
-                assert tower.bandon_chain(r) == ModuleVec.monomial(tower.kappa_r(r)), \
-                    (t, schedule, r)
+        tower = WindowTower(Interval.all_z(), t)
+        assert [tower.shift(r).grew for r in (1, 2)] == ["left", "right"]
+        for r in (1, 2):
+            assert tower.bandon_chain(r) == ModuleVec.monomial(tower.kappa_r(r)), (t, r)
 
 
 def test_kappa_r_prinjective():
@@ -192,11 +226,64 @@ def test_prinjective_unknown_at_budget():
             is_prinjective(tower.kappa_r(1), tower, r_max)
 
 
+def component_by_search(start, colors):
+    """The component of start under the f- and e-edges of the colors, breadth first.
+
+    The definition of a crystal component, the reference for the
+    highest-weight rules.
+    """
+    seen = {start}
+    queue = [start]
+    for lam in queue:
+        for i in colors:
+            for step in (crystal_f, crystal_e):
+                nxt = step(lam, i)
+                if nxt is not None and nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return seen
+
+
+def test_highest_weight_rules_are_the_component_search():
+    # every finite context with |I_+| <= 5, level <= 3 and at most 60 weights
+    contexts = weights = 0
+    for interval in iter_intervals(5):
+        for tnc in iter_types(interval.n_cols(), 3, polarities=(0, 1)):
+            if not 0 < weight_count(interval, tnc) <= 60:
+                continue
+            kap, colors = kappa(interval, tnc), interval.colors()
+            circ = lambda_circ(interval, tnc)
+            assert circ == component_by_search(kap, colors), (interval, tnc)
+            for lam in enumerate_weights(interval, tnc):
+                assert (crystal._top(lam, colors) == kap) == (lam in circ), lam.text()
+                weights += 1
+            contexts += 1
+    assert (contexts, weights) == (2900, 46328)
+
+
+def test_is_prinjective_is_the_first_component_holding_lam():
+    results = set()
+    for interval in (Interval.all_z(), Interval.half_up(0), Interval.half_down(1)):
+        for tnc in (TypeNC((1, 1), (0, 0)), TypeNC((2, 1), (0, 1)),
+                    TypeNC((1, 2), (1, 1)), TypeNC((2, 2), (0, 1))):
+            tower, r_max = WindowTower(interval, tnc), 4
+            components = [component_by_search(tower.kappa_r(r), tower.window(r).colors())
+                          for r in range(1, r_max + 1)]
+            assert [tower.component_r(r) for r in range(1, r_max + 1)] == components
+            for lam in {Matrix01(interval, tnc, w.devs) for r in (1, 2, 3)
+                        for w in enumerate_weights(tower.window(r), tnc)}:
+                first = next((r for r, comp in enumerate(components, 1) if lam in comp), None)
+                assert is_prinjective(lam, tower, r_max) == first, (interval, tnc, lam.text())
+                results.add(first)
+    # members found at the first window and at later ones, and undecided weights
+    assert results == {None, 1, 2, 3, 4}
+
+
 def test_sigma_bookkeeping():
     from fractions import Fraction
 
     t = TypeNC((2, 1), (0, 1))
-    tower = WindowTower(Interval.all_z(), t, schedule="alternate_lr")
+    tower = WindowTower(Interval.all_z(), t)
     s1 = tower.shift(1)
     assert s1.grew == "left"
     # polarity-0 rows have n = (2,): p = (1, 1), word (s+2)(s+1)
