@@ -38,7 +38,7 @@ for m in (2, 3):
 print()
 print("== twisted divided difference action ==")
 p = NilHeckePoly.monomial((2, 0))          # x_1^2
-print("tau_1 . x_1^2 =", dict(nilhecke_act(("tau", 1), p)))
+print("tau_1 . x_1^2 =", nilhecke_act(("tau", 1), p).terms)
 
 print()
 print("== graded rank of the idempotent image ==")

@@ -77,7 +77,11 @@ members into one block of a smaller context, the block's core, with the
 same d-matrix entry for entry (at level 2 the classical fact that
 vertices labelled o and x take no part in cup diagrams).  The registry
 holds the cores too: ``d_matrix`` and ``p_matrix`` are solved once per
-core and translated to every block that reduces to it.  ``psi_matrix``
+core.  A block that reduces to a core whose positions it keeps (pos is
+the identity) reads the core's own rows; any other block renames each
+row through pos on first read.  A row's column order is not part of its
+contract, and no reader depends on it: the outputs sort a row's terms,
+and the solves sum exact entries.  ``psi_matrix``
 stays unreduced and eager, the oracle path that ``canonical_basis_direct``
 reads: it checks every row.
 
@@ -115,7 +119,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import prod
-from operator import add, and_, itemgetter, or_
+from operator import add, and_, or_
 
 from .errors import (
     IntervalInfinite,
@@ -124,7 +128,7 @@ from .errors import (
     SuperklError,
     TypeMismatch,
 )
-from .laurent import LaurentInt, one, zero
+from .laurent import LaurentInt, one, row_reduce, zero
 from .qmodule import ModuleVec, act_e
 from .weights import (
     Interval,
@@ -572,7 +576,9 @@ class BlockData(_PackedWeights):
     def d_matrix(self) -> "_Rows":
         """Unitriangular matrix of d-polynomials: row a, column b.
 
-        Solved on the core only; any other block translates the core's rows.
+        Solved on the core only; any other block reads the core's rows
+        through ``_translate``.  A row's column order is not part of its
+        contract.
         """
         if self._dmat is None:
             core, pos = self.core()
@@ -589,7 +595,8 @@ class BlockData(_PackedWeights):
         """Inverse of the d-matrix (entries are p(-q) before substitution).
 
         Solved on the core only, one ``_p_column`` per column, each over
-        the d rows up to it; any other block translates the core's rows.
+        the d rows up to it; any other block reads the core's rows through
+        ``_translate``.  A row's column order is not part of its contract.
         """
         if self._pinv is None:
             core, pos = self.core()
@@ -699,17 +706,18 @@ def _d_row(r: _Rows, a: int, stop: int | None = None) -> dict[int, LaurentInt]:
     return d
 
 
-def _translate(rows: Sequence[dict[int, LaurentInt]], pos: tuple[int, ...]) -> _Rows:
+def _translate(rows: Sequence[dict[int, LaurentInt]],
+               pos: tuple[int, ...]) -> Sequence[dict[int, LaurentInt]]:
     """A core's matrix read at member positions: entry (a, b) is rows[pos[a]][pos[b]].
 
-    A row keeps its columns in increasing order.  A core's rows are in that
-    order already, so when pos is increasing a row is renamed, not re-sorted.
+    When pos is the identity the block reads the core's own rows.  Otherwise
+    a row is renamed on first read; its columns keep the core row's order,
+    which is not part of a row's contract.
     """
+    if pos == tuple(range(len(pos))):
+        return rows
     back = {x: a for a, x in enumerate(pos)}
-    if all(x < y for x, y in zip(pos, pos[1:])):
-        return _Rows(len(pos), lambda a: {back[y]: c for y, c in rows[pos[a]].items()})
-    return _Rows(len(pos), lambda a: dict(sorted(
-        ((back[y], c) for y, c in rows[pos[a]].items()), key=itemgetter(0))))
+    return _Rows(len(pos), lambda a: {back[y]: c for y, c in rows[pos[a]].items()})
 
 
 def _key_base(level: int) -> int:
@@ -1097,8 +1105,8 @@ def canonical_basis_direct(lam: Matrix01) -> ModuleVec:
 
     Independent of the triangular algorithm: sets up the integer linear
     system on the polynomial coefficients and solves it by generic sparse
-    Gaussian elimination over Q.  Raises if the solution fails to exist or
-    to be unique.
+    Gaussian elimination over Q, ``laurent.row_reduce``.  Raises if the
+    solution fails to exist or to be unique.
     """
     block = block_data(lam)
     r = block.psi_matrix()
@@ -1121,7 +1129,12 @@ def canonical_basis_direct(lam: Matrix01) -> ModuleVec:
 
 
 def _solve_bar_system(r, size, pos_lam, upset, degree_bound, spread):
-    """Solve the coefficientwise linear system; None when infeasible."""
+    """Solve the coefficientwise linear system; None when infeasible.
+
+    Unknown i is column i, and an equation's constant is column nvar, after
+    every unknown, which back-substitution reads as -1.  So a row that
+    reduces to that column alone reads 0 = b != 0.
+    """
     unknowns = [(b, k) for b in upset for k in range(1, degree_bound + 1)]
     index = {u: i for i, u in enumerate(unknowns)}
     nvar = len(unknowns)
@@ -1130,55 +1143,29 @@ def _solve_bar_system(r, size, pos_lam, upset, degree_bound, spread):
     # of q^E at member a reads
     #   r[pos_lam][a][E] + sum_{b,k} c_{b,k} r[b][a][E+k] - x_a[E] = 0.
     exps = range(-degree_bound - spread, max(spread, degree_bound) + 1)
-    eqs: list[tuple[dict[int, Fraction], Fraction]] = []
+    eqs: list[dict[int, int]] = []
     for a in range(size):
         base = r[pos_lam].get(a, zero)
         contributors = [b for b in upset if a in r[b]]
         for E in exps:
             const = base[E] - (1 if (a == pos_lam and E == 0) else 0)
-            entries: dict[int, Fraction] = {}
+            entries: dict[int, int] = {nvar: -const}
             for b in contributors:
                 rba = r[b][a]
                 for k in range(1, degree_bound + 1):
-                    c = rba[E + k]
-                    if c:
-                        entries[index[(b, k)]] = Fraction(c)
+                    entries[index[(b, k)]] = rba[E + k]
             if a in upset and 1 <= E <= degree_bound:
                 i = index[(a, E)]
-                entries[i] = entries.get(i, Fraction(0)) - 1
-                if not entries[i]:
-                    del entries[i]
-            if const or entries:
-                eqs.append((entries, Fraction(-const)))
-    assignment: dict[int, Fraction] = {}
-    pivoted: list[tuple[int, dict[int, Fraction], Fraction]] = []
-    for row, b in eqs:
-        for pivot_var, prow, pb in pivoted:
-            c = row.get(pivot_var)
-            if c is not None:
-                del row[pivot_var]
-                for v, pc in prow.items():
-                    n = row.get(v, Fraction(0)) - c * pc
-                    if n:
-                        row[v] = n
-                    else:
-                        row.pop(v, None)
-                b = b - c * pb
-        if not row:
-            if b != 0:
-                return None  # infeasible at this degree bound
-            continue
-        pivot_var = min(row)
-        c = row.pop(pivot_var)
-        row = {v: pc / c for v, pc in row.items()}
-        pivoted.append((pivot_var, row, b / c))
-    if len(pivoted) < nvar:
+                entries[i] = entries.get(i, 0) - 1
+            eqs.append(entries)
+    pivots = row_reduce(eqs)
+    if any(pc == nvar for pc, _ in pivots):
+        return None  # infeasible at this degree bound
+    if len(pivots) < nvar:
         raise NonTriangularBar("oracle system is underdetermined")
-    for pivot_var, row, b in reversed(pivoted):
-        val = b
-        for v, pc in row.items():
-            val -= pc * assignment[v]
-        assignment[pivot_var] = val
+    assignment: dict[int, Fraction] = {nvar: Fraction(-1)}
+    for pc, rest in reversed(pivots):
+        assignment[pc] = -sum(v * assignment[k] for k, v in rest.items())
     sol: dict[int, LaurentInt] = {pos_lam: one}
     for (b_mem, k), i in index.items():
         val = assignment.get(i, Fraction(0))

@@ -551,7 +551,7 @@ def main(argv=None) -> int:
             payload, rows = result[0], result[1]
             dot = result[2] if len(result) > 2 else None
             meta = {"command": args.command, "interval": args.interval}
-            if args.n:
+            if args.n or args.c:
                 tnc = _parse_type(args)
                 meta["type"] = {"n": list(tnc.n), "c": list(tnc.c)}
             if isinstance(payload, dict):

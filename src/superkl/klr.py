@@ -17,15 +17,22 @@ Every rewrite strictly reduces (#crossings, #dots-right-of-a-crossing,
 distance-to-canonical), so the process terminates; associativity and the
 defining relations are exercised by the test suite rather than assumed.
 
-``KLRElem`` and ``AHAElem`` take +, -, scaling and equality from
-``laurent.Combination`` and are immutable by its contract: every operation
-returns a new element.  That lets the uncut generators ``xi(ctx, k)`` and
-``tau(ctx, j)`` be built once per (ctx, index) and shared, and lets each
-element cache two indexes of its terms on first use: by right word (with
-the crossing word precomputed) and by left word (with the right word
-precomputed).  ``klr_mul`` joins the right-word index of x with the
-left-word index of y, so it rewrites only pairs of terms whose idempotents
-match.  ``clear_caches`` empties every memo of this module.
+``KLRElem``, ``AHAElem`` and ``NilHeckePoly`` take +, -, scaling and
+equality from ``laurent.Combination`` and are immutable by its contract:
+every operation returns a new element.  That lets the uncut generators
+``xi(ctx, k)`` and ``tau(ctx, j)`` be built once per (ctx, index) and
+shared, and lets each element cache two indexes of its terms on first use:
+by right word (with the crossing word precomputed) and by left word (with
+the right word precomputed).  ``klr_mul`` joins the right-word index of x
+with the left-word index of y, so it rewrites only pairs of terms whose
+idempotents match.  ``clear_caches`` empties every memo of this module.
+
+A nil-Hecke polynomial is a ``Combination`` over its number of variables
+m, as an affine Hecke element is one over its number of strands d, so
+adding polynomials in different numbers of variables raises
+``ContextMismatch``.  Code that fills a dict of terms in place adds
+through ``laurent.add_into``, and the nil-Hecke rank check counts the
+pivots of ``laurent.row_reduce``.
 
 Budgets are hard caps: word counts grow like |I|^d * d! * (dot monomials),
 so d and m stay small.
@@ -34,11 +41,10 @@ so d and m stay small.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from itertools import product as iproduct
 
 from .errors import BudgetExceeded, ContextMismatch, SuperklError
-from .laurent import Combination
+from .laurent import Combination, add_into, row_reduce
 
 # ---------------------------------------------------------------------------
 # permutations (0-based one-line tuples)
@@ -71,7 +77,10 @@ def swap_values(u, j: int):
 
 
 def swap_positions(u, j: int):
-    """Right multiplication by s_j."""
+    """Right multiplication by s_j: flip entries j-1 and j (j is 1-based).
+
+    On a color word it is the action t_j that a crossing at j has.
+    """
     out = list(u)
     out[j - 1], out[j] = out[j], out[j - 1]
     return tuple(out)
@@ -109,18 +118,11 @@ def canonical_word(w) -> tuple[int, ...]:
     return out
 
 
-def tuple_swap(t, j: int):
-    """Flip entries j-1 and j (the action t_j on color words; j is 1-based)."""
-    out = list(t)
-    out[j - 1], out[j] = out[j], out[j - 1]
-    return tuple(out)
-
-
 def act_word_on_colors(word, colors):
     """Push a color word left through the crossings of ``word``."""
     out = colors
     for j in reversed(word):
-        out = tuple_swap(out, j)
+        out = swap_positions(out, j)
     return out
 
 
@@ -206,11 +208,7 @@ def _normalize(symbols, jword):
 
     def accumulate(res, scale):
         for term, c in res.items():
-            n = out.get(term, 0) + scale * c
-            if n:
-                out[term] = n
-            else:
-                del out[term]
+            add_into(out, term, scale * c)
 
     # move dots left of crossings (QH4)
     spot = None
@@ -267,7 +265,7 @@ def _normalize(symbols, jword):
     prefix = word[:t]
     u = perm_of_word(prefix, d)
     # reduced word of u ending with c_letter
-    target = canonical_word(_right_quotient(u, c_letter)) + (c_letter,)
+    target = canonical_word(swap_positions(u, c_letter)) + (c_letter,)
     suffix = word[t + 1:]
     _, corrections = _walk_moves(prefix, target, jword, suffix=(c_letter,) + suffix)
     # main term now carries tau_{c}^2 right after target[:-1]
@@ -297,11 +295,6 @@ def _x_symbols(a_vec):
     for k, e in enumerate(a_vec, 1):
         syms.extend([("x", k)] * e)
     return tuple(syms)
-
-
-def _right_quotient(u, j: int):
-    """u s_j, which is shorter when s_j is a right descent of u."""
-    return swap_positions(u, j)
 
 
 def _walk_moves(src, dst, jword, suffix):
@@ -457,7 +450,7 @@ def tau(ctx: KLRContext, j: int, iword=None) -> KLRElem:
     zeros = (0,) * ctx.d
     w = perm_of_word((j,), ctx.d)
     for jw in ([tuple(iword)] if iword is not None else ctx.words()):
-        left = tuple_swap(jw, j)
+        left = swap_positions(jw, j)
         out.terms[(left, zeros, w)] = 1
     if iword is None:
         _gen_cache[key] = out
@@ -491,12 +484,7 @@ def klr_mul(x: KLRElem, y: KLRElem) -> KLRElem:
                 for (a, w), c in _normalize(sym1 + sym2, jword).items():
                     left = act_word_on_colors(canonical_word(w), jword)
                     tot = tuple(p + q for p, q in zip(a1, a))
-                    key = (left, tot, w)
-                    n = terms.get(key, 0) + c1 * c2 * c
-                    if n:
-                        terms[key] = n
-                    else:
-                        del terms[key]
+                    add_into(terms, (left, tot, w), c1 * c2 * c)
     return out
 
 
@@ -515,7 +503,7 @@ def klr_degree(x: KLRElem):
         colors = right_word(iword, w)
         for j in reversed(canonical_word(w)):
             d -= cartan_pairing(colors[j - 1], colors[j])
-            colors = tuple_swap(colors, j)
+            colors = swap_positions(colors, j)
         if deg is None:
             deg = d
         elif deg != d:
@@ -563,7 +551,7 @@ def verify_relations(colors, d: int) -> dict:
             # QH3
             expect_zero(("QH3", iword, j),
                         klr_mul(tj, e_i)
-                        - klr_mul(idempotent(ctx, tuple_swap(iword, j)), tj))
+                        - klr_mul(idempotent(ctx, swap_positions(iword, j)), tj))
             # QH4
             for k in range(1, d + 1):
                 tk = j + 1 if k == j else j if k == j + 1 else k
@@ -609,38 +597,25 @@ def verify_relations(colors, d: int) -> dict:
 # ---------------------------------------------------------------------------
 # nil-Hecke: polynomial representation and the distinguished idempotent
 
-class NilHeckePoly(dict):
-    """A polynomial in x_1..x_m with integer coefficients: {exps: coeff}."""
+class NilHeckePoly(Combination):
+    """A polynomial in x_1..x_m with integer coefficients, terms {exps: coeff}."""
 
-    def __init__(self, data=None):
-        super().__init__()
-        if data:
-            for k, v in data.items():
-                if v:
-                    self[k] = v
+    __slots__ = ()
+    _mismatch = "polynomials in different numbers of variables"
+
+    def __init__(self, m: int, terms=None):
+        self.space = (m,)
+        self.terms: dict[tuple, int] = (
+            {key: c for key, c in terms.items() if c} if terms else {})
 
     @classmethod
     def monomial(cls, exps, coeff=1):
-        return cls({tuple(exps): coeff})
+        exps = tuple(exps)
+        return cls(len(exps), {exps: coeff})
 
     @classmethod
     def constant(cls, m: int, c: int = 1):
-        return cls({(0,) * m: c})
-
-    def plus(self, other):
-        out = NilHeckePoly(self)
-        for k, v in other.items():
-            n = out.get(k, 0) + v
-            if n:
-                out[k] = n
-            else:
-                out.pop(k, None)
-        return out
-
-    def scale(self, c: int):
-        if not c:
-            return NilHeckePoly()
-        return NilHeckePoly({k: c * v for k, v in self.items()})
+        return cls(m, {(0,) * m: c})
 
 
 def nilhecke_act(gen, p: NilHeckePoly) -> NilHeckePoly:
@@ -651,18 +626,17 @@ def nilhecke_act(gen, p: NilHeckePoly) -> NilHeckePoly:
     one forced by the straightening relations.
     """
     kind, idx = gen
+    out = NilHeckePoly(*p.space)
     if kind == "xi":
-        out = NilHeckePoly()
-        for exps, c in p.items():
+        for exps, c in p.terms.items():
             e = list(exps)
             e[idx - 1] += 1
-            out[tuple(e)] = c
+            out.terms[tuple(e)] = c
         return out
     if kind != "tau":
         raise ValueError(f"unknown generator {gen!r}")
     j = idx
-    out = NilHeckePoly()
-    for exps, c in p.items():
+    for exps, c in p.terms.items():
         u, v = exps[j - 1], exps[j]
         if u == v:
             continue
@@ -676,18 +650,13 @@ def nilhecke_act(gen, p: NilHeckePoly) -> NilHeckePoly:
             e = list(base)
             e[j - 1] += t
             e[j] += span - 1 - t
-            key = tuple(e)
-            n = out.get(key, 0) + sign
-            if n:
-                out[key] = n
-            else:
-                del out[key]
+            add_into(out.terms, tuple(e), sign)
     return out
 
 
 def nilhecke_apply_elem(elem: KLRElem, p: NilHeckePoly) -> NilHeckePoly:
     """Apply a one-color KLR element through the polynomial representation."""
-    out = NilHeckePoly()
+    out = NilHeckePoly(*p.space)
     for (_iword, a, w), c in elem.terms.items():
         cur = p
         for j in reversed(canonical_word(w)):
@@ -695,7 +664,7 @@ def nilhecke_apply_elem(elem: KLRElem, p: NilHeckePoly) -> NilHeckePoly:
         for k, e in enumerate(a, 1):
             for _ in range(e):
                 cur = nilhecke_act(("xi", k), cur)
-        out = out.plus(cur.scale(c))
+        out = out + cur.scale(c)
     return out
 
 
@@ -732,28 +701,6 @@ def _monomials_of_degree(m: int, t: int):
     for head in range(t + 1):
         for rest in _monomials_of_degree(m - 1, t - head):
             yield (head,) + rest
-
-
-def _rank_over_q(rows):
-    """Rank of an integer matrix given as list of dicts {col: coeff}."""
-    pivots = []
-    for row in rows:
-        row = {k: Fraction(v) for k, v in row.items()}
-        for pc, prow in pivots:
-            c = row.get(pc)
-            if c is not None:
-                del row[pc]
-                for k, v in prow.items():
-                    n = row.get(k, Fraction(0)) - c * v
-                    if n:
-                        row[k] = n
-                    else:
-                        row.pop(k, None)
-        if row:
-            pc = min(row)
-            c = row.pop(pc)
-            pivots.append((pc, {k: v / c for k, v in row.items()}))
-    return len(pivots)
 
 
 def nilhecke_graded_rank_check(m: int, degree_cap: int) -> dict:
@@ -800,8 +747,8 @@ def nilhecke_graded_rank_check(m: int, degree_cap: int) -> dict:
         rows = []
         for mono in monos:
             img = nilhecke_apply_elem(b, NilHeckePoly.monomial(mono))
-            rows.append({index[e]: c for e, c in img.items()})
-        computed.append(_rank_over_q(rows))
+            rows.append({index[e]: c for e, c in img.terms.items()})
+        computed.append(len(row_reduce(rows)))
         expected.append(series.get(deg, 0))
     return {"m": m, "degree_cap": degree_cap, "degrees": degrees,
             "computed": computed, "expected": expected,
@@ -860,18 +807,11 @@ def _w_times_x(w, k: int):
     j = next(jj for jj in range(1, d) if w[jj - 1] > w[jj])
     wp = swap_positions(w, j)
     kk = j + 1 if k == j else j if k == j + 1 else k
-    out: dict[tuple, int] = {}
-    for (b, u), c in _w_times_x(wp, kk).items():
-        key2 = (b, perm_compose(u, perm_of_word((j,), d)))
-        out[key2] = out.get(key2, 0) + c
+    # u -> u t_j is a bijection, so the keys stay distinct
+    out = {(b, swap_positions(u, j)): c for (b, u), c in _w_times_x(wp, kk).items()}
     corr = 1 if k == j + 1 else -1 if k == j else 0
     if corr:
-        key2 = ((0,) * d, wp)
-        n = out.get(key2, 0) + corr
-        if n:
-            out[key2] = n
-        else:
-            del out[key2]
+        add_into(out, ((0,) * d, wp), corr)
     _wx_cache[key] = out
     return out
 
@@ -892,18 +832,8 @@ def aha_mul(x: AHAElem, y: AHAElem) -> AHAElem:
                     for (a, w), c in partial.items():
                         for (b, u), cc in _w_times_x(w, k).items():
                             tot = tuple(p + q for p, q in zip(a, b))
-                            key = (tot, u)
-                            n = nxt.get(key, 0) + c * cc
-                            if n:
-                                nxt[key] = n
-                            else:
-                                del nxt[key]
+                            add_into(nxt, (tot, u), c * cc)
                     partial = nxt
             for (a, w), c in partial.items():
-                key = (a, perm_compose(w, w2))
-                n = out.terms.get(key, 0) + c
-                if n:
-                    out.terms[key] = n
-                else:
-                    del out.terms[key]
+                add_into(out.terms, (a, perm_compose(w, w2)), c)
     return out

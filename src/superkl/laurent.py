@@ -7,12 +7,20 @@ operation returns a fresh object.
 
 ``Combination`` is the same idea one level up: a dict {basis key:
 coefficient} with no zero, tied to the space it lives in.  Module vectors
-(``qmodule.ModuleVec``, Laurent coefficients) and quiver Hecke and affine
-Hecke elements (``klr.KLRElem``, ``klr.AHAElem``, int coefficients) share
-its +, -, scaling, equality and zero test.
+(``qmodule.ModuleVec``, Laurent coefficients), quiver Hecke and affine
+Hecke elements (``klr.KLRElem``, ``klr.AHAElem``) and nil-Hecke polynomials
+(``klr.NilHeckePoly``), all three with int coefficients, share its +, -,
+scaling, equality and zero test.  ``add_into`` is the same zero-dropping
+addition on a plain dict, for code that fills one in place.
+
+``row_reduce`` is the one exact row reduction over Q: the nil-Hecke rank
+check counts its pivots, and the canonical-basis oracle back-substitutes
+through them.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .errors import ContextMismatch, NotDivisible
 
@@ -299,3 +307,36 @@ class Combination:
         if c:
             res.terms = {key: v * c for key, v in self.terms.items()}
         return res
+
+
+def add_into(terms: dict, key, c) -> None:
+    """terms[key] += c in place, dropping the key when the sum is zero."""
+    n = terms.get(key, 0) + c
+    if n:
+        terms[key] = n
+    else:
+        terms.pop(key, None)
+
+
+def row_reduce(rows) -> list[tuple[int, dict[int, Fraction]]]:
+    """Row echelon form over Q of sparse rows {column: int or Fraction}.
+
+    Each row is cleared at the earlier pivots.  A row that is left nonzero
+    pivots at its smallest column and is divided by that entry; rows that
+    vanish are dropped.  Returns the (pivot column, rest of the row) pairs
+    in the order the pivots were found, so the rank is their number.  The
+    rest of a row holds only later columns, none of them an earlier pivot.
+    """
+    pivots: list[tuple[int, dict[int, Fraction]]] = []
+    for row in rows:
+        row = {k: Fraction(v) for k, v in row.items() if v}
+        for pc, rest in pivots:
+            c = row.pop(pc, None)
+            if c is not None:
+                for k, v in rest.items():
+                    add_into(row, k, -c * v)
+        if row:
+            pc = min(row)
+            c = row.pop(pc)
+            pivots.append((pc, {k: v / c for k, v in row.items()}))
+    return pivots

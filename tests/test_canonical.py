@@ -567,3 +567,25 @@ def test_infinite_interval_rejected():
         canonical_basis(lam)
     with pytest.raises(IntervalInfinite):
         psi_monomial(lam)
+
+
+_antisymmetric_or_not = st.dictionaries(st.integers(-3, 3), st.integers(-2, 2), max_size=4)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_antisymmetric_or_not)
+def test_the_oracle_system_is_infeasible_exactly_when_no_solution_exists(coeffs):
+    # psi(v_0) = v_0 + f v_1 and psi(v_1) = v_1: x = v_0 + c v_1 with c in
+    # qZ[q] is psi-invariant iff c - bar(c) = f, which needs f = -bar(f)
+    f = LaurentInt(coeffs)
+    r = [{0: one, 1: f}, {1: one}]
+    spread = max([1] + [abs(e) for e in f.coeffs])
+    sol = canon._solve_bar_system(r, 2, 0, [1], spread + 2, spread)
+    if f == -f.bar():
+        want = LaurentInt({e: c for e, c in f.coeffs.items() if e > 0})
+        assert sol == ({0: one, 1: want} if want else {0: one})
+    else:
+        assert sol is None
+    # one member alone: psi(v_0) = f' v_0 is consistent only when f' = 1
+    assert canon._solve_bar_system([{0: f + one}], 1, 0, [], spread + 2, spread) == (
+        {0: one} if f.is_zero() else None)

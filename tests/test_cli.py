@@ -410,7 +410,9 @@ def test_error_payload_on_stderr(capsys):
     (("nilhecke-rank", "--n", "1,2", "--c", "0,5"), "c entries must be 0 or 1"),
     (("nilhecke-rank", "--n=-1,2", "--c", "0,1"), "n entries must be nonnegative"),
     (("klr-verify", "--n", "1", "--c", "x"), "invalid literal for int() with base 10: 'x'"),
-], ids=["ragged", "polarity", "negative-n", "malformed"])
+    (("klr-verify", "--c", "5", "--d", "1"), "n and c must have equal length"),
+    (("nilhecke-rank", "--c", "0"), "n and c must have equal length"),
+], ids=["ragged", "polarity", "negative-n", "malformed", "c-alone-klr", "c-alone-nilhecke"])
 def test_the_echoed_type_is_validated(capsys, argv, message):
     # commands that never read the type still refuse an invalid one
     code, out, err = run_cli(capsys, *argv)
@@ -782,6 +784,22 @@ def test_golden_outputs_in_one_process_in_a_shuffled_order(capsys):
         code, out, _ = run_cli(capsys, *golden_argv(spec))
         assert code == GOLDEN_EXIT.get(spec, 0), spec
         assert hashlib.sha256(out.encode()).hexdigest() == digest, spec
+
+
+def test_golden_bytes_do_not_read_the_column_order_of_a_d_row(capsys, monkeypatch):
+    # a d row's column order is not part of its contract: with every row
+    # solved in reversed column order, the outputs keep their bytes
+    d_row = canonical._d_row
+    monkeypatch.setattr(canonical, "_d_row",
+                        lambda *args: dict(reversed(d_row(*args).items())))
+    commands = ("canonical", "klpoly", "dualbasis", "twisted", "youngdim")
+    specs = [(spec, digest) for spec, digest in GOLDEN if spec.split()[0] in commands]
+    assert len(specs) == 19
+    for spec, digest in specs:
+        canonical.clear_caches()
+        code, out, _ = run_cli(capsys, *golden_argv(spec))
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, spec
+    canonical.clear_caches()
 
 
 def golden_payload(spec):

@@ -155,6 +155,24 @@ def test_cores_are_shared_through_the_registry(monkeypatch, tmp_path):
     assert canon.block_data(solved[0].members[0]) is not solved[0]
 
 
+def test_identity_blocks_share_their_cores_rows():
+    # a block whose positions are the identity reads the very rows of its
+    # core, in d and in p; any other block reads the core's entries at pos
+    canon.clear_caches()
+    blocks = canon.BlockTable(Interval.finite(0, 2), TypeNC((2, 2, 2), (0, 1, 0))).blocks
+    reduced = [(b, *b.core()) for b in blocks if b.core()[0] is not b]
+    moved = [pos for _, _, pos in reduced if pos != tuple(range(len(pos)))]
+    assert (len(reduced), len(moved)) == (32, 4)
+    for block, core, pos in reduced:
+        for mine, theirs in ((block.d_matrix(), core.d_matrix()),
+                             (block.p_matrix(), core.p_matrix())):
+            for a in range(block.size):
+                if pos == tuple(range(block.size)):
+                    assert mine[a] is theirs[a]
+                else:
+                    assert {pos[b]: c for b, c in mine[a].items()} == theirs[pos[a]]
+
+
 def test_clear_caches_frees_blocks_and_cores_without_a_gc_pass():
     # a fresh CLI process starts with empty caches; a long-lived one must
     # get there by clear_caches alone, or memory grows query by query

@@ -190,9 +190,9 @@ def test_nilhecke_act_examples():
     # it kills symmetric input and sends x_2 to 1 (and x_1 to -1)
     p = NilHeckePoly.monomial((0, 1))
     assert nilhecke_act(("tau", 1), p) == NilHeckePoly.constant(2)
-    assert nilhecke_act(("tau", 1), NilHeckePoly.constant(2)) == NilHeckePoly()
-    sym = NilHeckePoly({(1, 1): 4})
-    assert nilhecke_act(("tau", 1), sym) == NilHeckePoly()
+    assert nilhecke_act(("tau", 1), NilHeckePoly.constant(2)) == NilHeckePoly(2)
+    sym = NilHeckePoly(2, {(1, 1): 4})
+    assert nilhecke_act(("tau", 1), sym) == NilHeckePoly(2)
 
 
 def test_nilhecke_rep_satisfies_relations():

@@ -1,12 +1,26 @@
 import random
+from fractions import Fraction
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from superkl.errors import ContextMismatch, NotDivisible
-from superkl.klr import AHAElem, KLRContext, KLRElem, perm_identity
-from superkl.laurent import LaurentInt, bar, div_exact, one, q, qfact, qint, render, zero
+from superkl.klr import AHAElem, KLRContext, KLRElem, NilHeckePoly, perm_identity
+from superkl.laurent import (
+    LaurentInt,
+    bar,
+    div_exact,
+    one,
+    q,
+    qfact,
+    qint,
+    render,
+    row_reduce,
+    zero,
+)
 from superkl.qmodule import ModuleVec
 from superkl.weights import Interval, Matrix01, TypeNC, enumerate_weights
 
@@ -145,6 +159,9 @@ _SPACES = {
             lambda space: [((k,) + (0,) * (space[0] - 1), perm_identity(space[0]))
                            for k in range(4)],
             st.integers(-2, 2)),
+    "nilhecke": (((2,), (3,)), NilHeckePoly,
+                 lambda space: [(k,) + (0,) * (space[0] - 1) for k in range(4)],
+                 st.integers(-2, 2)),
 }
 
 
@@ -179,3 +196,71 @@ def test_combination_arithmetic_is_zero_free_and_checks_its_space(case):
     assert x != z and not x == z and x != x.terms
     with pytest.raises(TypeError):
         hash(x)
+
+
+# row_reduce: the exact row reduction over Q, against Leibniz determinants
+# and against back-substitution of a known solution
+
+def _det(m):
+    """The Leibniz sum over every permutation of the columns."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+def _minor_rank(m, ncols):
+    """The order of the largest nonzero minor of m."""
+    for k in range(min(len(m), ncols), 0, -1):
+        for rows in combinations(range(len(m)), k):
+            for cols in combinations(range(ncols), k):
+                if _det([[m[i][j] for j in cols] for i in rows]):
+                    return k
+    return 0
+
+
+@st.composite
+def _matrices(draw, max_rows=4, max_cols=5):
+    ncols = draw(st.integers(1, max_cols))
+    nrows = draw(st.integers(1, max_rows))
+    return draw(st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows)), ncols
+
+
+def _sparse(m):
+    return [{j: v for j, v in enumerate(row) if v} for row in m]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_matrices())
+def test_row_reduce_rank_is_the_largest_nonzero_minor(case):
+    m, ncols = case
+    pivots = row_reduce(_sparse(m))
+    assert len(pivots) == _minor_rank(m, ncols)
+    seen = []
+    for pc, rest in pivots:
+        # a pivot row holds only later columns, none an earlier pivot, no zero
+        assert pc not in seen and all(k > pc and k not in seen and v for k, v in rest.items())
+        seen.append(pc)
+    # zero entries given explicitly change nothing
+    assert row_reduce([dict(enumerate(row)) for row in m]) == pivots
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_matrices(max_rows=5, max_cols=4), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+def test_row_reduce_back_substitutes_to_a_known_solution(case, x):
+    m, ncols = case
+    assume(len(m) >= ncols and _minor_rank(m, ncols) == ncols)
+    x = x[:ncols]
+    # the right-hand side A x sits in column ncols, after every unknown
+    rows = _sparse(m)
+    for row, full in zip(rows, m):
+        row[ncols] = sum(a * xj for a, xj in zip(full, x))
+    pivots = row_reduce(rows)
+    assert sorted(pc for pc, _ in pivots) == list(range(ncols))
+    got = {ncols: Fraction(-1)}
+    for pc, rest in reversed(pivots):
+        got[pc] = -sum(v * got[k] for k, v in rest.items())
+    assert [got[j] for j in range(ncols)] == x
