@@ -144,6 +144,7 @@ from .weights import (
     order_leq,
     stable_window,
     truncate,
+    weight_texts,
 )
 
 _psi_cache: dict[tuple[int, int, int], dict[int, dict[int, int]]] = {}
@@ -333,7 +334,7 @@ class _PackedWeights:
     tnc: TypeNC
     monomials: Sequence[int]
 
-    def _rows(self):
+    def row_strings(self):
         """Each weight's ``Matrix01.row_strings``, as a tuple."""
         rows = [list(map(texts.__getitem__, bits)) for texts, bits in zip(
             _text_tables(self.interval, self.tnc),
@@ -342,12 +343,12 @@ class _PackedWeights:
 
     def texts(self) -> list[str]:
         """Each weight's ``Matrix01.text``."""
-        head = f"@{self.interval.lo}:"
-        return [head + "/".join(rows) for rows in self._rows()]
+        return weight_texts(self.interval.lo, self.row_strings())
 
     def to_json(self) -> list[dict]:
         """Each weight's ``Matrix01.to_json``."""
-        return [{"window_start": self.interval.lo, "rows": list(rows)} for rows in self._rows()]
+        lo = self.interval.lo
+        return [{"window_start": lo, "rows": list(rows)} for rows in self.row_strings()]
 
 
 class _Lowering(dict):

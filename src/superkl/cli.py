@@ -7,12 +7,17 @@ budget exhausted or undecided, 1 error; an undecided payload is JSON
 whatever ``--format`` says.  Outputs are byte-deterministic: everything is
 sorted, never emitted in completion order.
 
-The JSON text is ``json.dumps(payload, indent=2, sort_keys=True)``.  A
-whole-context ``canonical`` hands the writer ``_Entry`` nodes instead of
-entry dicts: each entry is rendered from its block's pieces
-(``_BlockBasis``), and its bytes equal ``json.dumps`` of the data form
-``{"lambda": member JSON, "terms": _vec_json(b_lambda)}`` at the same
-indent.  Its tsv and text rows come from the same pieces.
+The JSON text is ``json.dumps(payload, indent=2, sort_keys=True)``.  Where
+a payload would be large, the command hands the writer nodes (``_Node``)
+instead of data, each rendering itself at the indent it sits at with the
+bytes ``json.dumps`` gives its data form.  A whole-context ``canonical``
+hands it ``_Entry`` nodes: each entry is rendered from its block's pieces
+(``_BlockBasis``), the data form being ``{"lambda": member JSON, "terms":
+_vec_json(b_lambda)}``, and its tsv and text rows come from the same
+pieces.  ``crystal`` and ``poset`` hand it ``_List`` nodes, rendered from
+each weight's row strings and text: ``crystal`` its vertices and edges,
+whose texts its tsv, text and DOT rows read too, and ``poset`` its
+weights and covers.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .weights import (
     parse_matrix,
     stable_window,
     truncate,
+    weight_texts,
 )
 
 
@@ -146,19 +152,71 @@ class _BlockBasis:
                                        for b in self.terms(a)])
 
 
-class _Entry:
-    """One basis entry of a whole-context ``canonical``: a writer node.
+class _Node:
+    """A writer node: ``_json_text`` hands it the indent it sits at, and its
+    ``json_text`` there equals ``json.dumps`` of the node's data form."""
 
-    ``_json_text`` renders it at the indent it hands it, from its block's
-    pieces, as ``json.dumps`` would render the entry's data form
-    ``{"lambda": member JSON, "terms": _vec_json(b_lambda)}``.
-    """
+    __slots__ = ()
+
+    def json_text(self, indent: str) -> str:
+        raise NotImplementedError
+
+
+class _Entry(_Node):
+    """One basis entry of a whole-context ``canonical``, rendered from its
+    block's pieces; its data form is ``{"lambda": member JSON, "terms":
+    _vec_json(b_lambda)}``."""
 
     __slots__ = ("block", "a")
 
     def __init__(self, block: _BlockBasis, a: int):
         self.block = block
         self.a = a
+
+    def json_text(self, indent: str) -> str:
+        return self.block.entry_text(self.a, indent)
+
+
+class _List(_Node):
+    """A list whose items' texts ``items(inner)`` renders at once, each at
+    the indent inner of the list's items."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items):
+        self.items = items
+
+    def json_text(self, indent: str) -> str:
+        inner = indent + "  "
+        text = f",\n{inner}".join(self.items(inner))
+        return f"[\n{inner}{text}\n{indent}]" if text else "[]"
+
+
+def _weight_items(lo: int, weights, inner: str) -> list[str]:
+    """Each weight's ``Matrix01.to_json`` text at the indent inner, from its
+    ``row_strings``, 0/1 strings that JSON quotes as they are."""
+    field, item = inner + "  ", inner + "    "
+    # every weight has the same number of rows: level 0 has the one weight ()
+    first, last = (f'[\n{item}"', f'"\n{field}]') if weights and weights[0] else ("[", "]")
+    head = f'{{\n{field}"rows": {first}'
+    tail = f'{last},\n{field}"window_start": {lo}\n{inner}}}'
+    sep = f'",\n{item}"'
+    return [head + sep.join(rows) + tail for rows in weights]
+
+
+def _cover_items(covers, inner: str) -> list[str]:
+    """Each cover's ``{"lower", "upper"}`` JSON text at the indent inner."""
+    field = inner + "  "
+    return [f'{{\n{field}"lower": {encode_basestring_ascii(a)},\n{field}"upper": '
+            f'{encode_basestring_ascii(b)}\n{inner}}}' for a, b in covers]
+
+
+def _edge_items(texts: list[str], edges, inner: str) -> list[str]:
+    """Each edge's ``{"color", "from", "to"}`` JSON text at the indent inner."""
+    field = inner + "  "
+    quoted = list(map(encode_basestring_ascii, texts))
+    return [f'{{\n{field}"color": {i},\n{field}"from": {quoted[n]},\n{field}"to": {quoted[m]}'
+            f'\n{inner}}}' for n, i, m in edges]
 
 
 def _map_blocks(fn, items, threads: int):
@@ -181,8 +239,10 @@ def cmd_poset(args):
         covers += [(text[a], text[b]) for a, ups in enumerate(above)
                    for b in ups.difference(*(above[c] for c in ups))]
     covers.sort()
-    payload = {"weights": table.to_json(), "count": len(table.monomials),
-               "covers": [{"lower": a, "upper": b} for a, b in covers]}
+    weights = list(table.row_strings())
+    payload = {"weights": _List(lambda inner: _weight_items(interval.lo, weights, inner)),
+               "count": len(weights),
+               "covers": _List(lambda inner: _cover_items(covers, inner))}
     return payload, covers
 
 
@@ -271,14 +331,12 @@ def cmd_twisted(args):
 
 def cmd_crystal(args):
     interval, tnc = _context(args)
-    weights, edges = crys.crystal_edges(interval, tnc)
-    payload = {
-        "vertices": [w.to_json() for w in weights],
-        "edges": [{"from": a.text(), "color": i, "to": b.text()}
-                  for a, i, b in edges],
-    }
-    rows = ((e["from"], str(e["color"]), e["to"]) for e in payload["edges"])
-    return payload, rows, lambda: crys.dot_text(weights, edges)
+    vertices, edges = crys.crystal_edges(interval, tnc)
+    texts = weight_texts(interval.lo, vertices)
+    payload = {"vertices": _List(lambda inner: _weight_items(interval.lo, vertices, inner)),
+               "edges": _List(lambda inner: _edge_items(texts, edges, inner))}
+    rows = ((texts[n], str(i), texts[m]) for n, i, m in edges)
+    return payload, rows, lambda: crys.dot_text(texts, edges)
 
 
 def cmd_prinjective(args):
@@ -455,18 +513,18 @@ def _json_text(obj, indent: str = "") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, one join per container.
 
     Handles str, int, bool, None, lists and dicts with str keys, the types
-    every payload is made of, and ``_Entry``, the one writer node, rendered
-    from its block's pieces at the indent it is handed; anything else, a
-    non-str key included, is a TypeError.  str, dict, ``_Entry`` and list, the bulk of
-    a payload, are tested first.
+    every payload is made of, and writer nodes (``_Node``), each rendered
+    by itself at the indent it is handed; anything else, a non-str key
+    included, is a TypeError.  str, dict, nodes and list, the bulk of a
+    payload, are tested first.
     """
     kind = type(obj)
     if kind is str:
         return encode_basestring_ascii(obj)
-    if kind is _Entry:
-        return obj.block.entry_text(obj.a, indent)
     if kind is dict:
         return _dict_text(obj, indent)
+    if isinstance(obj, _Node):
+        return obj.json_text(indent)
     if isinstance(obj, list):
         if not obj:
             return "[]"

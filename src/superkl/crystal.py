@@ -8,14 +8,17 @@ surviving '-' gives the f-edge at its lowest such row; a surviving '+'
 gives the e-edge at its highest such row.
 
 A label depends on one row only, so ``crystal_edges`` reads it from a
-per-row table instead of from each weight.  The weights are the product of
-the ``row_choices``, and ``_flip_steps`` holds, for each color, row and
-choice, the label and the index step to the weight with that row flipped;
-a weight's scan is then a loop over its rows with a '+' counter, and the
-f-target is the enumerated weight at the index plus the step.
-``crystal_f`` and ``crystal_e`` stay the per-weight rule, which
-``_component`` and ``is_prinjective`` follow and the tests compare the
-table with.
+per-row table instead of from each weight, and builds no weight.  The
+weights are the product of the ``row_choices``, numbered in
+``enumerate_weights`` order, and ``_flip_steps`` holds, for each color,
+row and choice, the label and the index step to the weight with that row
+flipped; a weight's scan is then a loop over its rows with a '+' counter,
+and an edge is (n, color, n + step), two weight indices.  A weight itself
+is the tuple of its rows' texts, from one text table per row, so the CLI
+renders each weight's text once and every edge from those texts.
+``crystal_f`` and ``crystal_e`` stay the per-weight rule on ``Matrix01``,
+which ``_component`` and ``is_prinjective`` follow and the tests compare
+the table with.
 
 For infinite intervals the prinjective set is the nested union of the
 components Lambda^o_r of the highest weights kappa^r of a tower of finite
@@ -42,13 +45,15 @@ from .weights import (
     Interval,
     Matrix01,
     TypeNC,
+    _row_text,
     column_counts,
-    enumerate_weights,
+    enumerate_weights,  # noqa: F401 (perfbench/tracing.py wraps crystal.enumerate_weights)
     in_Lambda_J,
     kappa,
     kappa_for_window,
     minimal_window,
     row_choices,
+    weight_texts,
 )
 
 
@@ -264,26 +269,30 @@ def _flip_steps(per_row, colors) -> list[list[list[int]]]:
 
 
 def crystal_edges(interval: Interval, tnc: TypeNC):
-    """All f-edges over a finite interval: the weights and a list of (lam, color, mu).
+    """All f-edges over a finite interval: the weights' rows and a list of (n, color, m).
 
-    Both ends of every edge are instances of the returned ``weights``.  The
+    The weights are those of ``enumerate_weights``, in its order; weight n
+    is given by its ``Matrix01.row_strings`` as a tuple, read off one text
+    table per row, and an edge (n, i, m) joins weight n to weight m.  The
     signature rule of each weight is a top-to-bottom scan of its rows'
     ``_flip_steps``: a '+' is counted, a '-' cancels one counted '+' or,
     when none is left, becomes the lowest surviving '-' so far, whose step
-    leads to mu.  No weight is built for an edge.
+    leads to m.  No weight is built.
     """
     if not interval.is_finite():
         raise IntervalInfinite("crystal enumeration requires a finite interval")
-    weights = enumerate_weights(interval, tnc)
-    if not weights:
-        raise EmptyWeightSet("no weights for this type")
     per_row = row_choices(interval, tnc)
+    if not all(per_row):
+        raise EmptyWeightSet("no weights for this type")
+    lo, hi = interval.lo, interval.hi + 1
+    vertices = list(itertools.product(*[[_row_text(lo, hi, ci, row) for row in choices]
+                                        for choices, ci in zip(per_row, tnc.c)]))
     colors = interval.colors()
     by_color = list(zip(colors, _flip_steps(per_row, colors)))
     edges = []
     # the weight at index n has the digits of n as its row choice indices
     digits = itertools.product(*[range(len(choices)) for choices in per_row])
-    for n, (lam, at) in enumerate(zip(weights, digits)):
+    for n, at in enumerate(digits):
         for i, rows in by_color:
             plus = step = 0
             for row, a in zip(rows, at):
@@ -296,21 +305,20 @@ def crystal_edges(interval: Interval, tnc: TypeNC):
                     else:
                         step = s
             if step:
-                edges.append((lam, i, weights[n + step]))
-    return weights, edges
+                edges.append((n, i, n + step))
+    return vertices, edges
 
 
 def crystal_dot(interval: Interval, tnc: TypeNC) -> str:
     """Emit the crystal graph in DOT format."""
-    return dot_text(*crystal_edges(interval, tnc))
+    vertices, edges = crystal_edges(interval, tnc)
+    return dot_text(weight_texts(interval.lo, vertices), edges)
 
 
-def dot_text(weights, edges) -> str:
-    """The DOT text of the vertices and edges returned by ``crystal_edges``."""
+def dot_text(texts, edges) -> str:
+    """The DOT text of a crystal: each weight's text, and edges that index them."""
     lines = ["digraph crystal {"]
-    for lam in weights:
-        lines.append(f'  "{lam.text()}";')
-    for lam, i, mu in edges:
-        lines.append(f'  "{lam.text()}" -> "{mu.text()}" [label="{i}"];')
+    lines += [f'  "{text}";' for text in texts]
+    lines += [f'  "{texts[n]}" -> "{texts[m]}" [label="{i}"];' for n, i, m in edges]
     lines.append("}")
     return "\n".join(lines)

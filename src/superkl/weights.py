@@ -152,6 +152,12 @@ def _row_text(lo: int, hi: int, ci: int, row: tuple[int, ...]) -> str:
     return "".join(chars)
 
 
+def weight_texts(lo: int, weights_rows) -> list[str]:
+    """Each weight's ``Matrix01.text``, from its ``row_strings`` over a window from lo."""
+    head = f"@{lo}:"
+    return [head + "/".join(rows) for rows in weights_rows]
+
+
 @dataclass(frozen=True)
 class Matrix01:
     """A 01-matrix weight, stored by its per-row deviation columns."""

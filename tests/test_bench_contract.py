@@ -7,6 +7,7 @@ library or a change of the output shape would otherwise break only the
 benchmark runs and its self-test; here it fails the tests.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -158,3 +159,19 @@ def test_traced_crystal_counts_the_edges_it_prints(capsys):
     assert edges in tracer.layer
     printed = json.loads(out)["edges"]
     assert printed and tracer.counts["crystal.edges_count"] == len(printed)
+
+
+def test_full_size_orders_outputs_match_the_benchmark_pins(capsys):
+    # the bytes of every seed-0 orders command at full size, not only "ok":
+    # the sha256 the benchmark pins, on every Python the tests run on
+    pins = json.loads((Path(_PERFBENCH) / "digests.json").read_text())["full"]["orders"]
+    ops, _ = workloads.generate("orders", 0, "full")
+    assert len(ops) == len(pins) == 34
+    assert {op["kind"] for op in ops} >= {"poset", "crystal", "blocks", "prinjective",
+                                         "prinjective-z", "klr-verify"}
+    assert pins["klr-verify --interval 0:3 --d 3 --threads 1"].startswith("025a9731")
+    for op in ops:
+        code = cli.main(op["argv"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, ""), op["label"]
+        assert hashlib.sha256(out.encode()).hexdigest() == pins[op["label"]], op["label"]

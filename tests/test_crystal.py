@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -346,13 +347,20 @@ def per_weight_edges(interval, weights):
     return [edge for edge in edges if edge[2] is not None]
 
 
+def weight_edges(weights, edges):
+    """``crystal_edges``' index edges as (lam, color, mu), read in ``weights``."""
+    assert all(0 <= n < len(weights) and 0 <= m < len(weights) for n, _, m in edges)
+    return [(weights[n], i, weights[m]) for n, i, m in edges]
+
+
 def test_edge_targets_are_the_enumerated_weights():
-    # the per-weight rule gives the same edges in the same order
+    # the vertices are the enumerated weights' rows, and the per-weight rule
+    # gives the same edges in the same order
     for interval, tnc in sweep_contexts():
-        weights, edges = crystal_edges(interval, tnc)
-        assert edges == per_weight_edges(interval, weights)
-        ids = {id(w) for w in weights}
-        assert all(id(lam) in ids and id(mu) in ids for lam, _, mu in edges)
+        vertices, edges = crystal_edges(interval, tnc)
+        weights = enumerate_weights(interval, tnc)
+        assert vertices == [tuple(w.row_strings()) for w in weights]
+        assert weight_edges(weights, edges) == per_weight_edges(interval, weights)
 
 
 def test_json_crystal_builds_no_dot_text(capsys, monkeypatch):
@@ -371,7 +379,6 @@ def scanned_edges(interval, tnc, swap=False, bottom_up=False):
     ``swap`` reads each '+' as a '-' and each '-' as a '+' (a row's step
     still leads to its own flip); ``bottom_up`` scans the rows upward.
     """
-    weights = enumerate_weights(interval, tnc)
     per_row = row_choices(interval, tnc)
     order = range(len(per_row))[::-1] if bottom_up else range(len(per_row))
     tables = list(zip(interval.colors(), crystal._flip_steps(per_row, interval.colors())))
@@ -389,15 +396,17 @@ def scanned_edges(interval, tnc, swap=False, bottom_up=False):
                     else:
                         step = s
             if step:
-                edges.append((weights[n], i, weights[n + step]))
+                edges.append((n, i, n + step))
     return edges
 
 
 def test_swapped_labels_or_a_bottom_up_scan_are_caught():
     swapped = bottom_up = 0
     for interval, tnc in sweep_contexts(max_dim=200, max_cols=4):
-        weights, edges = crystal_edges(interval, tnc)
-        assert scanned_edges(interval, tnc) == edges == per_weight_edges(interval, weights)
+        _, edges = crystal_edges(interval, tnc)
+        weights = enumerate_weights(interval, tnc)
+        assert scanned_edges(interval, tnc) == edges
+        assert weight_edges(weights, edges) == per_weight_edges(interval, weights)
         swapped += scanned_edges(interval, tnc, swap=True) != edges
         bottom_up += scanned_edges(interval, tnc, bottom_up=True) != edges
     assert swapped > 300 and bottom_up > 150  # of 439 contexts
@@ -423,6 +432,83 @@ def test_crystal_edges_build_no_weight_beyond_the_enumeration(monkeypatch):
     monkeypatch.setattr(Matrix01, "_trusted", classmethod(counted_trusted))
     monkeypatch.setattr(Matrix01, "__post_init__", counted_checked)
     monkeypatch.setattr(Matrix01, "flip", counted_flip)
-    weights, edges = crystal_edges(Interval.finite(0, 4), TypeNC((2, 2, 2), (0, 0, 0)))
-    assert len(edges) == 7900
-    assert built == len(weights) == 3375 and flips == 0
+    vertices, edges = crystal_edges(Interval.finite(0, 4), TypeNC((2, 2, 2), (0, 0, 0)))
+    assert len(edges) == 7900 and len(vertices) == 3375
+    assert built == 0 and flips == 0  # not even the enumeration's weights
+
+
+def crystal_data_form(interval, tnc, fmt):
+    """The stdout of ``crystal`` in fmt, from per-weight data: the weights of
+    ``enumerate_weights``, their ``to_json`` and ``text``, and the edges of
+    ``crystal_f``."""
+    weights = enumerate_weights(interval, tnc)
+    edges = per_weight_edges(interval, weights)
+    if fmt == "json":
+        payload = {"command": "crystal", "interval": interval.text(),
+                   "vertices": [w.to_json() for w in weights],
+                   "edges": [{"from": lam.text(), "color": i, "to": mu.text()}
+                             for lam, i, mu in edges]}
+        if tnc.level:
+            payload["type"] = {"n": list(tnc.n), "c": list(tnc.c)}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if fmt == "dot":
+        lines = (["digraph crystal {"] + [f'  "{w.text()}";' for w in weights]
+                 + [f'  "{lam.text()}" -> "{mu.text()}" [label="{i}"];' for lam, i, mu in edges]
+                 + ["}"])
+    else:
+        sep = "\t" if fmt == "tsv" else "  "
+        lines = [sep.join((lam.text(), str(i), mu.text())) for lam, i, mu in edges]
+    return "\n".join(lines) + "\n"
+
+
+def crystal_argv(interval, tnc, fmt):
+    return ["crystal", "--interval", interval.text(), "--n", ",".join(map(str, tnc.n)),
+            "--c", ",".join(map(str, tnc.c)), "--format", fmt]
+
+
+def crystal_output(capsys, interval, tnc, fmt):
+    code = cli.main(crystal_argv(interval, tnc, fmt))
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    return out
+
+
+CRYSTAL_FORMATS = ("json", "tsv", "text", "dot")
+
+
+def test_crystal_output_matches_its_per_weight_data_form(capsys):
+    # every acceptance context in every format, plus a type of level 0 and
+    # an interval left of 0
+    contexts = list(sweep_contexts())
+    contexts += [(Interval.finite(0, 1), TypeNC((), ())),
+                 (Interval.finite(-2, 0), TypeNC((1, 2), (1, 0)))]
+    for interval, tnc in contexts:
+        for fmt in CRYSTAL_FORMATS:
+            assert crystal_output(capsys, interval, tnc, fmt) == \
+                crystal_data_form(interval, tnc, fmt), (interval, tnc, fmt)
+    assert len(contexts) > 800
+
+
+def test_a_swapped_edge_or_a_shifted_indent_is_caught(capsys, monkeypatch):
+    # negative controls: the comparison with the data form must see either
+    interval, tnc = Interval.finite(0, 2), TypeNC((2, 1), (0, 1))
+    want = {fmt: crystal_data_form(interval, tnc, fmt) for fmt in CRYSTAL_FORMATS}
+    edges_of = crystal.crystal_edges
+
+    def swap_first(*args):  # one edge's from and to exchanged
+        vertices, ((n, i, m), *rest) = edges_of(*args)
+        return vertices, [(m, i, n), *rest]
+    monkeypatch.setattr(crystal, "crystal_edges", swap_first)
+    for fmt in CRYSTAL_FORMATS:
+        assert crystal_output(capsys, interval, tnc, fmt) != want[fmt], fmt
+    monkeypatch.setattr(crystal, "crystal_edges", edges_of)
+    assert crystal_output(capsys, interval, tnc, "json") == want["json"]
+
+    weight_items = cli._weight_items
+
+    def shift_first(lo, vertices, inner):  # one vertex one space deeper
+        return weight_items(lo, vertices[:1], inner + " ") + weight_items(lo, vertices[1:], inner)
+    monkeypatch.setattr(cli, "_weight_items", shift_first)
+    out = crystal_output(capsys, interval, tnc, "json")
+    assert out != want["json"]
+    assert json.loads(out) == json.loads(want["json"])  # only the bytes differ

