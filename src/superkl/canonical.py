@@ -43,7 +43,8 @@ map ``_mask_pos`` are read off the ints.  Every other per-member quantity
 is a sum or a join over rows, read from ``_RowTable``s: one table per row,
 keyed by the row's bits x & ones << i, whose entry is made from the row's
 deviations the first time the table meets that row.  ``_text_tables``
-hold each row's text, which ``texts`` and ``to_json`` join per weight;
+hold each row's text, which ``row_strings`` gathers and ``texts`` joins
+per weight;
 ``_grid_shares`` hold each row's share of the ``_linear_extension`` sort
 key and of the order table of a block whose members deviate at the
 columns grid.
@@ -138,6 +139,7 @@ from .weights import (
     _row_text,
     counts_weight,
     enumerate_weights,
+    in_row_order,
     kappa,
     koszul_dual,
     koszul_dual_inverse,
@@ -344,11 +346,6 @@ class _PackedWeights:
     def texts(self) -> list[str]:
         """Each weight's ``Matrix01.text``."""
         return weight_texts(self.interval.lo, self.row_strings())
-
-    def to_json(self) -> list[dict]:
-        """Each weight's ``Matrix01.to_json``."""
-        lo = self.interval.lo
-        return [{"window_start": lo, "rows": list(rows)} for rows in self.row_strings()]
 
 
 class _Lowering(dict):
@@ -749,18 +746,19 @@ def _choice_keys(interval: Interval, tnc: TypeNC) -> list[tuple[list[int], list[
 
     The key of a choice packs its signed deviation counts: the count v_j at
     column j is the digit of B^(j - lo), B = ``_key_base(level)``, so two
-    weights' key sums are equal iff their ``column_counts`` are.  A row's
-    choices are the ``combinations`` of its columns, reversed for polarity 0,
-    so bits and keys are sums over combinations of per-column values.
+    weights' key sums are equal iff their ``column_counts`` are.  A
+    choice's bits and key are sums of per-column values over its columns,
+    so a row's lists are the sums over ``combinations`` of those values,
+    put in ``row_choices`` order by ``in_row_order``.
     """
     level, ncols, base = tnc.level, interval.n_cols(), _key_base(tnc.level)
     ones, digits = _column_ones(level, ncols), [base ** k for k in range(ncols)]
     rows = []
     for i, (ni, ci) in enumerate(zip(tnc.n, tnc.c)):
-        bits = list(map(sum, combinations([1 << k * level + i for k in range(ncols)], ni)))
-        keys = list(map(sum, combinations(digits, ni)))
-        rows.append(([ones << i ^ b for b in bits], [-k for k in keys]) if ci
-                    else (bits[::-1], keys[::-1]))
+        bits = in_row_order(
+            list(map(sum, combinations([1 << k * level + i for k in range(ncols)], ni))), ci)
+        keys = in_row_order(list(map(sum, combinations(digits, ni))), ci)
+        rows.append(([ones << i ^ b for b in bits], [-k for k in keys]) if ci else (bits, keys))
     return rows
 
 
@@ -891,16 +889,24 @@ def _profile_bits(spread: int) -> int:
     return spread.bit_length() + 1
 
 
+def _d_row_vec(lam: Matrix01, space: Matrix01, member, coeff) -> ModuleVec:
+    """Row lam of the d-matrix of lam's block as a vector of space's module:
+    coeff(d_{lam,mu}) at member(mu) for each mu of the row."""
+    block = block_data(lam)
+    row = block.d_matrix()[block.position(lam)]
+    return ModuleVec(space.interval, space.tnc,
+                     {member(block.member(b)): coeff(c) for b, c in row.items()})
+
+
+def _same(x):
+    return x
+
+
 def canonical_basis(lam: Matrix01) -> ModuleVec:
     """b_lam, the psi-invariant unitriangular basis vector."""
     if not lam.interval.is_finite():
         raise IntervalInfinite("canonical basis requires a finite interval")
-    block = block_data(lam)
-    d = block.d_matrix()
-    a = block.position(lam)
-    out = ModuleVec(lam.interval, lam.tnc)
-    out.terms = {block.member(b): c for b, c in d[a].items()}
-    return out
+    return _d_row_vec(lam, lam, _same, _same)
 
 
 def _check_same_context(lam: Matrix01, mu: Matrix01) -> None:
@@ -1006,16 +1012,11 @@ def dual_canonical(mu: Matrix01) -> ModuleVec:
     """
     if not mu.interval.is_finite():
         raise IntervalInfinite("dual canonical basis requires a finite interval")
-    out = ModuleVec(mu.interval, mu.tnc)
     if mu.tnc.level < 2:
-        out.terms = {mu: one}
-        return out
-    dual = koszul_dual(mu)
-    block = block_data(dual)
-    row = block.d_matrix()[block.position(dual)]
-    out.terms = {koszul_dual_inverse(block.member(b), mu.interval, mu.tnc): c.subs_neg_q()
-                 for b, c in row.items()}
-    return out
+        return ModuleVec.monomial(mu)
+    return _d_row_vec(koszul_dual(mu), mu,
+                      lambda nu: koszul_dual_inverse(nu, mu.interval, mu.tnc),
+                      LaurentInt.subs_neg_q)
 
 
 def _reverse_rows(lam: Matrix01) -> Matrix01:
@@ -1026,14 +1027,7 @@ def twisted_canonical(lam: Matrix01) -> ModuleVec:
     """The twisted basis vector, from d-polynomials of the row-reversed type."""
     if not lam.interval.is_finite():
         raise IntervalInfinite("twisted basis requires a finite interval")
-    rlam = _reverse_rows(lam)
-    block = block_data(rlam)
-    d = block.d_matrix()
-    a = block.position(rlam)
-    out = ModuleVec(lam.interval, lam.tnc)
-    out.terms = {_reverse_rows(block.member(b)): c.bar()
-                 for b, c in d[a].items()}
-    return out
+    return _d_row_vec(_reverse_rows(lam), lam, _reverse_rows, LaurentInt.bar)
 
 
 def young_word_dim(lam: Matrix01, word) -> LaurentInt:

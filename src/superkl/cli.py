@@ -8,16 +8,16 @@ whatever ``--format`` says.  Outputs are byte-deterministic: everything is
 sorted, never emitted in completion order.
 
 The JSON text is ``json.dumps(payload, indent=2, sort_keys=True)``.  Where
-a payload would be large, the command hands the writer nodes (``_Node``)
-instead of data, each rendering itself at the indent it sits at with the
-bytes ``json.dumps`` gives its data form.  A whole-context ``canonical``
-hands it ``_Entry`` nodes: each entry is rendered from its block's pieces
-(``_BlockBasis``), the data form being ``{"lambda": member JSON, "terms":
-_vec_json(b_lambda)}``, and its tsv and text rows come from the same
-pieces.  ``crystal`` and ``poset`` hand it ``_List`` nodes, rendered from
-each weight's row strings and text: ``crystal`` its vertices and edges,
-whose texts its tsv, text and DOT rows read too, and ``poset`` its
-weights and covers.
+a payload would be large, the command hands the writer a node (``_List``)
+instead of data, a list whose items are rendered at once at the indent
+they sit at, with the bytes ``json.dumps`` gives its data form.  The
+items are rendered from each weight's row strings (``_weight_items``) and
+text.  A whole-context ``canonical`` hands it its basis, each entry
+rendered from its block's pieces (``_BlockBasis``), the data form being
+``{"lambda": member JSON, "terms": _vec_json(b_lambda)}``, and its tsv and
+text rows come from the same pieces.  ``crystal`` hands it its vertices
+and edges, whose texts its tsv, text and DOT rows read too, and ``poset``
+its weights and covers.
 """
 
 from __future__ import annotations
@@ -80,32 +80,28 @@ def _vec_json(v: ModuleVec) -> list:
 class _BlockBasis:
     """The basis entries of one block of a whole-context ``canonical``, as pieces.
 
-    It holds each member's JSON data form, read off the block's per-row
+    It holds each member's row strings, read off the block's per-row
     tables, its d rows (read here, so ``_map_blocks`` runs the solve) and
     each member's rank in text order, the order of the terms of a row as in
     ``_vec_json``.  ``coeffs`` is the command's memo of ``render`` texts,
     keyed by the id of a d entry: the rows held here keep every entry alive
     for as long as the memo, so no id is reused.  ``_map_blocks`` may build
     the pieces in threads; the memo is filled only when entries are
-    rendered, by the writer or the tsv/text rows in one thread.  No per-term
-    object is built.
+    rendered, by the writer or the tsv/text rows in one thread.  No
+    per-member dict or per-term object is built.
     """
 
-    __slots__ = ("members", "rows", "rank", "coeffs", "fragments", "indent", "heads",
-                 "compact")
+    __slots__ = ("lo", "members", "rows", "rank", "coeffs")
 
     def __init__(self, block, coeffs: dict[int, str]):
-        self.members = members = block.to_json()
+        self.lo = block.interval.lo
+        self.members = members = list(block.row_strings())
         self.rows = list(block.d_matrix())
         self.rank = [0] * len(members)
         # text order: every member's rows have the same lengths
-        for r, b in enumerate(sorted(range(len(members)), key=lambda b: members[b]["rows"])):
+        for r, b in enumerate(sorted(range(len(members)), key=members.__getitem__)):
             self.rank[b] = r
         self.coeffs = coeffs
-        self.fragments = None  # each member's JSON text at depth 0, on first render
-        self.heads = None  # each member's term text up to its coefficient, at ``indent``
-        self.indent = None
-        self.compact = None  # each member's ``json.dumps`` text, on first tsv/text row
 
     def terms(self, a: int) -> list[int]:
         """Row a's columns in term order."""
@@ -118,68 +114,43 @@ class _BlockBasis:
             text = self.coeffs[id(c)] = render(c)
         return text
 
-    def entry_text(self, a: int, indent: str) -> str:
-        """``json.dumps(entry, indent=2, sort_keys=True)`` of member a's entry at indent.
+    def entry_texts(self, indent: str) -> list[str]:
+        """Each member's entry, ``{"lambda": member, "terms": _vec_json(b_lambda)}``,
+        as ``json.dumps(entry, indent=2, sort_keys=True)`` at indent.
 
-        A member's text at a deeper indent is its depth-0 text with the
-        indent put after each newline, which is exact because a JSON string
-        holds no raw newline.  Each term is one template filled with the
-        term's member and its coefficient: keys "basis" < "coeff".  The
-        member heads of one indent are kept, one indent at a time.
+        Each member is rendered once at the depth of the ``"lambda"`` field
+        and once at the depth of a term's fields; each term is one template
+        filled with its member and its coefficient: keys "basis" < "coeff".
         """
-        inner, item, field = indent + "  ", indent + "    ", indent + "      "
-        if self.fragments is None:
-            self.fragments = list(map(_json_text, self.members))
-        if self.indent != indent:
-            deeper = "\n" + field
-            head, tail = f'{{{deeper}"basis": ', f',{deeper}"coeff": '
-            self.heads = [head + f.replace("\n", deeper) + tail for f in self.fragments]
-            self.indent = indent
-        heads, coeff, row = self.heads, self.coeff, self.rows[a]
-        close = f"\n{item}}}"
-        texts = [heads[b] + encode_basestring_ascii(coeff(row[b])) + close
-                 for b in self.terms(a)]
-        lam = self.fragments[a].replace("\n", "\n" + inner)
-        terms = f"[\n{item}" + f",\n{item}".join(texts) + f"\n{inner}]" if texts else "[]"
-        return f'{{\n{inner}"lambda": {lam},\n{inner}"terms": {terms}\n{indent}}}'
+        field, item = indent + "  ", indent + "    "
+        deeper = item + "  "
+        heads = [f'{{\n{deeper}"basis": {text},\n{deeper}"coeff": '
+                 for text in _weight_items(self.lo, self.members, deeper)]
+        close, coeff, out = f"\n{item}}}", self.coeff, []
+        for a, lam in enumerate(_weight_items(self.lo, self.members, field)):
+            row = self.rows[a]
+            texts = [heads[b] + encode_basestring_ascii(coeff(row[b])) + close
+                     for b in self.terms(a)]
+            terms = f"[\n{item}" + f",\n{item}".join(texts) + f"\n{field}]"  # d_aa = 1 is in it
+            out.append(f'{{\n{field}"lambda": {lam},\n{field}"terms": {terms}\n{indent}}}')
+        return out
 
-    def row_texts(self, a: int) -> tuple[str, str]:
-        """Member a's tsv/text row: its ``json.dumps`` text and its terms."""
-        if self.compact is None:
-            self.compact = list(map(json.dumps, self.members))
-        compact, coeff, row = self.compact, self.coeff, self.rows[a]
-        return compact[a], " + ".join([f"({coeff(row[b])}) {compact[b]}"
-                                       for b in self.terms(a)])
-
-
-class _Node:
-    """A writer node: ``_json_text`` hands it the indent it sits at, and its
-    ``json_text`` there equals ``json.dumps`` of the node's data form."""
-
-    __slots__ = ()
-
-    def json_text(self, indent: str) -> str:
-        raise NotImplementedError
+    def row_texts(self) -> list[tuple[str, str]]:
+        """Each member's tsv/text row: its ``json.dumps`` text, from 0/1 row
+        strings that JSON quotes as they are, and its terms."""
+        head = f'{{"window_start": {self.lo}, "rows": ['
+        compact = [head + ", ".join([f'"{r}"' for r in rows]) + "]}" for rows in self.members]
+        coeff = self.coeff
+        return [(compact[a], " + ".join([f"({coeff(row[b])}) {compact[b]}"
+                                         for b in self.terms(a)]))
+                for a, row in enumerate(self.rows)]
 
 
-class _Entry(_Node):
-    """One basis entry of a whole-context ``canonical``, rendered from its
-    block's pieces; its data form is ``{"lambda": member JSON, "terms":
-    _vec_json(b_lambda)}``."""
-
-    __slots__ = ("block", "a")
-
-    def __init__(self, block: _BlockBasis, a: int):
-        self.block = block
-        self.a = a
-
-    def json_text(self, indent: str) -> str:
-        return self.block.entry_text(self.a, indent)
-
-
-class _List(_Node):
-    """A list whose items' texts ``items(inner)`` renders at once, each at
-    the indent inner of the list's items."""
+class _List:
+    """The writer's node: a list whose items' texts ``items(inner)`` renders
+    at once, each at the indent inner of the list's items.  ``_json_text``
+    hands it the indent it sits at, and its ``json_text`` there equals
+    ``json.dumps`` of the list's data form."""
 
     __slots__ = ("items",)
 
@@ -286,11 +257,16 @@ def cmd_canonical(args):
                 raise _over_budget(args, canon._from_monomial(x, interval, tnc))
     coeffs: dict[int, str] = {}  # this command's coefficient texts, see _BlockBasis
     blocks = _map_blocks(lambda block: _BlockBasis(block, coeffs), table.blocks, args.threads)
-    entries = {x: _Entry(pieces, a) for block, pieces in zip(table.blocks, blocks)
-               for a, x in enumerate(block.monomials)}
-    # enumeration order is the sorted order of the lambda JSON
-    basis = [entries[x] for x in table.monomials]
-    return {"basis": basis}, (e.block.row_texts(e.a) for e in basis)
+
+    def in_order(render):
+        """render's items of every block, one per member, in enumeration
+        order, the sorted order of the lambda JSON; made on first read."""
+        items = {}
+        for block, pieces in zip(table.blocks, blocks):
+            items.update(zip(block.monomials, render(pieces)))
+        yield from map(items.__getitem__, table.monomials)
+    basis = _List(lambda inner: in_order(lambda pieces: pieces.entry_texts(inner)))
+    return {"basis": basis}, in_order(_BlockBasis.row_texts)
 
 
 def cmd_klpoly(args):
@@ -513,7 +489,7 @@ def _json_text(obj, indent: str = "") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, one join per container.
 
     Handles str, int, bool, None, lists and dicts with str keys, the types
-    every payload is made of, and writer nodes (``_Node``), each rendered
+    every payload is made of, and writer nodes (``_List``), each rendered
     by itself at the indent it is handed; anything else, a non-str key
     included, is a TypeError.  str, dict, nodes and list, the bulk of a
     payload, are tested first.
@@ -523,7 +499,7 @@ def _json_text(obj, indent: str = "") -> str:
         return encode_basestring_ascii(obj)
     if kind is dict:
         return _dict_text(obj, indent)
-    if isinstance(obj, _Node):
+    if kind is _List:
         return obj.json_text(indent)
     if isinstance(obj, list):
         if not obj:

@@ -19,7 +19,7 @@ defining relations are exercised by the test suite rather than assumed.
 
 ``KLRElem``, ``AHAElem`` and ``NilHeckePoly`` take +, -, scaling and
 equality from ``laurent.Combination`` and are immutable by its contract:
-every operation returns a new element.  That lets the uncut generators
+every operation returns a new element.  That lets the generators
 ``xi(ctx, k)`` and ``tau(ctx, j)`` be built once per (ctx, index) and
 shared, and lets each element cache two indexes of its terms on first use:
 by right word (with the crossing word precomputed) and by left word (with
@@ -422,38 +422,28 @@ def identity_elem(ctx: KLRContext) -> KLRElem:
 _gen_cache: dict[tuple, KLRElem] = {}
 
 
-def xi(ctx: KLRContext, k: int, iword=None) -> KLRElem:
-    """xi_k, optionally cut down by a right idempotent; uncut ones are shared."""
+def xi(ctx: KLRContext, k: int) -> KLRElem:
+    """xi_k, built once per (ctx, k) and shared."""
     if not 1 <= k <= ctx.d:
         raise ValueError("dot index out of range")
     key = ("xi", ctx, k)
-    if iword is None and key in _gen_cache:
-        return _gen_cache[key]
-    out = KLRElem(ctx)
-    ident = perm_identity(ctx.d)
-    for w in ([tuple(iword)] if iword is not None else ctx.words()):
-        a = tuple(1 if t == k - 1 else 0 for t in range(ctx.d))
-        out.terms[(tuple(w), a, ident)] = 1
-    if iword is None:
-        _gen_cache[key] = out
+    out = _gen_cache.get(key)
+    if out is None:
+        a, ident = tuple(1 if t == k - 1 else 0 for t in range(ctx.d)), perm_identity(ctx.d)
+        out = _gen_cache[key] = KLRElem(ctx, {(w, a, ident): 1 for w in ctx.words()})
     return out
 
 
-def tau(ctx: KLRContext, j: int, iword=None) -> KLRElem:
-    """tau_j, optionally cut down by a right idempotent; uncut ones are shared."""
+def tau(ctx: KLRContext, j: int) -> KLRElem:
+    """tau_j, built once per (ctx, j) and shared."""
     if not 1 <= j <= ctx.d - 1:
         raise ValueError("crossing index out of range")
     key = ("tau", ctx, j)
-    if iword is None and key in _gen_cache:
-        return _gen_cache[key]
-    out = KLRElem(ctx)
-    zeros = (0,) * ctx.d
-    w = perm_of_word((j,), ctx.d)
-    for jw in ([tuple(iword)] if iword is not None else ctx.words()):
-        left = swap_positions(jw, j)
-        out.terms[(left, zeros, w)] = 1
-    if iword is None:
-        _gen_cache[key] = out
+    out = _gen_cache.get(key)
+    if out is None:
+        zeros, w = (0,) * ctx.d, perm_of_word((j,), ctx.d)
+        out = _gen_cache[key] = KLRElem(ctx, {(swap_positions(jw, j), zeros, w): 1
+                                              for jw in ctx.words()})
     return out
 
 

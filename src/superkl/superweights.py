@@ -81,14 +81,12 @@ def _block_slices(tnc: TypeNC):
         start += ni
 
 
-def to_matrix01(lam: SuperWeight, interval: Interval | None = None) -> Matrix01:
+def to_matrix01(lam: SuperWeight) -> Matrix01:
     """The 01-matrix of a dominant weight over I = Z.
 
     Row i deviates from its baseline exactly at the columns
     (lam + rho, delta_g), g running over the block's coordinates.
     """
-    if interval is None:
-        interval = Interval.all_z()
     ps = parities(lam.tnc)
     sh = shifted(lam)
     devs = []
@@ -102,7 +100,7 @@ def to_matrix01(lam: SuperWeight, interval: Interval | None = None) -> Matrix01:
         if len(set(cols)) != len(cols):
             raise DuplicateCoordinate(f"repeated shifted coordinate in block: {cols}")
         devs.append(tuple(sorted(cols)))
-    return Matrix01(interval, lam.tnc, tuple(devs))
+    return Matrix01(Interval.all_z(), lam.tnc, tuple(devs))
 
 
 def from_matrix01(mat: Matrix01) -> SuperWeight:

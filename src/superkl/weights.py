@@ -399,14 +399,19 @@ def row_choices(interval: Interval, tnc: TypeNC) -> list[list[tuple[int, ...]]]:
     """
     if not interval.is_finite():
         raise IntervalInfinite("enumeration requires a finite interval")
-    per_row = []
-    for ni, ci in zip(tnc.n, tnc.c):
-        # the first column where two choices' bitstrings differ is in the one
-        # that comes first as a sorted tuple: with 1 at a deviation (polarity
-        # 0) its bitstring is the larger, with 0 there (polarity 1) the smaller
-        choices = list(itertools.combinations(interval.cols(), ni))
-        per_row.append(choices if ci else choices[::-1])
-    return per_row
+    return [in_row_order(list(itertools.combinations(interval.cols(), ni)), ci)
+            for ni, ci in zip(tnc.n, tnc.c)]
+
+
+def in_row_order(choices: list, ci: int) -> list:
+    """A row's choices, listed as ``itertools.combinations`` of its columns
+    lists them, in the ``row_choices`` order of a row of polarity ci.
+
+    The first column where two choices' bitstrings differ is in the one
+    that comes first as a sorted tuple: with 1 at a deviation (polarity 0)
+    its bitstring is the larger, with 0 there (polarity 1) the smaller.
+    """
+    return choices if ci else choices[::-1]
 
 
 def enumerate_weights(interval: Interval, tnc: TypeNC) -> list[Matrix01]:

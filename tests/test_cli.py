@@ -1,10 +1,12 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import random
 import shlex
 import time
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -934,29 +936,6 @@ def test_two_canonical_commands_in_either_order(capsys, clear_between):
         assert outs == want
 
 
-def entry_nodes(interval, tnc):
-    """The writer nodes of a whole context, with each node's data form."""
-    args = cli.build_parser().parse_args(context_argv(interval, tnc, "json"))
-    nodes = cli.cmd_canonical(args)[0]["basis"]
-    assert all(type(node) is cli._Entry for node in nodes)
-    return nodes, basis_data(interval, tnc)
-
-
-def test_entry_node_at_interleaved_indents():
-    nodes, data = entry_nodes(Interval.finite(0, 2), TypeNC((2, 1, 2), (0, 1, 0)))
-    big = max(range(len(nodes)), key=lambda i: len(data[i]["terms"]))
-    assert len(data[big]["terms"]) > 1
-    for x, y in ((nodes[big], data[big]), (nodes[0], data[0])):
-        assert cli._json_text(x) == json.dumps(y, indent=2, sort_keys=True)
-    # indents 1, 3, 1, 3, 2, 3 and back, each node at more than one of them
-    def layout(e, f):
-        return [e, [[f]], f, [[e]], {"a": e, "b": [f]}, e]
-    payload = layout(nodes[big], nodes[0])
-    expected = json.dumps(layout(data[big], data[0]), indent=2, sort_keys=True)
-    assert cli._json_text(payload) == expected
-    assert cli._json_text(payload) == expected
-
-
 def test_rendering_a_payload_twice_gives_the_same_text():
     interval, tnc = Interval.finite(0, 2), TypeNC((2, 1, 2), (0, 1, 0))
     payload = golden_payload("canonical 0:2 2,1,2 0,1,0 json")
@@ -982,23 +961,24 @@ def test_a_swapped_term_or_a_shifted_indent_is_caught(monkeypatch, capsys):
     monkeypatch.setattr(cli._BlockBasis, "terms", terms)
     assert run_cli(capsys, *context_argv(interval, tnc, "json"))[1] == want["json"]
 
-    entry_text = cli._BlockBasis.entry_text
+    entry_texts = cli._BlockBasis.entry_texts
     shifted = []
 
-    def shift_one(self, a, indent):
+    def shift_one(self, indent):  # the entries of the first block rendered
         if not shifted:
-            shifted.append(a)
+            shifted.append(self)
             indent += " "
-        return entry_text(self, a, indent)
-    monkeypatch.setattr(cli._BlockBasis, "entry_text", shift_one)
+        return entry_texts(self, indent)
+    monkeypatch.setattr(cli._BlockBasis, "entry_texts", shift_one)
     out = run_cli(capsys, *context_argv(interval, tnc, "json"))[1]
     assert shifted and out != want["json"]
     assert json.loads(out) == json.loads(want["json"])  # only the bytes differ
 
 
 def test_members_and_coefficients_are_rendered_once(monkeypatch, capsys):
-    # each member's data once per block, its fragment (json) or compact text
-    # (tsv) once per member, each d entry once per command
+    # each block's row strings read once; each member rendered once at each
+    # of its two depths (json) or its compact text made once (tsv); each d
+    # entry rendered once per command; no member made into a Matrix01
     interval, tnc = CONTEXT_A
     canonical.clear_caches()
     table = canonical.BlockTable(interval, tnc)
@@ -1006,33 +986,43 @@ def test_members_and_coefficients_are_rendered_once(monkeypatch, capsys):
                for c in row.values()}
     terms = sum(len(row) for block in table.blocks for row in block.d_matrix())
     assert terms > len(entries)
-    for fmt, text_of in (("json", (cli, "_json_text")), ("tsv", (cli.json, "dumps"))):
-        calls = {"to_json": 0, "member_text": 0, "render": 0}
-        to_json, render, text = canonical.BlockData.to_json, cli.render, getattr(*text_of)
-        members = {}  # id -> member dict, held so that no id is reused
+    size, entry, term = len(table.monomials), " " * 6, " " * 10
+    want = {"json": {"row_strings": len(table.blocks), "render": len(entries),
+                     ("rendered at", entry): size, ("rendered at", term): size},
+            "tsv": {"row_strings": len(table.blocks), "render": len(entries), "compact": size}}
+    for fmt in ("json", "tsv"):
+        calls = Counter()
+        row_strings, weight_items = canonical.BlockData.row_strings, cli._weight_items
+        row_texts, render = cli._BlockBasis.row_texts, cli.render
 
-        def counted_to_json(block):  # the members' JSON, read off the block's per-row tables
-            out = to_json(block)
-            calls["to_json"] += len(out)
-            members.update((id(m), m) for m in out)
-            return out
+        def counted_row_strings(block):
+            calls["row_strings"] += 1
+            return row_strings(block)
 
-        def counted_text(obj, *args, **kwargs):
-            calls["member_text"] += id(obj) in members
-            return text(obj, *args, **kwargs)
+        def counted_weight_items(lo, weights, inner):
+            calls["rendered at", inner] += len(weights)
+            return weight_items(lo, weights, inner)
+
+        def counted_row_texts(pieces):  # makes the compact text of each member
+            calls["compact"] += len(pieces.members)
+            return row_texts(pieces)
 
         def counted_render(c):
             calls["render"] += 1
             return render(c)
-        monkeypatch.setattr(canonical.BlockData, "to_json", counted_to_json)
-        monkeypatch.setattr(Matrix01, "to_json", None)  # no member is a Matrix01
-        monkeypatch.setattr(*text_of, counted_text)
+
+        def no_matrix(*args):
+            raise AssertionError("a Matrix01 is built")
+        monkeypatch.setattr(canonical.BlockData, "row_strings", counted_row_strings)
+        monkeypatch.setattr(cli, "_weight_items", counted_weight_items)
+        monkeypatch.setattr(cli._BlockBasis, "row_texts", counted_row_texts)
         monkeypatch.setattr(cli, "render", counted_render)
-        code, _, _ = run_cli(capsys, *context_argv(interval, tnc, fmt))
+        for name in ("_trusted", "__post_init__", "to_json"):
+            monkeypatch.setattr(Matrix01, name, no_matrix)
+        code, _, err = run_cli(capsys, *context_argv(interval, tnc, fmt))
         monkeypatch.undo()
-        assert code == 0
-        assert calls == {"to_json": len(table.weights), "member_text": len(table.weights),
-                         "render": len(entries)}
+        assert (code, err) == (0, "")
+        assert calls == want[fmt], fmt
 
 
 _scalars = st.none() | st.booleans() | st.integers() | st.text(max_size=4)
@@ -1045,24 +1035,61 @@ def _trees(leaves):
 
 
 class _Slot(int):
-    """A tree leaf that stands for the entry node at its index."""
+    """A tree leaf that stands for the writer node at its index."""
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(_trees(_scalars | st.integers(0, 5).map(_Slot)))
-def test_json_writer_matches_json_dumps_with_entry_nodes(tree):
-    nodes, data = entry_nodes(Interval.finite(0, 1), TypeNC((2, 1, 1), (0, 1, 0)))
+def poset_node_data(interval, tnc):
+    """The weights and covers of ``poset`` as writer nodes, with their data forms."""
+    args = cli.build_parser().parse_args(
+        ["poset", f"--interval={interval.text()}", "--n", ",".join(map(str, tnc.n)),
+         "--c", ",".join(map(str, tnc.c))])
+    payload, covers = cli.cmd_poset(args)
+    return [(payload["weights"], [w.to_json() for w in enumerate_weights(interval, tnc)]),
+            (payload["covers"], [{"lower": a, "upper": b} for a, b in covers])]
 
-    def fill(x, pick):
+
+def canonical_node_data(interval, tnc):
+    """The basis of a whole-context ``canonical`` as a writer node, with its data form."""
+    args = cli.build_parser().parse_args(context_argv(interval, tnc, "json"))
+    canonical.clear_caches()
+    return [(cli.cmd_canonical(args)[0]["basis"], basis_data(interval, tnc))]
+
+
+@functools.cache
+def writer_nodes():
+    """Writer nodes of three commands, each with its data form: several
+    blocks, a level-0 type, an interval left of 0 and empty lists."""
+    nodes = canonical_node_data(Interval.finite(0, 1), TypeNC((2, 1, 1), (0, 1, 0)))
+    nodes += canonical_node_data(Interval.finite(0, 1), TypeNC((), ()))
+    nodes += poset_node_data(Interval.finite(-2, 0), TypeNC((1, 2), (1, 0)))
+    nodes += poset_node_data(Interval.finite(0, 0), TypeNC((3,), (0,)))
+    args = cli.build_parser().parse_args(["crystal", "--interval", "0:1", "--n", "1,1",
+                                          "--c", "0,1"])
+    payload, edges, _ = cli.cmd_crystal(args)
+    weights = enumerate_weights(Interval.finite(0, 1), TypeNC((1, 1), (0, 1)))
+    nodes += [(payload["vertices"], [w.to_json() for w in weights]),
+              (payload["edges"], [{"color": int(i), "from": a, "to": b} for a, i, b in edges])]
+    assert len(nodes) == 8 and all(type(node) is cli._List for node, _ in nodes)
+    assert [] in [data for _, data in nodes] and len({len(data) for _, data in nodes}) > 3
+    return nodes
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_trees(_scalars | st.integers(0, 7).map(_Slot)))  # one slot per writer node
+def test_json_writer_matches_json_dumps_with_list_nodes(tree):
+    # writer nodes at random depths of random trees, each rendered twice
+    nodes = writer_nodes()
+
+    def fill(x, side):
         if type(x) is _Slot:
-            return pick[x]
+            return nodes[x][side]
         if isinstance(x, list):
-            return [fill(v, pick) for v in x]
+            return [fill(v, side) for v in x]
         if isinstance(x, dict):
-            return {k: fill(v, pick) for k, v in x.items()}
+            return {k: fill(v, side) for k, v in x.items()}
         return x
-    expected = json.dumps(fill(tree, data), indent=2, sort_keys=True)
-    payload = fill(tree, nodes)
+    expected = json.dumps(fill(tree, 1), indent=2, sort_keys=True)
+    payload = fill(tree, 0)
     assert cli._json_text(payload) == expected
     assert cli._json_text(payload) == expected
 

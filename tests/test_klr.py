@@ -151,7 +151,7 @@ def test_associativity_random_monomials():
     def rand_monomial():
         iword = rng.choice(words)
         a = tuple(rng.randint(0, 1) for _ in range(3))
-        gens = [tau(ctx, rng.randint(1, 2), None) for _ in range(rng.randint(0, 2))]
+        gens = [tau(ctx, rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
         elem = KLRElem(ctx, {(iword, a, perm_identity(3)): 1})
         for g in gens:
             elem = klr_mul(elem, g)
@@ -291,6 +291,17 @@ def _klr_mul_scan(x, y):
     return out
 
 
+def cut_generator(ctx, name, index, iword):
+    """xi_index or tau_index times e(iword) on the right, its one term built
+    from the definition: a dot on strand index, or a crossing of strands
+    index and index + 1 whose left word is iword with those colors swapped."""
+    if name == "xi":
+        dots = tuple(int(t == index - 1) for t in range(ctx.d))
+        return KLRElem(ctx, {(iword, dots, perm_identity(ctx.d)): 1})
+    return KLRElem(ctx, {(klr.swap_positions(iword, index), (0,) * ctx.d,
+                          perm_of_word((index,), ctx.d)): 1})
+
+
 @st.composite
 def klr_element(draw, ctx):
     """Zero, a shared or cut generator, or a sum of random normal-form terms."""
@@ -300,10 +311,11 @@ def klr_element(draw, ctx):
     if kind == "zero":
         return KLRElem(ctx)
     if kind in ("shared", "cut"):
-        iword = draw(st.sampled_from(words)) if kind == "cut" else None
         gens = [("xi", k) for k in range(1, d + 1)] + [("tau", j) for j in range(1, d)]
         name, index = draw(st.sampled_from(gens))
-        return (xi if name == "xi" else tau)(ctx, index, iword)
+        if kind == "cut":
+            return cut_generator(ctx, name, index, draw(st.sampled_from(words)))
+        return (xi if name == "xi" else tau)(ctx, index)
     perms = list(itertools.permutations(range(d)))
     terms = {}
     for _ in range(draw(st.integers(1, 4))):
@@ -337,10 +349,9 @@ def test_shared_generators_stay_equal_to_fresh_ones():
     built = {("xi", ctx, k) for k in (1, 2, 3)} | {("tau", ctx, j) for j in (1, 2)}
     assert built <= set(klr._gen_cache)
     for (name, gctx, index), shared in klr._gen_cache.items():
-        cut = xi if name == "xi" else tau
         fresh = KLRElem(gctx)
         for iword in gctx.words():
-            fresh = fresh + cut(gctx, index, iword)
+            fresh = fresh + cut_generator(gctx, name, index, tuple(iword))
         assert shared == fresh, (name, gctx.colors, gctx.d, index)
 
 
