@@ -936,6 +936,25 @@ def test_two_canonical_commands_in_either_order(capsys, clear_between):
         assert outs == want
 
 
+def test_entry_node_at_interleaved_indents():
+    # the whole-context basis, with an entry of several terms, and the poset
+    # weights as writer nodes at indents 1, 3, 1, 3, 2, 3 and back, each node
+    # at more than one of them
+    interval, tnc = Interval.finite(0, 2), TypeNC((2, 1, 2), (0, 1, 0))
+    (basis, data), = canonical_node_data(interval, tnc)
+    assert max(len(entry["terms"]) for entry in data) > 1
+    weights, weight_data = poset_node_data(interval, tnc)[0]
+    for x, y in ((basis, data), (weights, weight_data)):
+        assert cli._json_text(x) == json.dumps(y, indent=2, sort_keys=True)
+
+    def layout(e, f):
+        return [e, [[f]], f, [[e]], {"a": e, "b": [f]}, e]
+    payload = layout(basis, weights)
+    expected = json.dumps(layout(data, weight_data), indent=2, sort_keys=True)
+    assert cli._json_text(payload) == expected
+    assert cli._json_text(payload) == expected
+
+
 def test_rendering_a_payload_twice_gives_the_same_text():
     interval, tnc = Interval.finite(0, 2), TypeNC((2, 1, 2), (0, 1, 0))
     payload = golden_payload("canonical 0:2 2,1,2 0,1,0 json")
@@ -1076,8 +1095,9 @@ def writer_nodes():
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(_trees(_scalars | st.integers(0, 7).map(_Slot)))  # one slot per writer node
-def test_json_writer_matches_json_dumps_with_list_nodes(tree):
-    # writer nodes at random depths of random trees, each rendered twice
+def test_json_writer_matches_json_dumps_with_entry_nodes(tree):
+    # writer nodes, lists of entries rendered at once, at random depths of
+    # random trees, each rendered twice
     nodes = writer_nodes()
 
     def fill(x, side):
