@@ -63,7 +63,13 @@ is made, in memory linear in the rows' choices.  A process holds at most
 one ``BlockData`` per key, in ``_single_block_cache``, and ``_registered``
 is the one place a block is built and added there: ``block_data``,
 ``BlockTable`` and the core reduction all go through it, so a block's
-psi, d and p memos are shared whichever path reaches it first.
+psi, d and p memos are shared whichever path reaches it first.  Each
+hands it the members already in a linear extension, sorted by their
+``_grid_shares`` keys: ``block_data`` and the core reduction sort their
+one block with ``_linear_extension``, and ``BlockTable`` sorts the blocks
+the registry lacks together, one ``_summed`` pass per grid
+(``_sort_blocks``), since a member's key depends on its block only
+through the block's grid.
 
 A block's one order table, ``_profiles``, holds one int per member: the
 signed prefix counts of rows 0..l-2 (``signed_profile``) as signed
@@ -118,7 +124,7 @@ from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, islice
 from math import prod
 from operator import add, and_, or_
 
@@ -172,15 +178,15 @@ def _packed_block_key(interval: Interval, tnc: TypeNC, x: int) -> tuple:
 def _registered(key: tuple, build) -> "BlockData":
     """The block under key in the registry; on a miss, build()'s packed weights, added.
 
-    This is the one place a block is made.  Its members are put in a linear
-    extension here, and its sl_I weight is read off the key's counts.
+    This is the one place a block is made.  build() returns the members
+    already in a linear extension, and the block's sl_I weight is read off
+    the key's counts.
     """
     block = _single_block_cache.get(key)
     if block is None:
         interval, tnc, counts = key
         block = _single_block_cache[key] = BlockData(
-            interval, tnc, counts_weight(dict(counts), interval),
-            tuple(_linear_extension(interval, tnc, build())))
+            interval, tnc, counts_weight(dict(counts), interval), tuple(build()))
     return block
 
 
@@ -322,10 +328,27 @@ def _grid(interval: Interval, tnc: TypeNC, monomials: Sequence[int]) -> tuple[in
 def _linear_extension(interval: Interval, tnc: TypeNC, monomials: Sequence[int]) -> list[int]:
     """A block's packed members sorted by their ``_grid_shares`` keys, no two equal:
     lam < mu puts lam first."""
-    keys = _summed(interval, tnc, monomials, _grid_shares(interval, tnc, _grid(
-        interval, tnc, monomials))[0])
-    member = dict(zip(keys, monomials))
-    return [member[key] for key in sorted(keys)]
+    members = list(monomials)
+    _sort_blocks(interval, tnc, [members])
+    return members
+
+
+def _sort_blocks(interval: Interval, tnc: TypeNC, blocks: list[list[int]]) -> None:
+    """Put each block's packed members, in place, in ``_linear_extension`` order.
+
+    A member's key depends on its block only through the block's grid, so
+    the blocks are grouped by grid and each group's keys are one
+    ``_summed`` call over all its members, then sorted block by block.
+    """
+    by_grid: dict[tuple[int, ...], list[list[int]]] = {}
+    for members in blocks:
+        if len(members) > 1:
+            by_grid.setdefault(_grid(interval, tnc, members), []).append(members)
+    for grid, group in by_grid.items():
+        keys = iter(_summed(interval, tnc, [x for members in group for x in members],
+                            _grid_shares(interval, tnc, grid)[0]))
+        for members in group:
+            members[:] = [x for _, x in sorted(zip(islice(keys, len(members)), members))]
 
 
 class _PackedWeights:
@@ -564,7 +587,8 @@ class BlockData(_PackedWeights):
         ones = _column_ones(level, len(kept))
         tnc = TypeNC(tuple(len(kept) - m if ci else m for m, ci in zip(
             [(reduced[0] & ones << i).bit_count() for i in range(level)], self.tnc.c)), self.tnc.c)
-        core = _registered(_packed_block_key(interval, tnc, reduced[0]), reduced.copy)
+        core = _registered(_packed_block_key(interval, tnc, reduced[0]),
+                           lambda: _linear_extension(interval, tnc, reduced))
         pos = tuple(map(core._mask_pos.get, reduced))
         if core.size != self.size or None in pos:
             raise SuperklError(f"block of {self.member(0).text()} and its core "
@@ -780,7 +804,8 @@ class BlockTable(_PackedWeights):
     weights are grouped by their ``_packed_keys``, and each group is looked
     up in or added to the registry under the ``_packed_block_key`` of its
     first member, so ``blocks`` are shared with ``block_data``; they are
-    sorted by their sl_I weight.
+    sorted by their sl_I weight.  The groups the registry lacks are put in
+    a linear extension together, by ``_sort_blocks``: one sort pass per grid.
     """
 
     def __init__(self, interval: Interval, tnc: TypeNC):
@@ -790,9 +815,11 @@ class BlockTable(_PackedWeights):
         groups: dict[int, list[int]] = {}
         for key, x in zip(keys, self.monomials):
             groups.setdefault(key, []).append(x)
+        blocks = {_packed_block_key(interval, tnc, group[0]): group for group in groups.values()}
+        _sort_blocks(interval, tnc, [group for key, group in blocks.items()
+                                     if key not in _single_block_cache])
         self.blocks: list[BlockData] = sorted(
-            (_registered(_packed_block_key(interval, tnc, group[0]), group.copy)
-             for group in groups.values()),
+            (_registered(key, group.copy) for key, group in blocks.items()),
             key=lambda b: sorted(b.weight.items()))
 
     @cached_property
@@ -880,8 +907,9 @@ def block_size(lam: Matrix01, cap: int) -> int:
 
 def block_data(lam: Matrix01) -> BlockData:
     """The block of lam: the cached one, or built directly from lam."""
-    return _registered(_packed_block_key(lam.interval, lam.tnc, _monomial(lam)),
-                       lambda: _block_members_direct(lam))
+    interval, tnc = lam.interval, lam.tnc
+    return _registered(_packed_block_key(interval, tnc, _monomial(lam)),
+                       lambda: _linear_extension(interval, tnc, _block_members_direct(lam)))
 
 
 def _profile_bits(spread: int) -> int:

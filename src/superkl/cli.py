@@ -16,8 +16,10 @@ text.  A whole-context ``canonical`` hands it its basis, each entry
 rendered from its block's pieces (``_BlockBasis``), the data form being
 ``{"lambda": member JSON, "terms": _vec_json(b_lambda)}``, and its tsv and
 text rows come from the same pieces.  ``crystal`` hands it its vertices
-and edges, whose texts its tsv, text and DOT rows read too, and ``poset``
-its weights and covers.
+and edges, whose texts its tsv, text and DOT rows read too, ``poset``
+its weights and covers, and ``blocks`` its blocks, whose members' texts
+come from one pass over the context and are read by its tsv and text
+rows too.
 """
 
 from __future__ import annotations
@@ -217,14 +219,25 @@ def cmd_poset(args):
     return payload, covers
 
 
+def _block_items(blocks, texts: dict[int, str], inner: str) -> list[str]:
+    """Each block's ``{"members", "weight"}`` JSON text at the indent inner;
+    texts holds each member's text by its packed weight, made of '@', ':',
+    '/', '-' and digits, which JSON quotes as they are."""
+    field, item = inner + "  ", inner + "    "
+    sep = f'",\n{item}"'
+    return [f'{{\n{field}"members": [\n{item}"' + sep.join(map(texts.__getitem__, b.monomials))
+            + f'"\n{field}],\n{field}"weight": {_json_text(b.weight.to_json(), field)}\n{inner}}}'
+            for b in blocks]  # a block has at least one member
+
+
 def cmd_blocks(args):
     interval, tnc = _context(args)
     table = canon.BlockTable(interval, tnc)
-    blocks = [{"weight": b.weight.to_json(),
-               "members": b.texts()}
-              for b in table.blocks]
-    payload = {"blocks": blocks, "count": len(blocks)}
-    rows = ((json.dumps(b["weight"]), " ".join(b["members"])) for b in blocks)
+    texts = dict(zip(table.monomials, table.texts()))
+    payload = {"blocks": _List(lambda inner: _block_items(table.blocks, texts, inner)),
+               "count": len(table.blocks)}
+    rows = ((json.dumps(b.weight.to_json()), " ".join(map(texts.__getitem__, b.monomials)))
+            for b in table.blocks)
     return payload, rows
 
 
@@ -318,7 +331,7 @@ def cmd_crystal(args):
 def cmd_prinjective(args):
     interval, tnc = _context(args)
     if interval.is_finite():
-        members = sorted(m.text() for m in crys.lambda_circ(interval, tnc))
+        members = crys.lambda_circ_texts(interval, tnc)
         payload = {"members": members, "count": len(members)}
         return payload, ((m,) for m in members)
     if args.max_r < 1:

@@ -15,10 +15,12 @@ row and choice, the label and the index step to the weight with that row
 flipped; a weight's scan is then a loop over its rows with a '+' counter,
 and an edge is (n, color, n + step), two weight indices.  A weight itself
 is the tuple of its rows' texts, from one text table per row, so the CLI
-renders each weight's text once and every edge from those texts.
+renders each weight's text once and every edge from those texts.  The
+component of kappa, ``_component``, follows the same tables from kappa's
+row-choice digits, so the finite prinjective list is rendered from the
+row texts too, and ``lambda_circ`` builds its weights from the digits.
 ``crystal_f`` and ``crystal_e`` stay the per-weight rule on ``Matrix01``,
-which ``_component`` and ``is_prinjective`` follow and the tests compare
-the table with.
+which ``is_prinjective`` follows and the tests compare the tables with.
 
 For infinite intervals the prinjective set is the nested union of the
 components Lambda^o_r of the highest weights kappa^r of a tower of finite
@@ -100,21 +102,57 @@ def same_block(lam: Matrix01, mu: Matrix01) -> bool:
     return column_counts(lam) == column_counts(mu)
 
 
-def _component(start: Matrix01, colors) -> set[Matrix01]:
+def _component(per_row, start: tuple[int, ...], colors) -> set[tuple[int, ...]]:
     """The weights f-edges of the colors reach from start, start included.
 
-    For a highest weight this is its whole component.
+    A weight is given by its row-choice digits: its rows' indices in
+    ``per_row``, the ``row_choices`` of a finite context.  Each weight is
+    scanned as in ``crystal_edges``, over the ``_flip_steps`` taken with
+    stride 1, so the step of the lowest surviving '-' row is the change of
+    that row's digit.  For a highest weight this is its whole component.
     """
+    steps = _flip_steps(per_row, colors, [1] * len(per_row))
     seen = {start}
     stack = [start]
     while stack:
-        lam = stack.pop()
-        for i in colors:
-            nxt = crystal_f(lam, i)
-            if nxt is not None and nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
+        at = stack.pop()
+        for rows in steps:
+            plus, lowest = 0, None
+            for r, a in enumerate(at):
+                s = rows[r][a]
+                if s > 0:
+                    plus += 1
+                elif s:
+                    if plus:
+                        plus -= 1
+                    else:
+                        lowest = r, s
+            if lowest:
+                r, s = lowest
+                nxt = at[:r] + (at[r] + s,) + at[r + 1:]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
     return seen
+
+
+def _kappa_component(window: Interval, tnc: TypeNC):
+    """The ``row_choices`` of a finite window and the ``_component`` of its kappa."""
+    kap = kappa(window, tnc)
+    per_row = row_choices(window, tnc)
+    start = tuple(map(list.index, per_row, kap.devs))
+    return per_row, _component(per_row, start, window.colors())
+
+
+def _component_weights(interval: Interval, tnc: TypeNC, window: Interval) -> set[Matrix01]:
+    """The component of kappa of the window under its colors, as weights over interval.
+
+    An f-edge of a window color moves deviations only inside the window,
+    so the component is the window's, read over the larger interval.
+    """
+    per_row, component = _kappa_component(window, tnc)
+    return {Matrix01._trusted(interval, tnc, tuple(map(list.__getitem__, per_row, at)))
+            for at in component}
 
 
 def _top(lam: Matrix01, colors) -> Matrix01:
@@ -133,8 +171,17 @@ def lambda_circ(interval: Interval, tnc: TypeNC) -> set[Matrix01]:
     """The crystal component of kappa over a finite interval."""
     if not interval.is_finite():
         raise IntervalInfinite("use a WindowTower over infinite intervals")
-    kap = kappa(interval, tnc)
-    return _component(kap, interval.colors())
+    return _component_weights(interval, tnc, interval)
+
+
+def lambda_circ_texts(interval: Interval, tnc: TypeNC) -> list[str]:
+    """The texts of ``lambda_circ``, sorted, from one text table per row: no weight is built."""
+    if not interval.is_finite():
+        raise IntervalInfinite("use a WindowTower over infinite intervals")
+    per_row, component = _kappa_component(interval, tnc)
+    texts = _choice_texts(interval, tnc, per_row)
+    return sorted(weight_texts(interval.lo, (map(list.__getitem__, texts, at)
+                                             for at in component)))
 
 
 @dataclass(frozen=True)
@@ -207,7 +254,7 @@ class WindowTower:
 
     def component_r(self, r: int) -> set[Matrix01]:
         """Lambda^o_r: the crystal component of kappa^r under colors of I_r."""
-        return _component(self.kappa_r(r), self.window(r).colors())
+        return _component_weights(self.interval, self.tnc, self.window(r))
 
     def bandon_chain(self, r: int) -> ModuleVec:
         """Apply the divided-power chain of step r to v_{kappa^{r+1}}.
@@ -245,17 +292,19 @@ def is_prinjective(lam: Matrix01, tower: WindowTower, r_max: int):
     return None
 
 
-def _flip_steps(per_row, colors) -> list[list[list[int]]]:
+def _flip_steps(per_row, colors, strides=None) -> list[list[list[int]]]:
     """The signature labels of every row choice, with the index step of its flip.
 
     ``per_row`` is ``row_choices``.  Entry [k][r][a] is for color
     colors[k] and choice a of row r: 0 when the row has no label there,
-    else the change of the weight's enumeration index when row r moves to
-    the flipped choice.  The choices of a row are sorted by bitstring, and
-    a '-' row reads (1, 0) at (i, i + 1), so its flip lies below it: the
-    step is negative for '-' and positive for '+'.
+    else the change of the weight's index when row r moves to the flipped
+    choice, strides[r] per choice; the default strides are the
+    ``enumerate_weights`` order's.  The choices of a row are sorted by
+    bitstring, and a '-' row reads (1, 0) at (i, i + 1), so its flip lies
+    below it: the step is negative for '-' and positive for '+'.
     """
-    strides = [prod(map(len, per_row[r + 1:])) for r in range(len(per_row))]
+    if strides is None:
+        strides = [prod(map(len, per_row[r + 1:])) for r in range(len(per_row))]
     index = [{row: a for a, row in enumerate(choices)} for choices in per_row]
     steps = []
     for i in colors:
@@ -266,6 +315,13 @@ def _flip_steps(per_row, colors) -> list[list[list[int]]]:
              for a, row in enumerate(choices)]
             for choices, at, stride in zip(per_row, index, strides)])
     return steps
+
+
+def _choice_texts(interval: Interval, tnc: TypeNC, per_row) -> list[list[str]]:
+    """Each row's ``row_choices`` as their row texts over a finite interval."""
+    lo, hi = interval.lo, interval.hi + 1
+    return [[_row_text(lo, hi, ci, row) for row in choices]
+            for choices, ci in zip(per_row, tnc.c)]
 
 
 def crystal_edges(interval: Interval, tnc: TypeNC):
@@ -284,9 +340,7 @@ def crystal_edges(interval: Interval, tnc: TypeNC):
     per_row = row_choices(interval, tnc)
     if not all(per_row):
         raise EmptyWeightSet("no weights for this type")
-    lo, hi = interval.lo, interval.hi + 1
-    vertices = list(itertools.product(*[[_row_text(lo, hi, ci, row) for row in choices]
-                                        for choices, ci in zip(per_row, tnc.c)]))
+    vertices = list(itertools.product(*_choice_texts(interval, tnc, per_row)))
     colors = interval.colors()
     by_color = list(zip(colors, _flip_steps(per_row, colors)))
     edges = []

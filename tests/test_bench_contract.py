@@ -29,6 +29,13 @@ finally:
 # traced pass
 WRAPPED_BY_NAME = [(module, "enumerate_weights") for module in (weights, canonical, crystal, cli)]
 WRAPPED_BY_NAME += [(module, "order_leq") for module in (weights, canonical, cli)]
+# every (owner, name) that tracing.install patches
+PATCHED = [(canonical.BlockData, name) for name in ("psi_matrix", "d_matrix", "p_matrix")]
+PATCHED += [(canonical.BlockTable, "__init__"), (canonical, "_block_members_direct"),
+            (canonical, "kl_d_stable"), (cli, "_emit"), (crystal, "crystal_edges"),
+            (crystal, "_component"), (superweights, "bruhat_leq"),
+            (klr, "verify_relations")]
+PATCHED += WRAPPED_BY_NAME
 
 
 def test_traced_queries_and_restore():
@@ -84,13 +91,7 @@ def test_cli_outputs_pass_the_benchmark_checks(capsys):
 def test_traced_canonical_context_with_core_blocks(capsys):
     # d_matrix of a reduced block calls d_matrix of its core through the
     # tracer's wrapper; the checks then read blocks and cores from the cache
-    patched = [(canonical.BlockData, name) for name in ("psi_matrix", "d_matrix", "p_matrix")]
-    patched += [(canonical.BlockTable, "__init__"), (canonical, "_block_members_direct"),
-                (canonical, "kl_d_stable"), (cli, "_emit"), (crystal, "crystal_edges"),
-                (crystal, "_component"), (superweights, "bruhat_leq"),
-                (klr, "verify_relations")]
-    patched += WRAPPED_BY_NAME
-    originals = [getattr(owner, name) for owner, name in patched]
+    originals = [getattr(owner, name) for owner, name in PATCHED]
     (op,), _ = workloads.generate("canonical-context", 0, "tiny")
     canonical.clear_caches()
     tracer = tracing.Tracer()
@@ -101,7 +102,7 @@ def test_traced_canonical_context_with_core_blocks(capsys):
         restore()
     out, err = capsys.readouterr()
     assert code == 0 and err == ""
-    assert [getattr(owner, name) for owner, name in patched] == originals
+    assert [getattr(owner, name) for owner, name in PATCHED] == originals
     assert tracer.counts["canonical.d_nonzeros"] > 0
     solve = tracer.layer_index["canonical.d_solve"]
     assert any(layer == solve and tracer.layer[tracer.parent[i]] == solve
@@ -111,6 +112,30 @@ def test_traced_canonical_context_with_core_blocks(capsys):
     assert any(block.core()[0] is not block for block in cache)
     assert checks.canonical_context(op, out) == []
     assert checks.touched_blocks() == []
+
+
+def test_traced_tiny_orders_pass_keeps_its_counts(capsys):
+    # the relations checked, the size of kappa's component and the blocks
+    # registered on a tiny orders pass are facts of its inputs, however the
+    # blocks are sorted, the closure is walked or the relations are
+    # compared; every patched name is put back
+    originals = [getattr(owner, name) for owner, name in PATCHED]
+    ops, _ = workloads.generate("orders", 0, "tiny")
+    canonical.clear_caches()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        codes = [cli.main(op["argv"]) for op in ops]
+    finally:
+        restore()
+    _, err = capsys.readouterr()
+    assert set(codes) == {0} and err == ""
+    assert [getattr(owner, name) for owner, name in PATCHED] == originals
+    counts = tracer.counts
+    assert (counts["klr.relations_checked"], counts["crystal.component_size"],
+            counts["canonical.blocks"]) == (60, 8, 19)
+    for layer in ("klr.verify", "crystal.component", "canonical.block_build", "cli.emit"):
+        assert tracer.layer_index[layer] in tracer.layer, layer
 
 
 def test_traced_klpoly_over_z_opens_a_stable_window_span(capsys):

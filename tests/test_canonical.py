@@ -263,6 +263,40 @@ def test_random_linear_extension_is_the_profile_sum_order(context):
         assert list(block.members) == profile_sum_order(block.members)
 
 
+@st.composite
+def small_context(draw):
+    """A finite context of level <= 3 with each n_i <= 3, over an interval of
+    at most 4 colors inside 0:3 or starting left of 0, rows of either polarity."""
+    lo = draw(st.integers(-4, 3))
+    interval = Interval.finite(lo, draw(st.integers(lo, min(lo + 3, 3))))
+    level = draw(st.integers(0, 3))
+    n = draw(st.lists(st.integers(0, min(3, interval.n_cols())), min_size=level,
+                      max_size=level))
+    c = draw(st.lists(st.integers(0, 1), min_size=level, max_size=level))
+    return interval, TypeNC(tuple(n), tuple(c))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(small_context(), st.data())
+def test_table_blocks_sorted_per_grid_are_each_blocks_linear_extension(context, data):
+    # BlockTable sorts its new blocks one grid at a time; each must come out
+    # as its own member set sorted alone, and a block first built from one
+    # weight must come back from the table as the same object, in its order
+    interval, tnc = context
+    clear_caches()
+    table = BlockTable(interval, tnc)
+    for block in table.blocks:
+        assert list(block.monomials) == canon._linear_extension(
+            interval, tnc, set(block.monomials)), (interval, tnc)
+    x = table.monomials[data.draw(st.integers(0, len(table.monomials) - 1))]
+    order = next(b.monomials for b in table.blocks if x in b.monomials)
+    clear_caches()
+    block = canon.block_data(canon._from_monomial(x, interval, tnc))
+    assert block.monomials == order
+    again = BlockTable(interval, tnc).blocks
+    assert [b for b in again if x in b.monomials] == [block]  # by identity
+
+
 @pytest.mark.parametrize("table_first", [False, True])
 def test_block_data_and_block_table_share_one_block(table_first):
     # one BlockData per (interval, type, weight), whichever path comes first

@@ -27,6 +27,7 @@ from superkl.weights import (
     koszul_dual,
     order_leq,
     parse_matrix,
+    weight_of,
 )
 
 
@@ -98,6 +99,35 @@ def test_poset_json_matches_its_data_form():
         assert cli._json_text(payload) == json.dumps(data, indent=2, sort_keys=True), \
             (interval, tnc)
     assert len(contexts) > 400
+
+
+def test_blocks_json_matches_its_data_form():
+    # the blocks are one writer node: json, tsv and text equal those of the
+    # per-block data form, whose members are texts of Matrix01 weights; the
+    # contexts include windows left of 0 and windows of >= 10 columns, where
+    # the weight's keys sort as strings, "-1" < "-2" and "10" < "2"
+    contexts = list(sweep_contexts(max_dim=200))
+    contexts += [(Interval.finite(0, 1), TypeNC((), ())),
+                 (Interval.finite(-3, 0), TypeNC((1, 2), (1, 0))),
+                 (Interval.finite(0, 10), TypeNC((1, 1), (0, 1))),
+                 (Interval.finite(-2, 10), TypeNC((2, 1), (0, 1)))]
+    for interval, tnc in contexts:
+        def run(fmt):
+            args = cli.build_parser().parse_args(
+                ["blocks", f"--interval={interval.text()}", "--n", ",".join(map(str, tnc.n)),
+                 "--c", ",".join(map(str, tnc.c)), "--format", fmt])
+            return cli._emit(args, *cli.cmd_blocks(args))
+        canonical.clear_caches()
+        blocks = [{"weight": weight_of(b.members[0]).to_json(),
+                   "members": [m.text() for m in b.members]}
+                  for b in canonical.BlockTable(interval, tnc).blocks]
+        data = {"blocks": blocks, "count": len(blocks)}
+        assert run("json") == json.dumps(data, indent=2, sort_keys=True), (interval, tnc)
+        for fmt, sep in (("tsv", "\t"), ("text", "  ")):
+            assert run(fmt) == "\n".join(json.dumps(b["weight"]) + sep + " ".join(b["members"])
+                                         for b in blocks), (interval, tnc, fmt)
+    assert len(contexts) > 300
+    assert '"10": ' in run("json") and '"-1": ' in run("json")
 
 
 def test_klpoly_maximal_weight(capsys):
@@ -841,11 +871,12 @@ def whole_context_canonical(spec):
 
 
 def test_json_writer_matches_json_dumps():
-    # whole-context canonical, poset and crystal payloads hold writer nodes,
-    # which json.dumps cannot take; they are compared with their data form
-    # below, in test_poset_json_matches_its_data_form and in test_crystal.py
-    cases = [golden_payload(spec) for spec, _ in GOLDEN
-             if not whole_context_canonical(spec) and not spec.startswith(("crystal ", "poset "))]
+    # whole-context canonical, poset, crystal and blocks payloads hold writer
+    # nodes, which json.dumps cannot take; they are compared with their data
+    # form below, in test_poset_json_matches_its_data_form,
+    # test_blocks_json_matches_its_data_form and in test_crystal.py
+    cases = [golden_payload(spec) for spec, _ in GOLDEN if not whole_context_canonical(spec)
+             and not spec.startswith(("crystal ", "poset ", "blocks "))]
     cases += [{}, [], {"a": {}}, {"a": []}, [[]], [{}], [[], {}, [[{}]]],
               True, False, None, 0, -7, 2 ** 100, -(3 ** 60),
               {"z": [True, False, None], "a": {"y": -1, "b": [0, ""]}, "M": 2},

@@ -245,6 +245,48 @@ def component_by_search(start, colors):
     return seen
 
 
+def f_closure_by_search(start, colors):
+    """The weights f-edges of the colors reach from start, breadth first on
+    ``crystal_f``: the reference for the closure on row-choice digits."""
+    seen = {start}
+    queue = [start]
+    for lam in queue:
+        for i in colors:
+            nxt = crystal_f(lam, i)
+            if nxt is not None and nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+def test_prinjective_members_are_the_f_closure_of_kappa():
+    # finite prinjective and lambda_circ against the search, on windows from
+    # 0 and left of 0, rows of both polarities, and levels 0 to 3
+    intervals = (I00, I01, Interval.finite(0, 2), Interval.finite(-2, 0),
+                 Interval.finite(-3, -3))
+    contexts = [(interval, tnc) for interval in intervals
+                for tnc in iter_types(interval.n_cols(), 3, polarities=(0, 1))
+                if 0 < weight_count(interval, tnc) <= 300]
+    contexts += [(I01, TypeNC((), ())), (Interval.finite(-2, -1), TypeNC((), ()))]
+    for interval, tnc in contexts:
+        reference = f_closure_by_search(kappa(interval, tnc), interval.colors())
+        assert lambda_circ(interval, tnc) == reference, (interval, tnc)
+        args = cli.build_parser().parse_args(
+            ["prinjective", f"--interval={interval.text()}", "--n", ",".join(map(str, tnc.n)),
+             "--c", ",".join(map(str, tnc.c))])
+        payload, _ = cli.cmd_prinjective(args)
+        assert payload == {"members": sorted(lam.text() for lam in reference),
+                           "count": len(reference)}, (interval, tnc)
+    assert len(contexts) > 1000
+    # a tower runs the closure on its window and reads it over its interval
+    for interval in (Interval.all_z(), Interval.half_up(-1), Interval.half_down(-2)):
+        for tnc in (TypeNC((1,), (1,)), TypeNC((2, 1), (0, 1)), TypeNC((1, 2, 1), (1, 0, 1))):
+            tower = WindowTower(interval, tnc)
+            for r in (1, 2, 3):
+                assert tower.component_r(r) == f_closure_by_search(
+                    tower.kappa_r(r), tower.window(r).colors()), (interval, tnc, r)
+
+
 def test_highest_weight_rules_are_the_component_search():
     # every finite context with |I_+| <= 5, level <= 3 and at most 60 weights
     contexts = weights = 0

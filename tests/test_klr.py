@@ -477,6 +477,30 @@ def test_shared_products_give_the_per_relation_report(monkeypatch):
     assert reports == 63 and failed == 5 + 21
 
 
+def _doubling_mul(x, y, honest_mul=klr.klr_mul):
+    """klr_mul with the first coefficient of every product doubled: no support changes."""
+    terms = dict(honest_mul(x, y).terms)
+    if terms:
+        key = next(iter(terms))
+        terms[key] *= 2
+    return KLRElem(x.ctx, terms)
+
+
+def test_relations_compare_coefficients_not_only_supports(monkeypatch):
+    # each side keeps its terms, so only a comparison of the coefficients
+    # tells the doubled products from the intact ones
+    try:
+        klr.clear_caches()
+        monkeypatch.setattr(klr, "klr_mul", _doubling_mul)
+        want = verify_relations_per_relation((0, 1), 2)
+        klr.clear_caches()
+        report = verify_relations((0, 1), 2)
+    finally:
+        klr.clear_caches()
+    assert not report["ok"] and report == want
+    assert {tag[0] for tag, _ in report["failures"]} >= {"QH2", "QH2-unit"}
+
+
 def test_verify_relations_forms_each_product_once(monkeypatch):
     # per idempotent: 64 + 1 QH2, 3 xi_k 1_i, 3 QH1-idem, 9 xi_k xi_l 1_i,
     # 2 tau_j 1_i, 2 QH3, 12 QH4, 2 QH6 and 4 QH7 products, over 64 idempotents;

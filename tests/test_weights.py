@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from superkl.canonical import (
     _block_members_direct,
+    _linear_extension,
     _registered,
     clear_caches,
     psi_monomial,
@@ -381,7 +382,8 @@ def test_unchecked_weights_pass_the_checked_constructor():
             key = block_key(lam)
             if key not in keys:
                 keys.add(key)
-                block = _registered(key, lambda: _block_members_direct(lam))
+                block = _registered(key, lambda: _linear_extension(
+                    interval, tnc, _block_members_direct(lam)))
                 for member in block.members:
                     assert_valid(member)
                     built += 1
