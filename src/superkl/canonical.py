@@ -90,7 +90,25 @@ row through pos on first read.  A row's column order is not part of its
 contract, and no reader depends on it: the outputs sort a row's terms,
 and the solves sum exact entries.  ``psi_matrix``
 stays unreduced and eager, the oracle path that ``canonical_basis_direct``
-reads: it checks every row.
+reads: it reads the kernel on every row, with no mirror, and checks every
+row.
+
+omega, the diagram automorphism i -> -i of sl_I with the tensor factors
+taken in reverse order, reverses a weight's columns and its rows and maps
+the context of type (n, c) to that of (n, c) reversed, with
+d_{omega lam, omega mu} = d_{lam, mu} and psi likewise (Lusztig,
+Introduction to Quantum Groups, 1993; Brundan, Dual canonical bases and
+Kazhdan-Lusztig polynomials, 2006).  On a packed monomial it is the bit
+reversal ``_mirrored``: column k goes to |I_+| - 1 - k and row i to
+l - 1 - i.  When the type reads the same reversed, omega maps the context
+onto itself, and it is used twice.  A block's core is its reduction or
+the omega-image of that, whichever has the smaller registry key, so a
+block and its mirror share one core, and a block with no frozen column
+reads its mirror when that has the smaller key (``_reduce``).  In a core
+that omega maps onto itself (``_mirror``), the psi row and the d row at
+the larger position of each pair (a, omega(a)) are the rows at the
+smaller one with their columns renamed (``_MirroredRows``), and every psi
+row is still checked.  Any other type pays one tuple comparison.
 
 ``d_matrix`` is a row view, and a row is solved the first time it is
 read.  b_lam involves only members mu >= lam, so row a of d reads the psi
@@ -175,6 +193,16 @@ def _packed_block_key(interval: Interval, tnc: TypeNC, x: int) -> tuple:
                                 if (v := (x >> k * level & (1 << level) - 1).bit_count() - c1))
 
 
+def _key_ranks(key: tuple) -> tuple[tuple, tuple]:
+    """A registry key and its omega-image's key as tuples that order the keys of
+    one interval: the type, then the counts.  omega reverses the type and
+    takes column j to lo + hi + 1 - j."""
+    interval, tnc, counts = key
+    end = interval.lo + interval.hi + 1
+    return ((tnc.n, tnc.c, counts),
+            (tnc.n[::-1], tnc.c[::-1], tuple([(end - j, v) for j, v in reversed(counts)])))
+
+
 def _registered(key: tuple, build) -> "BlockData":
     """The block under key in the registry; on a miss, build()'s packed weights, added.
 
@@ -193,6 +221,20 @@ def _registered(key: tuple, build) -> "BlockData":
 def _column_ones(level: int, ncols: int) -> int:
     """Bit k * level for each column k < ncols: row i of a monomial x is x & (this << i)."""
     return ((1 << level * ncols) - 1) // ((1 << level) - 1) if level else 0
+
+
+def _self_mirror_type(tnc: TypeNC) -> bool:
+    """Whether n and c read the same reversed, so that omega maps a context of
+    type tnc onto itself: one tuple comparison."""
+    return (tnc.n, tnc.c) == (tnc.n[::-1], tnc.c[::-1])
+
+
+def _mirrored(monomials: Sequence[int], nbits: int) -> list[int]:
+    """omega on packed monomials of nbits = level * |I_+| bits: the bit reversal that
+    takes bit k * l + i to bit nbits - 1 - (k * l + i), so column k to column
+    |I_+| - 1 - k and row i to row l - 1 - i."""
+    form = f"0{nbits}b"
+    return [int(format(x, form)[::-1], 2) for x in monomials]
 
 
 def _row_share(interval: Interval, tnc: TypeNC):
@@ -546,13 +588,30 @@ class BlockData(_PackedWeights):
 
     @cached_property
     def _psi_rows(self) -> "_Rows":
-        """Row a -> sparse map b -> {exponent: coefficient} of member b in psi(v_a)."""
-        return _checked_psi(self.interval, self.tnc, self._mask_pos, self._profiles)
+        """Row a -> sparse map b -> {exponent: coefficient} of member b in psi(v_a),
+        read through ``_mirror`` when omega maps the block onto itself."""
+        return _checked_psi(self.interval, self.tnc, self._mask_pos, self._profiles,
+                            self._mirror)
+
+    @cached_property
+    def _mirror(self) -> tuple[int, ...] | None:
+        """Member a -> the position of omega(member a) when omega maps the block
+        onto itself, else None.  omega maps the context onto itself when the
+        type reads the same reversed; it maps blocks to blocks, so one
+        member's image tells whether the block is its own mirror."""
+        if not _self_mirror_type(self.tnc):
+            return None
+        nbits, pos = self.tnc.level * self.interval.n_cols(), self._mask_pos
+        if _mirrored(self.monomials[:1], nbits)[0] not in pos:
+            return None
+        return tuple(map(pos.__getitem__, _mirrored(self.monomials, nbits)))
 
     def psi_matrix(self) -> list[dict[int, LaurentInt]]:
-        """Every row of psi, each checked for triangularity and diagonal 1."""
+        """Every row of psi, each read from the kernel, with no mirror, and checked
+        for triangularity and diagonal 1."""
         if self._rmat is None:
-            self._rmat = [{b: LaurentInt(c) for b, c in row.items()} for row in self._psi_rows]
+            rows = _checked_psi(self.interval, self.tnc, self._mask_pos, self._profiles)
+            self._rmat = [{b: LaurentInt(c) for b, c in row.items()} for row in rows]
         return self._rmat
 
     def core(self) -> tuple["BlockData", tuple[int, ...]]:
@@ -569,24 +628,36 @@ class BlockData(_PackedWeights):
         A bit is frozen in row i when no member's row i differs there from
         the first member's; a column is frozen when it is frozen in every
         row.  The k kept columns become I_+ of 0:(k-2), and each row keeps
-        its polarity and the deviations left in it.  A block of size 1 or
-        with no frozen column is its own core.
+        its polarity and the deviations left in it.  When the type reads the
+        same reversed, the core is this reduction or its omega-image,
+        whichever has the smaller registry key (``_key_ranks``), and the
+        positions go through omega.  A block of size 1 is its own core, and
+        so is one with no frozen column unless its omega-image has the
+        smaller key.
         """
         monomials = self.monomials
+        if self.size == 1:
+            return ()
         moving = reduce(or_, monomials) ^ reduce(and_, monomials)
         level, ncols = self.tnc.level, self.interval.n_cols()
         column = (1 << level) - 1
         kept = [k for k in range(ncols) if moving >> k * level & column]
-        if self.size == 1 or len(kept) == ncols:
+        interval, tnc, reduced = self.interval, self.tnc, monomials
+        if len(kept) < ncols:
+            # a lone unfrozen column would be fixed by the row sums
+            assert len(kept) >= 2, "a block of size >= 2 keeps at least two columns"
+            reduced = [sum([(x >> k * level & column) << i * level for i, k in enumerate(kept)])
+                       for x in monomials]
+            interval = Interval.finite(0, len(kept) - 2)
+            ones = _column_ones(level, len(kept))
+            tnc = TypeNC(tuple(len(kept) - m if ci else m for m, ci in zip(
+                [(reduced[0] & ones << i).bit_count() for i in range(level)], tnc.c)), tnc.c)
+        if _self_mirror_type(self.tnc):
+            rank, mirror = _key_ranks(_packed_block_key(interval, tnc, reduced[0]))
+            if mirror < rank:
+                tnc, reduced = tnc.reversed(), _mirrored(reduced, level * len(kept))
+        if reduced is monomials:
             return ()
-        # a lone unfrozen column would be fixed by the row sums
-        assert len(kept) >= 2, "a block of size >= 2 keeps at least two columns"
-        reduced = [sum([(x >> k * level & column) << i * level for i, k in enumerate(kept)])
-                   for x in monomials]
-        interval = Interval.finite(0, len(kept) - 2)
-        ones = _column_ones(level, len(kept))
-        tnc = TypeNC(tuple(len(kept) - m if ci else m for m, ci in zip(
-            [(reduced[0] & ones << i).bit_count() for i in range(level)], self.tnc.c)), self.tnc.c)
         core = _registered(_packed_block_key(interval, tnc, reduced[0]),
                            lambda: _linear_extension(interval, tnc, reduced))
         pos = tuple(map(core._mask_pos.get, reduced))
@@ -599,8 +670,11 @@ class BlockData(_PackedWeights):
         """Unitriangular matrix of d-polynomials: row a, column b.
 
         Solved on the core only; any other block reads the core's rows
-        through ``_translate``.  A row's column order is not part of its
-        contract.
+        through ``_translate``.  The core of a type that reads the same
+        reversed may be the omega-image of the block's reduction, and a
+        core that omega maps onto itself solves one row of each mirror
+        pair and reads the other through ``_MirroredRows``.  A row's
+        column order is not part of its contract.
         """
         if self._dmat is None:
             core, pos = self.core()
@@ -609,9 +683,13 @@ class BlockData(_PackedWeights):
         return self._dmat
 
     def _solve_d(self) -> "_Rows":
-        """The d-matrix from this block's own psi rows, each row on first read."""
-        r = self._psi_rows
-        return _Rows(self.size, lambda a: _d_row(r, a))
+        """The d-matrix from this block's own psi rows, each row on first read,
+        read through ``_mirror`` when omega maps the block onto itself."""
+        r, mirror = self._psi_rows, self._mirror
+
+        def fill(a):
+            return _d_row(r, a)
+        return _Rows(self.size, fill) if mirror is None else _MirroredRows(self.size, fill, mirror)
 
     def p_matrix(self) -> Sequence[dict[int, LaurentInt]]:
         """Inverse of the d-matrix (entries are p(-q) before substitution).
@@ -667,14 +745,46 @@ class _Rows(Sequence):
         return list(self) == list(other)
 
 
+def _unchecked(a: int, row: dict) -> dict:
+    return row
+
+
+class _MirroredRows(_Rows):
+    """The rows of a block that omega maps onto itself, mirror[a] the position of
+    omega(member a): d_{omega lam, omega mu} = d_{lam, mu}, and so for psi.
+
+    Of each pair (a, mirror[a]) only the row at the smaller position is
+    fill(a); the other is that row with its columns renamed through mirror,
+    handed to check(a, row), which returns it or raises.  Like a fill, check
+    must not hold the block or this view.
+    """
+
+    __slots__ = ("mirror", "check")
+
+    def __init__(self, size: int, fill, mirror: tuple[int, ...], check=_unchecked):
+        super().__init__(size, fill)
+        self.mirror, self.check = mirror, check
+
+    def __getitem__(self, a: int) -> dict:
+        row = self.rows[a]
+        if row is None:
+            a %= len(self.rows)
+            w = self.mirror
+            row = self.rows[a] = (self.check(a, {w[b]: c for b, c in self[w[a]].items()})
+                                  if w[a] < a else self.fill(a))
+        return row
+
+
 def _checked_psi(interval: Interval, tnc: TypeNC, mask_pos: dict[int, int],
-                 profiles: tuple[int, list[int]]) -> _Rows:
+                 profiles: tuple[int, list[int]], mirror: tuple[int, ...] | None = None) -> _Rows:
     """psi on a block's members, one row per first read.
 
     Reads the flat psi of the kernel through a monomial -> position map,
     and checks that psi(v_a) is supported on members b >= a in the order,
     read off the block's order table ``profiles``, with coefficient 1 at a
     itself.  Row a maps b to the {exponent: coefficient} map of its entry.
+    With a mirror, a ``_MirroredRows`` reads the kernel for half the rows
+    and checks every row the same way.
     """
     monomials = list(mask_pos)
     ncols, level = interval.n_cols(), tnc.level
@@ -683,17 +793,26 @@ def _checked_psi(interval: Interval, tnc: TypeNC, mask_pos: dict[int, int],
     def text(x: int) -> str:
         return _from_monomial(x, interval, tnc).text()
 
+    def check(a, row):
+        for b in row:
+            if (packed[a] - packed[b] + top) & top != top:
+                raise NonTriangularBar(f"psi(v[{text(monomials[a])}]) has support at "
+                                       f"{text(monomials[b])}")
+        if row.get(a) != {0: 1}:
+            raise NonTriangularBar(f"psi(v[{text(monomials[a])}]) diagonal coefficient is not 1")
+        return row
+
     def fill(a):
         row: dict[int, dict[int, int]] = {}
         for x, coeffs in _grouped(_psi_kernel(ncols, level, monomials[a]), ncols * level).items():
             b = mask_pos.get(x)
-            if b is None or (packed[a] - packed[b] + top) & top != top:
+            if b is None:
                 raise NonTriangularBar(f"psi(v[{text(monomials[a])}]) has support at {text(x)}")
             row[b] = coeffs
-        if row.get(a) != {0: 1}:
-            raise NonTriangularBar(f"psi(v[{text(monomials[a])}]) diagonal coefficient is not 1")
-        return row
-    return _Rows(len(monomials), fill)
+        return check(a, row)
+    if mirror is None:
+        return _Rows(len(monomials), fill)
+    return _MirroredRows(len(monomials), fill, mirror, check)
 
 
 def _d_row(r: _Rows, a: int, stop: int | None = None) -> dict[int, LaurentInt]:

@@ -5,7 +5,15 @@ import pytest
 
 from superkl import canonical as canon
 from superkl.laurent import zero
-from superkl.weights import Interval, Matrix01, TypeNC, koszul_dual, weight_count
+from superkl.weights import (
+    Interval,
+    Matrix01,
+    TypeNC,
+    column_counts,
+    koszul_dual,
+    parse_matrix,
+    weight_count,
+)
 
 
 def iter_intervals(max_cols=5):
@@ -65,6 +73,27 @@ def random_infinite_matrix(rng, interval, tnc, span=6):
 def block_key(lam: Matrix01) -> tuple:
     """The registry key of lam's block, ``_packed_block_key`` of its ``_monomial``."""
     return canon._packed_block_key(lam.interval, lam.tnc, canon._monomial(lam))
+
+
+def omega(lam: Matrix01) -> Matrix01:
+    """lam with its columns and its rows reversed, a weight of the reversed type,
+    read off the text form: the diagram automorphism i -> -i on tensor products."""
+    rows = [row[::-1] for row in reversed(lam.row_strings())]
+    return parse_matrix("/".join(rows), lam.interval, lam.tnc.reversed())
+
+
+def core_members(tnc: TypeNC, reduced: list[Matrix01]) -> list[Matrix01]:
+    """The weights a block's core is made of, given its reduction (its members
+    with the frozen columns deleted) and the block's type tnc: the reduction,
+    or its ``omega`` image when tnc reads the same reversed and the image has
+    the smaller (n, c, column counts)."""
+    if (tnc.n, tnc.c) != (tnc.n[::-1], tnc.c[::-1]):
+        return reduced
+    images = [omega(m) for m in reduced]
+
+    def rank(m):
+        return m.tnc.n, m.tnc.c, tuple(sorted(column_counts(m).items()))
+    return images if rank(images[0]) < rank(reduced[0]) else reduced
 
 
 def p_column(mu: Matrix01) -> dict:

@@ -114,6 +114,37 @@ def test_traced_canonical_context_with_core_blocks(capsys):
     assert checks.touched_blocks() == []
 
 
+def test_traced_canonical_context_with_mirrored_cores(capsys):
+    # a type that reads the same reversed: a block and its omega-image share
+    # one core, and a core that omega maps onto itself reads half its psi and
+    # d rows off their mirror rows, with the tracer's wrappers in place
+    interval, tnc = Interval.finite(0, 2), TypeNC((2, 2, 2), (0, 0, 0))
+    argv = ["canonical", "--interval", "0:2", "--n", "2,2,2", "--c", "0,0,0", "--threads", "1"]
+    originals = [getattr(owner, name) for owner, name in PATCHED]
+    canonical.clear_caches()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        code = cli.main(argv)
+    finally:
+        restore()
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert [getattr(owner, name) for owner, name in PATCHED] == originals
+    assert tracer.counts["canonical.d_nonzeros"] > 0
+
+    blocks = [b for b in canonical.BlockTable(interval, tnc).blocks if b.size > 1]
+    cores = [b.core()[0] for b in blocks]
+    assert any(core._mirror is not None and core is not b for b, core in zip(blocks, cores))
+    assert any(core._mirror is not None and core is b for b, core in zip(blocks, cores))
+    # a block with no frozen column whose omega-image has the smaller key reads it
+    assert any(b.size > 3 and core is not b and core.tnc == tnc and core.interval == interval
+               for b, core in zip(blocks, cores))
+    op = {"argv": argv, "sample": [b.members[0].text() for b in blocks if b.size > 3]}
+    assert checks.canonical_context(op, out) == []
+    assert checks.touched_blocks() == []
+
+
 def test_traced_tiny_orders_pass_keeps_its_counts(capsys):
     # the relations checked, the size of kappa's component and the blocks
     # registered on a tiny orders pass are facts of its inputs, however the

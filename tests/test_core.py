@@ -1,8 +1,10 @@
 """Block cores: deleting frozen columns, one solve per core, and its oracles.
 
 Every reduced block is checked against the unreduced solve of the same
-block (``BlockData._solve_d``, which reads the unreduced psi matrix) and
-against an inverse computed by the plain triple loop below.
+block (``plain_rows``: its own psi rows, each read from the kernel, with no
+core and no mirror) and against an inverse computed by the plain triple
+loop below.  The symmetry the cores of a type that reads the same reversed
+rely on, d_{omega lam, omega mu} = d_{lam, mu}, is checked on its own.
 """
 
 import gc
@@ -16,10 +18,10 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import find, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
-from conftest import block_key, sweep_contexts
+from conftest import block_key, core_members, omega, sweep_contexts
 
 import superkl.canonical as canon
 from superkl import cli
@@ -74,15 +76,26 @@ def reduced_members(block):
     return [parse_matrix("/".join(r), interval, tnc) for r in cut]
 
 
+def plain_rows(block) -> tuple[list[dict], list[dict]]:
+    """The psi rows and d rows of a block from its own psi, each psi row read
+    from the kernel: no core and no mirror."""
+    psi = canon._checked_psi(block.interval, block.tnc, block._mask_pos, block._profiles)
+    return list(psi), [canon._d_row(psi, a) for a in range(block.size)]
+
+
 def check_core(block):
-    """The core of one block against the unreduced solve; returns the core."""
+    """The core of one block against the unreduced solve; returns the core.
+
+    The core's members at the positions are the block's reduction, or its
+    omega-image when that has the smaller key (``core_members``).
+    """
     core, pos = block.core()
     if block.size > 1:
-        reduced = reduced_members(block)
+        reduced = core_members(block.tnc, reduced_members(block))
         assert len(reduced) == block.size
         assert [core.members[x] for x in pos] == reduced, block.members[0].text()
         assert set(canon._block_members_direct(reduced[0])) == set(map(canon._monomial, reduced))
-    d = block._solve_d()
+    d = plain_rows(block)[1]
     assert block.d_matrix() == d, block.members[0].text()
     p = reference_inverse(d)
     assert block.p_matrix() == p, block.members[0].text()
@@ -132,21 +145,36 @@ def test_cores_are_shared_through_the_registry(monkeypatch, tmp_path):
         assert canon.block_data(core.members[-1]) is core
         assert canon._single_block_cache[block_key(core.members[0])] is core
 
-    # whole-context canonical solves one block per core: 31 of 336
-    solved = []
-    solve_d = canon.BlockData._solve_d
+    # whole-context canonical solves one block per core, and a core and its
+    # omega-image are one core: 26 of 336.  In the cores that omega maps onto
+    # themselves, half the psi rows and d rows of each mirror pair are read
+    # off the other: 219 rows of each, not 393
+    solved, kernel, d_rows = [], [], []
+    solve_d, psi_kernel, d_row = canon.BlockData._solve_d, canon._psi_kernel, canon._d_row
 
     def counting(block):
         solved.append(block)
         return solve_d(block)
 
+    def counting_kernel(*args):
+        kernel.append(args)
+        return psi_kernel(*args)
+
+    def counting_d_row(*args):
+        d_rows.append(args)
+        return d_row(*args)
+
     canon.clear_caches()
     monkeypatch.setattr(canon.BlockData, "_solve_d", counting)
+    monkeypatch.setattr(canon, "_psi_kernel", counting_kernel)
+    monkeypatch.setattr(canon, "_d_row", counting_d_row)
     assert cli.main(["canonical", "--interval", "0:4", "--n", "2,2,2", "--c", "0,0,0",
                      "--out", str(tmp_path / "out.json")]) == 0
     assert len(blocks) == 336
-    assert len(solved) == len({id(b) for b in solved}) == 31
+    assert len(solved) == len({id(b) for b in solved}) == 26
+    assert (len(kernel), len(d_rows)) == (219, 219)
     assert all(b.core()[0] is b for b in solved)
+    assert sum(b._mirror is not None for b in solved) > 0
     assert len(canon._single_block_cache) > 336
 
     # clear_caches drops the cores with the blocks
@@ -157,12 +185,15 @@ def test_cores_are_shared_through_the_registry(monkeypatch, tmp_path):
 
 def test_identity_blocks_share_their_cores_rows():
     # a block whose positions are the identity reads the very rows of its
-    # core, in d and in p; any other block reads the core's entries at pos
+    # core, in d and in p; any other block reads the core's entries at pos.
+    # The type reads the same reversed, so 2 of the 34 blocks with another
+    # core have no frozen column and read their omega-image
     canon.clear_caches()
     blocks = canon.BlockTable(Interval.finite(0, 2), TypeNC((2, 2, 2), (0, 1, 0))).blocks
     reduced = [(b, *b.core()) for b in blocks if b.core()[0] is not b]
     moved = [pos for _, _, pos in reduced if pos != tuple(range(len(pos)))]
-    assert (len(reduced), len(moved)) == (32, 4)
+    assert (len(reduced), len(moved)) == (34, 6)
+    assert sum(core.interval == b.interval for b, core, _ in reduced) == 2
     for block, core, pos in reduced:
         for mine, theirs in ((block.d_matrix(), core.d_matrix()),
                              (block.p_matrix(), core.p_matrix())):
@@ -175,20 +206,27 @@ def test_identity_blocks_share_their_cores_rows():
 
 def test_clear_caches_frees_blocks_and_cores_without_a_gc_pass():
     # a fresh CLI process starts with empty caches; a long-lived one must
-    # get there by clear_caches alone, or memory grows query by query
-    canon.clear_caches()
-    blocks = canon.BlockTable(Interval.finite(0, 2), TypeNC((2, 1, 1), (0, 1, 0))).blocks
-    for block in blocks:
-        block.p_matrix()
-    refs = [weakref.ref(b) for b in canon._single_block_cache.values()]
-    assert len(refs) > len(blocks)
-    gc.disable()
-    try:
-        del blocks, block
+    # get there by clear_caches alone, or memory grows query by query.  The
+    # second context reads the same reversed: its self-mirror cores read
+    # rows off their mirror rows, and other blocks reduce to omega-images
+    for tnc in (TypeNC((2, 1, 1), (0, 1, 0)), TypeNC((2, 2, 2), (0, 0, 0))):
         canon.clear_caches()
-        assert not any(ref() for ref in refs)
-    finally:
-        gc.enable()
+        blocks = canon.BlockTable(Interval.finite(0, 2), tnc).blocks
+        for block in blocks:
+            block.p_matrix()
+            block.psi_matrix()
+            block.core()[0]._psi_rows[-1]
+        mirrored = sum(b.core()[0]._mirror is not None for b in blocks)
+        assert (mirrored > 0) == (tnc.n == tnc.n[::-1])
+        refs = [weakref.ref(b) for b in canon._single_block_cache.values()]
+        assert len(refs) > len(blocks)
+        gc.disable()
+        try:
+            del blocks, block
+            canon.clear_caches()
+            assert not any(ref() for ref in refs), tnc
+        finally:
+            gc.enable()
 
 
 def test_a_registered_core_with_other_members_is_refused():
@@ -245,6 +283,46 @@ def test_random_direct_members_are_the_column_counts_filter(context, pick):
     members = canon._block_members_direct(lam)
     assert members == [canon._monomial(w) for w in weights if column_counts(w) == counts]
     assert canon.block_size(lam, len(weights)) == len(members)
+
+
+def mirror_mismatches(interval, tnc, image) -> tuple[int, int]:
+    """(psi rows, d rows) of the context's blocks that differ from the rows at
+    image(lam) in the image's context, positions mapped by image; every row
+    from ``plain_rows``, so neither side reads a core or a mirror."""
+    canon.clear_caches()
+    bad, rows = [0, 0], {}
+    for block in canon.BlockTable(interval, tnc).blocks:
+        images = [image(m) for m in block.members]
+        target = canon.block_data(images[0])
+        pos = [target.position(m) for m in images]
+        assert sorted(pos) == list(range(target.size))
+        mine = plain_rows(block)
+        theirs = rows.get(id(target)) or rows.setdefault(id(target), plain_rows(target))
+        for k in range(2):
+            bad[k] += sum({pos[b]: c for b, c in mine[k][a].items()} != theirs[k][pos[a]]
+                          for a in range(block.size))
+    return bad[0], bad[1]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(random_context())
+@example((Interval.finite(0, 3), TypeNC((2, 1, 2), (0, 1, 0))))
+@example((Interval.finite(0, 2), TypeNC((1, 2, 3), (1, 0, 0))))
+def test_omega_maps_psi_and_d_rows_to_the_reversed_type(context):
+    # d_{omega lam, omega mu} = d_{lam, mu} and psi likewise, with omega the
+    # reversal of columns and rows, from the reversed type back to its own
+    assert mirror_mismatches(*context, omega) == (0, 0)
+
+
+def test_reversing_the_columns_alone_breaks_the_symmetry():
+    # negative control: with the rows kept in place, the psi and d rows of
+    # all but 15 of the 3,375 weights differ from their images' rows
+    def columns_reversed(lam):
+        return parse_matrix("/".join(row[::-1] for row in lam.row_strings()),
+                            lam.interval, lam.tnc)
+    interval, tnc = Interval.finite(0, 4), TypeNC((2, 2, 2), (0, 0, 0))
+    assert mirror_mismatches(interval, tnc, omega) == (0, 0)
+    assert mirror_mismatches(interval, tnc, columns_reversed) == (3360, 3360)
 
 
 def packed_order_mismatches(context) -> int:

@@ -17,6 +17,8 @@ from pathlib import Path
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import core_members
+
 import superkl.canonical as canon
 from superkl import cli
 from superkl.weights import (
@@ -59,16 +61,24 @@ def reference_blocks(interval, tnc) -> list[list[Matrix01]]:
 
 
 def reference_core(members) -> tuple[list[Matrix01], list[int]]:
-    """The members with their frozen columns deleted, in order, and each member's position there."""
+    """The core's members, in order, and each member's position there.
+
+    The core is made of the members with their frozen columns deleted, or
+    of the ``omega`` images of those when that has the smaller key
+    (``core_members``); a block of size 1 is its own core.
+    """
     rows = [m.row_strings() for m in members]
     kept = [k for k in range(len(rows[0][0]))
             if len({tuple(row[k] for row in r) for r in rows}) > 1]
-    if len(members) == 1 or len(kept) == len(rows[0][0]):
-        return members, list(range(len(members)))
-    c = members[0].tnc.c
-    cut = [["".join(row[k] for k in kept) for row in r] for r in rows]
-    tnc = TypeNC(tuple(sum(ch != str(ci) for ch in row) for row, ci in zip(cut[0], c)), c)
-    reduced = [parse_matrix("/".join(r), Interval.finite(0, len(kept) - 2), tnc) for r in cut]
+    if len(members) == 1:
+        return members, [0]
+    reduced = members
+    if len(kept) < len(rows[0][0]):
+        c = members[0].tnc.c
+        cut = [["".join(row[k] for k in kept) for row in r] for r in rows]
+        tnc = TypeNC(tuple(sum(ch != str(ci) for ch in row) for row, ci in zip(cut[0], c)), c)
+        reduced = [parse_matrix("/".join(r), Interval.finite(0, len(kept) - 2), tnc) for r in cut]
+    reduced = core_members(members[0].tnc, reduced)
     core = reference_order(reduced)
     return core, [core.index(m) for m in reduced]
 
