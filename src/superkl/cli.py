@@ -226,8 +226,23 @@ def _block_items(blocks, texts: dict[int, str], inner: str) -> list[str]:
     field, item = inner + "  ", inner + "    "
     sep = f'",\n{item}"'
     return [f'{{\n{field}"members": [\n{item}"' + sep.join(map(texts.__getitem__, b.monomials))
-            + f'"\n{field}],\n{field}"weight": {_json_text(b.weight.to_json(), field)}\n{inner}}}'
+            + f'"\n{field}],\n{field}"weight": {_weight_text(b.weight, field)}\n{inner}}}'
             for b in blocks]  # a block has at least one member
+
+
+def _weight_text(weight, indent: str) -> str:
+    """``_json_text(weight.to_json(), indent)`` for a map from int to int.
+
+    JSON sorts the keys as strings ("-1" < "0" < "10" < "2").  Each item
+    is rendered first and the items are sorted as they stand: a key is
+    '-' and digits, all above the '"' that closes it, so a key that is a
+    prefix of another still comes first.
+    """
+    if not weight:
+        return "{}"
+    inner = indent + "  "
+    text = f",\n{inner}".join(sorted([f'"{k}": {v}' for k, v in weight.items()]))
+    return f"{{\n{inner}{text}\n{indent}}}"
 
 
 def cmd_blocks(args):

@@ -37,7 +37,6 @@ bookkeeping attached to each enlargement step.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
@@ -48,6 +47,8 @@ from .weights import (
     Matrix01,
     TypeNC,
     _row_text,
+    _set,
+    _Value,
     column_counts,
     enumerate_weights,  # noqa: F401 (perfbench/tracing.py wraps crystal.enumerate_weights)
     in_Lambda_J,
@@ -184,8 +185,7 @@ def lambda_circ_texts(interval: Interval, tnc: TypeNC) -> list[str]:
                                              for at in component)))
 
 
-@dataclass(frozen=True)
-class ShiftData:
+class ShiftData(_Value):
     """Word and grading-shift bookkeeping for one window enlargement."""
 
     grew: str                      # "left" or "right"
@@ -195,6 +195,12 @@ class ShiftData:
     eps: int                       # +1 when growing left, -1 when growing right
     word: tuple[int, ...]          # (s+eps*a)^{p_a} ... (s+eps*1)^{p_1}
     sigma: Fraction                # (1/2)(p_1 + ... + p_a), kept exact
+    __slots__ = _fields = ("grew", "p", "a", "s", "eps", "word", "sigma")
+
+    def __init__(self, grew: str, p: tuple[int, ...], a: int, s: int, eps: int,
+                 word: tuple[int, ...], sigma: Fraction):
+        for name, value in zip(self._fields, (grew, p, a, s, eps, word, sigma)):
+            _set(self, name, value)
 
 
 class WindowTower:

@@ -12,10 +12,8 @@ the strictly-decreasing dominance condition inside each block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DuplicateCoordinate, NotDominant, TypeMismatch
-from .weights import Interval, Matrix01, TypeNC
+from .weights import Interval, Matrix01, TypeNC, _set, _Value
 
 
 def parities(tnc: TypeNC) -> tuple[int, ...]:
@@ -25,16 +23,18 @@ def parities(tnc: TypeNC) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SuperWeight:
+class SuperWeight(_Value):
     """An integral weight: coordinates on delta_1..delta_{m+n} plus its type."""
 
     coords: tuple[int, ...]
     tnc: TypeNC
+    __slots__ = _fields = ("coords", "tnc")
 
-    def __post_init__(self):
-        if len(self.coords) != sum(self.tnc.n):
+    def __init__(self, coords: tuple[int, ...], tnc: TypeNC):
+        if len(coords) != sum(tnc.n):
             raise ValueError("coordinate count must equal sum of n")
+        _set(self, "coords", coords)
+        _set(self, "tnc", tnc)
 
     @property
     def parity_pattern(self) -> tuple[int, ...]:
@@ -55,30 +55,31 @@ def pair_delta(coords: tuple[int, ...], ps: tuple[int, ...], i: int) -> int:
     return coords[i] if ps[i] == 0 else -coords[i]
 
 
+def _rho_coords(ps: tuple[int, ...]) -> list[int]:
+    """The coordinates of rho for the parities ps, with one running sign sum."""
+    coords = []
+    run = 0  # sum_{i<j} (-1)^{p_i}
+    for p in ps:
+        coords.append(run - 1 if p else -run)
+        run += -1 if p else 1
+    return coords
+
+
 def rho(tnc: TypeNC) -> SuperWeight:
     """The rho-shift: -sum_{i<j} (-1)^{p_i+p_j} delta_j - sum_{p_i=1} delta_i."""
-    ps = parities(tnc)
-    m = len(ps)
-    coords = []
-    for j in range(m):
-        sj = -((-1) ** ps[j]) * sum((-1) ** ps[i] for i in range(j))
-        if ps[j] == 1:
-            sj -= 1
-        coords.append(sj)
-    return SuperWeight(tuple(coords), tnc)
+    return SuperWeight(tuple(_rho_coords(parities(tnc))), tnc)
+
+
+def _shifted(lam: SuperWeight, ps: tuple[int, ...]) -> list[int]:
+    return [a + b for a, b in zip(lam.coords, _rho_coords(ps))]
 
 
 def shifted(lam: SuperWeight) -> tuple[int, ...]:
     """Raw coordinates of lam + rho."""
-    r = rho(lam.tnc)
-    return tuple(a + b for a, b in zip(lam.coords, r.coords))
+    return tuple(_shifted(lam, parities(lam.tnc)))
 
 
-def _block_slices(tnc: TypeNC):
-    start = 0
-    for ni in tnc.n:
-        yield start, start + ni
-        start += ni
+_Z = Interval.all_z()  # the interval of every to_matrix01 weight
 
 
 def to_matrix01(lam: SuperWeight) -> Matrix01:
@@ -88,19 +89,22 @@ def to_matrix01(lam: SuperWeight) -> Matrix01:
     (lam + rho, delta_g), g running over the block's coordinates.
     """
     ps = parities(lam.tnc)
-    sh = shifted(lam)
+    sh = _shifted(lam, ps)
     devs = []
-    for (start, stop), ci in zip(_block_slices(lam.tnc), lam.tnc.c):
-        for g in range(start, stop - 1):
-            if not sh[g] > sh[g + 1]:
-                raise NotDominant(
-                    f"coordinates {sh[start:stop]} not strictly decreasing "
-                    f"in block starting at {start}")
+    start = 0
+    for ni in lam.tnc.n:
+        stop = start + ni
+        block = sh[start:stop]
+        if any(a <= b for a, b in zip(block, block[1:])):
+            raise NotDominant(
+                f"coordinates {tuple(block)} not strictly decreasing "
+                f"in block starting at {start}")
         cols = [pair_delta(sh, ps, g) for g in range(start, stop)]
         if len(set(cols)) != len(cols):
             raise DuplicateCoordinate(f"repeated shifted coordinate in block: {cols}")
         devs.append(tuple(sorted(cols)))
-    return Matrix01(Interval.all_z(), lam.tnc, tuple(devs))
+        start = stop
+    return Matrix01(_Z, lam.tnc, tuple(devs))
 
 
 def from_matrix01(mat: Matrix01) -> SuperWeight:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
+from operator import attrgetter
 
 from .errors import (
     DegreeMismatch,
@@ -28,16 +28,64 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Interval:
+_set = object.__setattr__  # sets a slot of a value class in its __init__
+
+
+class _Value:
+    """The value semantics of ``@dataclass(frozen=True)`` for a slotted class.
+
+    A subclass names its fields in ``_fields`` and stores them, and any
+    memo or derived value, in ``__slots__``; its ``__init__`` checks the
+    arguments and sets each slot once through ``object.__setattr__``.
+    Two instances are equal when they are of one class and their fields
+    agree, the hash is the hash of the field tuple, and the repr is the
+    dataclass one.  Assigning or deleting an attribute raises
+    AttributeError (dataclasses' FrozenInstanceError is a subclass of it),
+    and a copy or a pickle is rebuilt through ``__init__``.  Slots outside
+    ``_fields`` take no part in any of this.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = attrgetter(*cls._fields)  # the field tuple of an instance
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class Interval(_Value):
     """A nonempty integer interval; lo/hi of None mean unbounded."""
 
     lo: int | None
     hi: int | None
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo is not None and self.hi is not None and self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: int | None, hi: int | None):
+        if lo is not None and hi is not None and lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
     @classmethod
     def finite(cls, lo: int, hi: int) -> "Interval":
@@ -111,24 +159,28 @@ class Interval:
         return cls.finite(int(lo), int(hi))
 
 
-@dataclass(frozen=True)
-class TypeNC:
-    """A type: exterior-power degrees n and polarities c, one per tensor factor."""
+class TypeNC(_Value):
+    """A type: exterior-power degrees n and polarities c, one per tensor factor.
+
+    ``level``, the number of factors, is set once with the fields.
+    """
 
     n: tuple[int, ...]
     c: tuple[int, ...]
+    level: int
+    _fields = ("n", "c")
+    __slots__ = _fields + ("level",)
 
-    def __post_init__(self):
-        if len(self.n) != len(self.c):
+    def __init__(self, n: tuple[int, ...], c: tuple[int, ...]):
+        if len(n) != len(c):
             raise ValueError("n and c must have equal length")
-        if any(ni < 0 for ni in self.n):
+        if any(ni < 0 for ni in n):
             raise ValueError("n entries must be nonnegative")
-        if any(ci not in (0, 1) for ci in self.c):
+        if any(ci not in (0, 1) for ci in c):
             raise ValueError("c entries must be 0 or 1")
-
-    @property
-    def level(self) -> int:
-        return len(self.n)
+        _set(self, "n", n)
+        _set(self, "c", c)
+        _set(self, "level", len(n))
 
     def max_n(self) -> int:
         return max(self.n, default=0)
@@ -158,40 +210,46 @@ def weight_texts(lo: int, weights_rows) -> list[str]:
     return [head + "/".join(rows) for rows in weights_rows]
 
 
-@dataclass(frozen=True)
-class Matrix01:
+class Matrix01(_Value):
     """A 01-matrix weight, stored by its per-row deviation columns."""
 
     interval: Interval
     tnc: TypeNC
     devs: tuple[tuple[int, ...], ...]
+    _fields = ("interval", "tnc", "devs")
+    __slots__ = _fields + ("_text",)
 
-    def __post_init__(self):
-        if len(self.devs) != self.tnc.level:
+    def __init__(self, interval: Interval, tnc: TypeNC, devs: tuple[tuple[int, ...], ...]):
+        if len(devs) != tnc.level:
             raise ValueError("one deviation tuple per row required")
-        for i, (row, ni) in enumerate(zip(self.devs, self.tnc.n)):
+        lo, hi = interval.lo, interval.hi
+        for i, (row, ni) in enumerate(zip(devs, tnc.n)):
             if tuple(sorted(set(row))) != row:
                 raise ValueError(f"row {i} deviations must be sorted and distinct")
             if len(row) != ni:
                 raise ValueError(
                     f"row {i} has {len(row)} deviations, expected n_{i+1} = {ni}"
                 )
-            for j in row:
-                if not self.interval.contains_col(j):
-                    raise ValueError(f"deviation column {j} outside I_+")
+            # I_+ is the run lo..hi+1, so a sorted row lies in it iff its ends do
+            if row and ((lo is not None and row[0] < lo) or (hi is not None and row[-1] > hi + 1)):
+                j = next(j for j in row if not interval.contains_col(j))
+                raise ValueError(f"deviation column {j} outside I_+")
+        _set_interval(self, interval)
+        _set_tnc(self, tnc)
+        _set_devs(self, devs)
+        _set_text(self, None)
 
     @classmethod
     def _trusted(cls, interval: Interval, tnc: TypeNC, devs) -> "Matrix01":
-        """A weight built without the checks of ``__post_init__``.
+        """A weight built without the checks of ``__init__``.
 
-        Only for callers whose ``devs`` are valid by construction.  The
-        fields are set one by one, as the dataclass ``__init__`` does, which
-        keeps the instance dict as small as a checked weight's.
+        Only for callers whose ``devs`` are valid by construction.
         """
-        lam = object.__new__(cls)
-        object.__setattr__(lam, "interval", interval)
-        object.__setattr__(lam, "tnc", tnc)
-        object.__setattr__(lam, "devs", devs)
+        lam = _new(cls)
+        _set_interval(lam, interval)
+        _set_tnc(lam, tnc)
+        _set_devs(lam, devs)
+        _set_text(lam, None)
         return lam
 
     def entry(self, i: int, j: int) -> int:
@@ -246,26 +304,39 @@ class Matrix01:
     def text(self) -> str:
         """The text form ``@lo:row/row/...``, rendered once per instance.
 
-        The memo sits in the instance dict under ``_text``, so equality
-        and hashing still read the fields alone.  Two threads that render
-        one weight at once both store the same string, so it needs no lock.
+        The memo sits in the ``_text`` slot, which is not a field, so
+        equality and hashing still read the fields alone.  Two threads that
+        render one weight at once both store the same string, so it needs
+        no lock.
         """
-        text = self.__dict__.get("_text")
+        text = self._text
         if text is None:
-            data = self.to_json()
-            text = self.__dict__["_text"] = f"@{data['window_start']}:" + "/".join(data["rows"])
+            lo, hi = self.window()
+            text = f"@{lo}:" + "/".join(self._rows(lo, hi))
+            _set_text(self, text)
         return text
 
+    def _rows(self, lo: int, hi: int):
+        """Each row's text over the columns lo..hi, as an iterator."""
+        return map(_row_text, itertools.repeat(lo), itertools.repeat(hi), self.tnc.c, self.devs)
+
     def row_strings(self) -> list[str]:
-        return self.to_json()["rows"]
+        return list(self._rows(*self.window()))
 
     def to_json(self) -> dict:
         lo, hi = self.window()
-        return {"window_start": lo,
-                "rows": [_row_text(lo, hi, ci, row) for ci, row in zip(self.tnc.c, self.devs)]}
+        return {"window_start": lo, "rows": list(self._rows(lo, hi))}
 
     def __str__(self):
         return self.text()
+
+
+_new = object.__new__
+# each slot written past the class's __setattr__, which refuses every write
+_set_interval = Matrix01.interval.__set__
+_set_tnc = Matrix01.tnc.__set__
+_set_devs = Matrix01.devs.__set__
+_set_text = Matrix01._text.__set__
 
 
 def koszul_dual(lam: Matrix01) -> Matrix01:
@@ -351,11 +422,7 @@ class WeightPI(dict):
     """A weight in the sl_I lattice: finitely supported map i -> coefficient of w_i."""
 
     def __init__(self, data=None):
-        super().__init__()
-        if data:
-            for k, v in data.items():
-                if v:
-                    self[k] = v
+        super().__init__({k: v for k, v in data.items() if v} if data else ())
 
     def __hash__(self):  # type: ignore[override]
         return hash(tuple(sorted(self.items())))
@@ -421,8 +488,8 @@ def enumerate_weights(interval: Interval, tnc: TypeNC) -> list[Matrix01]:
     n_i > |I_+|.
     """
     # sorted combinations of I_+, n_i per row: valid by construction
-    return [Matrix01._trusted(interval, tnc, combo)
-            for combo in itertools.product(*row_choices(interval, tnc))]
+    return list(map(partial(Matrix01._trusted, interval, tnc),
+                    itertools.product(*row_choices(interval, tnc))))
 
 
 def weight_count(interval: Interval, tnc: TypeNC) -> int:
@@ -463,12 +530,18 @@ def column_counts(lam: Matrix01) -> dict[int, int]:
     baseline 1 counts -1 (a 0-entry).  Two weights of one context have the
     same sl_I weight, so lie in one block, iff their counts agree.
     """
+    return {j: v for j, v in _signed_counts(lam).items() if v}
+
+
+def _signed_counts(lam: Matrix01) -> dict[int, int]:
+    """``column_counts`` with its zeros kept."""
     out: dict[int, int] = {}
+    get = out.get
     for row, ci in zip(lam.devs, lam.tnc.c):
-        sign = 1 if ci == 0 else -1
+        sign = -1 if ci else 1
         for j in row:
-            out[j] = out.get(j, 0) + sign
-    return {j: v for j, v in out.items() if v}
+            out[j] = get(j, 0) + sign
+    return out
 
 
 def weight_of(lam: Matrix01) -> WeightPI:
@@ -480,18 +553,24 @@ def weight_of(lam: Matrix01) -> WeightPI:
     -eps_j for each deviation column j, so the weight is sum_j v_j eps_j
     over the ``column_counts`` v, ``counts_weight``.
     """
-    return counts_weight(column_counts(lam), lam.interval)
+    return counts_weight(_signed_counts(lam), lam.interval)
 
 
 def counts_weight(counts: dict[int, int], interval: Interval) -> WeightPI:
-    """sum_j v_j eps_j over the column counts v, eps_j = w_j - w_(j-1) inside I."""
-    out = WeightPI()
+    """sum_j v_j eps_j over the column counts v, eps_j = w_j - w_(j-1) inside I.
+
+    A zero count adds nothing, and ``WeightPI`` drops the zero coefficients.
+    """
+    lo, hi = interval.lo, interval.hi
+    out: dict[int, int] = {}
+    get = out.get
     for j, v in counts.items():
-        if j in interval:
-            out.add_into(j, v)
-        if j - 1 in interval:
-            out.add_into(j - 1, -v)
-    return out
+        if (lo is None or lo <= j) and (hi is None or j <= hi):
+            out[j] = get(j, 0) + v
+        j -= 1
+        if (lo is None or lo <= j) and (hi is None or j <= hi):
+            out[j] = get(j, 0) - v
+    return WeightPI(out)
 
 
 def dominance_leq(beta_eps: dict[int, int], gamma_eps: dict[int, int],

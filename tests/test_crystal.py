@@ -477,23 +477,23 @@ def test_swapped_labels_or_a_bottom_up_scan_are_caught():
 
 def test_crystal_edges_build_no_weight_beyond_the_enumeration(monkeypatch):
     built = flips = 0
-    trusted, checked = Matrix01._trusted.__func__, Matrix01.__post_init__
+    trusted, checked = Matrix01._trusted.__func__, Matrix01.__init__
 
     def counted_trusted(cls, *args):
         nonlocal built
         built += 1
         return trusted(cls, *args)
 
-    def counted_checked(self):
+    def counted_checked(self, *args):
         nonlocal built
         built += 1
-        checked(self)
+        checked(self, *args)
 
     def counted_flip(self, i, j):
         nonlocal flips
         flips += 1
     monkeypatch.setattr(Matrix01, "_trusted", classmethod(counted_trusted))
-    monkeypatch.setattr(Matrix01, "__post_init__", counted_checked)
+    monkeypatch.setattr(Matrix01, "__init__", counted_checked)
     monkeypatch.setattr(Matrix01, "flip", counted_flip)
     vertices, edges = crystal_edges(Interval.finite(0, 4), TypeNC((2, 2, 2), (0, 0, 0)))
     assert len(edges) == 7900 and len(vertices) == 3375

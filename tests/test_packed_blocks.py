@@ -167,7 +167,8 @@ def test_max_block_on_a_wide_context_is_refused_in_little_memory():
 
 
 def count_weights(monkeypatch) -> list[int]:
-    """A counter of ``Matrix01`` constructions, checked or trusted, from now on."""
+    """A counter of ``Matrix01`` constructions, checked (``__init__``) or
+    trusted (``_trusted``), from now on."""
     made = [0]
     trusted, init = Matrix01._trusted.__func__, Matrix01.__init__
 

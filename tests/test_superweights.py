@@ -145,3 +145,15 @@ def test_p_lambda_parity():
     lam = SuperWeight((2, 3), GL11)
     assert lam.p_lambda() == 1
     assert SuperWeight((2, 2), GL11).p_lambda() == 0
+
+
+def test_rho_matches_its_sum_formula():
+    # rho_j = -(-1)^{p_j} sum_{i<j} (-1)^{p_i}, less 1 when p_j = 1
+    for m in range(7):
+        for ps in itertools.product((0, 1), repeat=m):
+            tnc = TypeNC((1,) * m, ps)
+            want = tuple(-((-1) ** ps[j]) * sum((-1) ** ps[i] for i in range(j)) - ps[j]
+                         for j in range(m))
+            assert rho(tnc).coords == want
+            lam = SuperWeight(tuple(range(m)), tnc)
+            assert shifted(lam) == tuple(a + b for a, b in zip(lam.coords, want))

@@ -318,7 +318,7 @@ def test_rendering_matches_entry_by_entry_rows(rng):
         assert lam.row_strings() == rows
         assert lam.to_json() == {"window_start": lo, "rows": rows}
         # the memo is invisible to equality and hashing
-        assert "_text" in vars(lam) and "_text" not in vars(fresh)
+        assert lam._text == f"@{lo}:" + "/".join(rows) and fresh._text is None
         assert lam == fresh and hash(lam) == hash(fresh)
         assert {fresh: 1}[lam] == 1
         # every call hands out a new list
