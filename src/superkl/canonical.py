@@ -112,20 +112,26 @@ row is still checked.  Any other type pays one tuple comparison.
 
 ``d_matrix`` is a row view, and a row is solved the first time it is
 read.  b_lam involves only members mu >= lam, so row a of d reads the psi
-rows b with d[a][b] != 0 and no others; each psi row is checked for
-triangularity and diagonal 1 when a solve first reads it.  ``p_matrix``
-holds every row of the inverse: column m is solved by ``_p_column`` over
-the d rows 0..m, and the columns are written into the rows in order.
+rows b with d[a][b] != 0 and no others, and not that of its last column,
+which would push only past it; each psi row is checked for triangularity
+and diagonal 1 when a solve first reads it.  ``p_matrix`` holds every row
+of the inverse: column m is solved by ``_p_column`` over the d rows 0..m,
+and the columns are written into the rows in order.
 
-One entry at (lam, mu) depends only on the interval [pos(lam), pos(mu)]
-of lam's core: column b of a d row reads only the columns before it, and
-psi rows are triangular in the linear extension.  So ``kl_d`` solves row
-lam of d cut at mu's column, and ``kl_p`` solves column mu of p from the
-bottom up, p[x][mu] = delta_{x,mu} - sum_{x < k <= mu} d[x][k] p[k][mu],
-over the d rows, cut at mu, that are reached from lam.  ``kl_dp`` reads
-both entries off one such set of rows, the first of which is row lam cut
-at mu.  These solves are local to the call and fill no view; the psi rows
-they read are the block's checked ones.
+One entry at (lam, mu) depends only on the order interval [lam, mu]:
+d[lam][c] psi[c][b] != 0 needs lam <= c <= b in the order, and p is
+triangular in it too.  So the order decides an entry before any block is
+built: it is 1 at lam = mu, and 0 when mu lies in another block or is not
+>= lam (``_decided``).  Otherwise ``kl_d`` solves row lam of d in lam's
+core at the positions of [lam, mu] only, pushing no defect outside them,
+and so reads only the psi rows of its support in [lam, mu], less mu's.
+``kl_p`` solves column mu of p from the bottom up,
+p[x][mu] = delta_{x,mu} - sum_{x < k <= mu} d[x][k] p[k][mu], over the d
+rows, cut to [lam, mu], that are reached from lam.  ``kl_dp`` reads both
+entries off one such set of rows, the first of which is row lam.  These
+solves are local to the call and fill no view; the psi rows they read are
+the block's checked ones.  The core's order table is the order of the
+weights, as the core reduction and omega keep it.
 
 ``dual_canonical`` needs a whole column of p.  Koszul duality gives
 p_{lam,mu}(q) = d_{T(mu),T(lam)}(q), where T = ``koszul_dual`` reverses
@@ -815,18 +821,19 @@ def _checked_psi(interval: Interval, tnc: TypeNC, mask_pos: dict[int, int],
     return _MirroredRows(len(monomials), fill, mirror, check)
 
 
-def _d_row(r: _Rows, a: int, stop: int | None = None) -> dict[int, LaurentInt]:
-    """Row a of the d-matrix from the psi rows r, at columns up to stop.
+def _d_row(r: _Rows, a: int, cols: frozenset[int] | None = None) -> dict[int, LaurentInt]:
+    """Row a of the d-matrix from the psi rows r, at the columns cols (every one by default).
 
     Solves sum_{c <= b} bar(d[a][c]) r[c][b] = d[a][b] modulo qZ[q]
     column by column.  Each finished d[a][c] is pushed at once through row
-    c of psi into the defects of the later columns, so column b reads its
-    defect from one accumulator, and only the psi rows of the row's
-    support are read.  Column b reads only the columns before it, so the
-    row cut at stop (the last column by default) is exact.
+    c of psi into the defects of the later columns of cols, so column b
+    reads its defect from one accumulator, and only the psi rows of the
+    row's support are read, but for the last column's, which would push
+    past it.  cols, when given, is the order interval [a, m] of a column m
+    >= a: d[a][c] r[c][b] != 0 needs a <= c <= b in the order, so a column
+    of it reads only columns of it, and the row cut to it is exact.
     """
-    if stop is None:
-        stop = len(r) - 1
+    stop = len(r) - 1 if cols is None else max(cols)
     d: dict[int, LaurentInt] = {a: one}
     defects: dict[int, dict[int, int]] = {}
     for b in range(a, stop + 1):
@@ -837,9 +844,12 @@ def _d_row(r: _Rows, a: int, stop: int | None = None) -> dict[int, LaurentInt]:
             if any(s.get(-e) != -c for e, c in s.items()):
                 raise NonTriangularBar("congruence defect is not bar-antisymmetric")
             d[b] = LaurentInt({e: c for e, c in s.items() if e > 0})
+        if b == stop:
+            break
         db = d[b]
-        for x, rx in r[b].items():
-            if b < x <= stop:
+        row = r[b].items() if cols is None else [(x, rx) for x, rx in r[b].items() if x in cols]
+        for x, rx in row:
+            if x > b:
                 acc = defects.setdefault(x, {})
                 for e1, c1 in db.coeffs.items():
                     for e2, c2 in rx.items():
@@ -1061,29 +1071,45 @@ def _check_same_context(lam: Matrix01, mu: Matrix01) -> None:
         raise TypeMismatch("weights live over different contexts")
 
 
-def _core_interval(lam: Matrix01, mu: Matrix01) -> tuple[_Rows, int, int] | None:
-    """(psi rows of the core, pos(lam), pos(mu)) in lam's core; None if the entry is 0.
+def _decided(lam: Matrix01, mu: Matrix01) -> LaurentInt | None:
+    """d_{lam,mu} = p_{lam,mu} when the order decides them, with no block built;
+    None otherwise.
 
-    An entry at (lam, mu), mu of lam's context, is 0 unless mu is a member
-    of lam's block and lam comes no later than mu in its linear extension.
+    Both are 1 at lam = mu, and 0 when mu lies in another block or is not
+    >= lam in the order, since psi is triangular in it.
     """
+    _check_same_context(lam, mu)
+    if lam == mu:
+        return one
+    interval, tnc = lam.interval, lam.tnc
+    if (_packed_block_key(interval, tnc, _monomial(lam))
+            != _packed_block_key(interval, tnc, _monomial(mu)) or not order_leq(lam, mu)):
+        return zero
+    return None
+
+
+def _between(block: BlockData, a: int, m: int) -> frozenset[int]:
+    """The positions of the order interval [a, m] of the block's members."""
+    return frozenset(x for x in range(a, m + 1) if block.leq(a, x) and block.leq(x, m))
+
+
+def _order_interval(lam: Matrix01, mu: Matrix01) -> tuple[_Rows, int, int, frozenset[int]]:
+    """(psi rows of lam's core, pos(lam), pos(mu), the positions of the order
+    interval [lam, mu] in the core), for lam < mu in one block."""
     block = block_data(lam)
-    b = block._mask_pos.get(_monomial(mu))
-    if b is None:
-        return None
     core, pos = block.core()
-    a, m = pos[block.position(lam)], pos[b]
-    return (core._psi_rows, a, m) if a <= m else None
+    a, m = pos[block.position(lam)], pos[block.position(mu)]
+    return core._psi_rows, a, m, _between(core, a, m)
 
 
-def _reach(r: _Rows, a: int, stop: int) -> dict[int, dict[int, LaurentInt]]:
-    """Row x of the d-matrix cut at stop, for every x reached from a through them."""
+def _reach(r: _Rows, a: int, cols: frozenset[int]) -> dict[int, dict[int, LaurentInt]]:
+    """Row x of the d-matrix cut to cols, for every x reached from a through them."""
     rows: dict[int, dict[int, LaurentInt]] = {}
     todo = [a]
     while todo:
         x = todo.pop()
         if x not in rows:
-            rows[x] = _d_row(r, x, stop)
+            rows[x] = _d_row(r, x, cols)
             todo.extend(rows[x])
     return rows
 
@@ -1113,21 +1139,20 @@ def _p_column(rows: dict[int, dict[int, LaurentInt]], m: int) -> dict[int, Laure
 
 
 def kl_d(lam: Matrix01, mu: Matrix01) -> LaurentInt:
-    """The graded decomposition polynomial d_{lam,mu}, from row lam of d cut at mu."""
+    """The graded decomposition polynomial d_{lam,mu}, from row lam of d cut to [lam, mu]."""
     if not lam.interval.is_finite():
         raise IntervalInfinite("use kl_d_stable for infinite intervals")
-    _check_same_context(lam, mu)
-    found = _core_interval(lam, mu)
-    if found is None:
-        return zero
-    r, a, m = found
-    return _d_row(r, a, m).get(m, zero)
+    known = _decided(lam, mu)
+    if known is not None:
+        return known
+    r, a, m, cols = _order_interval(lam, mu)
+    return _d_row(r, a, cols).get(m, zero)
 
 
 def kl_p(lam: Matrix01, mu: Matrix01) -> LaurentInt:
     """The inverse-family polynomial p_{lam,mu} (in N[q]), from one column of p.
 
-    Only the d rows reached from lam, cut at mu, are solved.
+    Only the d rows reached from lam, cut to [lam, mu], are solved.
     """
     if not lam.interval.is_finite():
         raise IntervalInfinite("use kl_p_stable for infinite intervals")
@@ -1137,15 +1162,14 @@ def kl_p(lam: Matrix01, mu: Matrix01) -> LaurentInt:
 def kl_dp(lam: Matrix01, mu: Matrix01) -> tuple[LaurentInt, LaurentInt]:
     """(d_{lam,mu}, p_{lam,mu}) over a finite interval, from one ``_reach``.
 
-    Row lam of d cut at mu is the first row ``_reach`` solves, so d is read
-    off it and each cut row is solved once for both.
+    Row lam of d cut to [lam, mu] is the first row ``_reach`` solves, so d
+    is read off it and each cut row is solved once for both.
     """
-    _check_same_context(lam, mu)
-    found = _core_interval(lam, mu)
-    if found is None:
-        return zero, zero
-    r, a, m = found
-    rows = _reach(r, a, m)
+    known = _decided(lam, mu)
+    if known is not None:
+        return known, known
+    r, a, m, cols = _order_interval(lam, mu)
+    rows = _reach(r, a, cols)
     return rows[a].get(m, zero), _p_column(rows, m).get(a, zero).subs_neg_q()
 
 

@@ -231,3 +231,29 @@ def test_full_size_orders_outputs_match_the_benchmark_pins(capsys):
         out, err = capsys.readouterr()
         assert (code, err) == (0, ""), op["label"]
         assert hashlib.sha256(out.encode()).hexdigest() == pins[op["label"]], op["label"]
+
+
+def test_full_size_kl_queries_pass_reads_its_pinned_psi_rows(capsys, monkeypatch):
+    # the seed-0 kl-queries commands with cold caches, as the benchmark runs
+    # them: each output matches its pin, and the pass reads 503 psi rows from
+    # the kernel (661 when a point query read the psi rows of members outside
+    # its order interval and of its last column).  A count, not a time, so a
+    # change that brings those reads back fails here
+    pins = json.loads((Path(_PERFBENCH) / "digests.json").read_text())["full"]["kl-queries"]
+    ops, _ = workloads.generate("kl-queries", 0, "full")
+    assert len(ops) == len(pins) == 80
+    kernel, calls = canonical._psi_kernel, []
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(canonical, "_psi_kernel", counting)
+    for op in ops:
+        canonical.clear_caches()
+        code = cli.main(op["argv"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, ""), op["label"]
+        assert hashlib.sha256(out.encode()).hexdigest() == pins[op["label"]], op["label"]
+    canonical.clear_caches()
+    assert len(calls) == 503

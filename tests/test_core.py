@@ -148,7 +148,9 @@ def test_cores_are_shared_through_the_registry(monkeypatch, tmp_path):
     # whole-context canonical solves one block per core, and a core and its
     # omega-image are one core: 26 of 336.  In the cores that omega maps onto
     # themselves, half the psi rows and d rows of each mirror pair are read
-    # off the other: 219 rows of each, not 393
+    # off the other: 219 d rows, not 393.  A d row reads no psi row of its
+    # last column, which would push past the block, so the psi row of each
+    # solved block's last member is never read: 194 psi rows
     solved, kernel, d_rows = [], [], []
     solve_d, psi_kernel, d_row = canon.BlockData._solve_d, canon._psi_kernel, canon._d_row
 
@@ -172,7 +174,7 @@ def test_cores_are_shared_through_the_registry(monkeypatch, tmp_path):
                      "--out", str(tmp_path / "out.json")]) == 0
     assert len(blocks) == 336
     assert len(solved) == len({id(b) for b in solved}) == 26
-    assert (len(kernel), len(d_rows)) == (219, 219)
+    assert (len(kernel), len(d_rows)) == (194, 219)
     assert all(b.core()[0] is b for b in solved)
     assert sum(b._mirror is not None for b in solved) > 0
     assert len(canon._single_block_cache) > 336
@@ -508,7 +510,10 @@ def test_one_kl_d_reads_only_the_psi_rows_of_its_d_support(monkeypatch):
         canon.kl_d(lam, members[-1])
         block = canon.block_data(lam)
         core, pos = block.core()
-        support = {pos[b] for b in block.d_matrix()[a]}
+        m = pos[-1]
+        # the row's support inside the order interval [lam, mu], but for mu,
+        # whose psi row pushes only past mu; none at all when lam is not <= mu
+        support = {pos[b] for b in block.d_matrix()[a] if core.leq(pos[b], m)} - {m}
         assert sorted(map(core._mask_pos.__getitem__, read)) == sorted(support), lam.text()
         assert sum(row is not None for row in core.d_matrix().rows) == 1
         narrower += len(support) < block.size
@@ -553,9 +558,9 @@ def test_one_cold_klpoly_solves_each_cut_row_once(monkeypatch, capsys):
     d_row = canon._d_row
     solved = []
 
-    def counting(r, a, stop=None):
-        solved.append((id(r), a, stop))
-        return d_row(r, a, stop)
+    def counting(r, a, cols=None):
+        solved.append((id(r), a, cols))
+        return d_row(r, a, cols)
 
     monkeypatch.setattr(canon, "_d_row", counting)
     interval, tnc = LARGE
@@ -580,9 +585,14 @@ def test_a_bad_psi_row_that_kl_d_reads_is_refused(monkeypatch):
     a = block.size // 2
     lam = block.members[a]
     # mu is the last member of lam's d-support; kl_d(lam, mu) solves row lam
-    # up to mu's column and so reads the psi row of mu, made to reach below itself
-    mu = block.members[max(block.d_matrix()[a])]
-    b = pos[block.position(mu)]
+    # over the order interval [lam, mu] and so reads the psi row of each
+    # member of the support in it but mu; the last of them is made to reach
+    # below itself
+    support = block.d_matrix()[a]
+    mu = block.members[max(support)]
+    m = pos[block.position(mu)]
+    b = max(pos[c] for c in support if pos[c] != m and core.leq(pos[c], m))
+    assert b != pos[a]
     below = next(x for x in range(b) if not order_leq(core.members[b], core.members[x]))
     bad, extra = canon._monomial(core.members[b]), canon._monomial(core.members[below])
     kernel = canon._psi_kernel
